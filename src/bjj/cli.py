@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, separatrix, twomode
 from .config import RunConfig, fmt, merge_sources, parse_config, parse_kv_text
-from .errors import BjjError, ConfigError, QuadratureError, SingularityError, StepUnderflowError
+from .errors import BjjError, ConfigError
 from .integrate import integrate_adaptive, sample_stroboscopic
 from .model import classify_regime, effective_potential, hamiltonian
 
@@ -267,7 +267,7 @@ def _cmd_melnikov(cfg: RunConfig) -> str:
     payload = {
         "kappa": frame.kappa,
         "amplitude": frame.amplitude,
-        "asymptote_omega": separatrix.asymptote_frequency(frame),
+        "asymptote_omega": separatrix.ASYMPTOTE_OMEGA,
         "drive_coefficient": separatrix.drive_coefficient(frame, cfg.omega),
         "melnikov_closed": closed,
         "melnikov_numeric": numeric,
@@ -412,9 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SingularityError, StepUnderflowError, QuadratureError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
     except BjjError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

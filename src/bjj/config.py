@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError
-from .integrate import StepControl
+from .integrate import StepControl, default_control
 from .model import Z_GUARD, DampingKind, PhaseState, TrapParams
 
 __all__ = ["RunConfig", "parse_kv_text", "parse_config", "merge_sources", "fmt"]
@@ -251,50 +251,39 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check the keys no model object owns, then build the trap and step
+        control, whose constructors check the rest; every failure names its key."""
+
         def bad(key: str, why: str) -> ConfigError:
             return ConfigError(f"out-of-range value for '{key}': {why}")
 
-        if not math.isfinite(self.lam):
-            raise bad("lambda", "must be finite")
-        if self.eta < 0.0:
-            raise bad("eta", f"must be >= 0, got {fmt(self.eta)}")
-        if self.omega <= 0.0:
-            raise bad("omega", f"must be > 0, got {fmt(self.omega)}")
-        if abs(self.z0) > 1.0 - Z_GUARD:
+        for key in _KEYS:
+            value = getattr(self, self._FIELD_BY_KEY.get(key, key), None)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise bad(key, f"must be finite, got {fmt(value)}")
+        if not abs(self.z0) < 1.0 - Z_GUARD:
             raise bad("z0", f"|z0| must be < 1, got {fmt(self.z0)}")
-        if self.t_end is not None and self.t_end <= 0.0:
+        if self.t_end is not None and not self.t_end > 0.0:
             raise bad("t_end", f"must be > 0, got {fmt(self.t_end)}")
         if self.n_periods is not None and self.n_periods < 1:
             raise bad("n_periods", f"must be >= 1, got {self.n_periods}")
-        if self.sample_dt is not None and self.sample_dt <= 0.0:
+        if self.sample_dt is not None and not self.sample_dt > 0.0:
             raise bad("sample_dt", f"must be > 0, got {fmt(self.sample_dt)}")
         if self.discard < 0:
             raise bad("discard", f"must be >= 0, got {self.discard}")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise bad("abs_tol", "tolerances must be >= 0")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise bad("abs_tol", "abs_tol and rel_tol cannot both be 0")
-        if self.h_init <= 0.0:
-            raise bad("h_init", f"must be > 0, got {fmt(self.h_init)}")
-        if self.h_min <= 0.0:
-            raise bad("h_min", f"must be > 0, got {fmt(self.h_min)}")
-        if self.h_max is not None and self.h_max < self.h_min:
-            raise bad("h_max", "must be >= h_min")
-        if not (0.0 < self.safety < 1.0):
-            raise bad("safety", f"must lie in (0, 1), got {fmt(self.safety)}")
-        if self.cluster_tol <= 0.0:
+        if not self.cluster_tol > 0.0:
             raise bad("cluster_tol", f"must be > 0, got {fmt(self.cluster_tol)}")
         if self.max_order < 1:
             raise bad("max_order", f"must be >= 1, got {self.max_order}")
-        if self.chaos_spread_min <= 0.0:
+        if not self.chaos_spread_min > 0.0:
             raise bad("chaos_spread_min", "must be > 0")
-        if self.d0 <= 0.0:
+        if not self.d0 > 0.0:
             raise bad("d0", f"must be > 0, got {fmt(self.d0)}")
-        if self.renorm_interval <= 0.0:
+        if not self.renorm_interval > 0.0:
             raise bad("renorm_interval", "must be > 0")
-        if self.horizon < self.renorm_interval:
+        if not self.horizon >= self.renorm_interval:
             raise bad("horizon", "must be >= renorm_interval")
-        if self.xi_max <= 0.0:
+        if not self.xi_max > 0.0:
             raise bad("xi_max", f"must be > 0, got {fmt(self.xi_max)}")
         if not (0.0 < self.omega_min < self.omega_max):
             raise bad("omega_min", "need 0 < omega_min < omega_max")
@@ -304,6 +293,10 @@ class RunConfig:
             raise bad("z_min", "need z_min < z_max")
         if self.n_z < 2:
             raise bad("n_z", f"must be >= 2, got {self.n_z}")
+        try:
+            _ = (self.trap, self.control())
+        except ValueError as exc:
+            raise ConfigError(f"out-of-range value: {exc}") from None
 
     # -- derived objects ---------------------------------------------------
 
@@ -324,12 +317,14 @@ class RunConfig:
 
     @property
     def period(self) -> float:
-        return 2.0 * math.pi / self.omega
+        return self.trap.period
 
     def control(self) -> StepControl:
+        """Step policy from the config's step keys; an unset h_max takes
+        default_control's value for this trap."""
         h_max = self.h_max
         if h_max is None:
-            h_max = min(0.05, self.period / 50.0) if self.de1 != 0.0 else 0.05
+            h_max = default_control(self.trap).h_max
         return StepControl(
             abs_tol=self.abs_tol,
             rel_tol=self.rel_tol,

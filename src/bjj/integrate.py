@@ -57,16 +57,22 @@ class StepControl:
     safety: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be >= 0")
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"'{name}' must be finite and >= 0, got {value!r}")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("abs_tol and rel_tol cannot both be zero")
-        if not (0.0 < self.h_min <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_max")
-        if self.h_init <= 0.0:
-            raise ValueError("h_init must be > 0")
-        if not (0.0 < self.safety < 1.0):
-            raise ValueError("safety must lie in (0, 1)")
+            raise ValueError("'abs_tol' and 'rel_tol' cannot both be 0")
+        for name in ("h_init", "h_min"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"'{name}' must be finite and > 0, got {value!r}")
+        if not self.h_min <= self.h_max < math.inf:
+            raise ValueError(
+                f"'h_max' must be finite and >= h_min={self.h_min!r}, got {self.h_max!r}"
+            )
+        if not 0.0 < self.safety < 1.0:
+            raise ValueError(f"'safety' must lie in (0, 1), got {self.safety!r}")
 
 
 def default_control(p: TrapParams) -> StepControl:

@@ -41,7 +41,6 @@ __all__ = [
     "PotentialShape",
     "MotionClass",
     "Regime",
-    "SeparatrixAmplitude",
     "derive_dimensionless",
     "trap_asymmetry",
     "make_rate",
@@ -51,7 +50,6 @@ __all__ = [
     "effective_potential",
     "effective_state",
     "classify_regime",
-    "separatrix_amplitude",
 ]
 
 #: Exclusion band around |z| = 1 where dphi/dt diverges.
@@ -114,11 +112,11 @@ class TrapParams:
     def __post_init__(self) -> None:
         for name in ("lam", "de0", "de1", "omega", "eta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"TrapParams.{name} must be finite")
-        if self.eta < 0.0:
-            raise ValueError(f"TrapParams.eta must be >= 0, got {self.eta}")
-        if self.de1 != 0.0 and self.omega <= 0.0:
-            raise ValueError("TrapParams.omega must be > 0 when de1 != 0")
+                raise ValueError(f"'{name}' must be finite, got {getattr(self, name)!r}")
+        if not self.omega > 0.0:
+            raise ValueError(f"'omega' must be > 0, got {self.omega!r}")
+        if not self.eta >= 0.0:
+            raise ValueError(f"'eta' must be >= 0, got {self.eta!r}")
 
     @property
     def period(self) -> float:
@@ -179,9 +177,9 @@ def derive_dimensionless(phys: PhysicalParams) -> tuple[float, float]:
     lam = mean interaction * n_total / (2k); de0 absorbs both the
     zero-point energy difference and the interaction asymmetry.
     """
-    if phys.k <= 0.0:
+    if not phys.k > 0.0:
         raise ValueError(f"tunneling k must be > 0, got {phys.k}")
-    if phys.n_total <= 0.0:
+    if not phys.n_total > 0.0:
         raise ValueError(f"n_total must be > 0, got {phys.n_total}")
     u_mean = 0.5 * (phys.u1 + phys.u2)
     lam = u_mean * phys.n_total / (2.0 * phys.k)
@@ -336,39 +334,3 @@ def classify_regime(p: TrapParams, z0: float, phi0: float) -> Regime:
             "potential (strong static tilt); classification not defined"
         )
     return Regime(potential_shape=shape, motion=motion, h=h, h_eff=h_eff)
-
-
-@dataclass(frozen=True)
-class SeparatrixAmplitude:
-    """Peak imbalance of the separatrix orbit and its validity flags.
-
-    amplitude:    2*sqrt((lam*h - 1)/lam^2), the top of the homoclinic loop.
-    well_minimum: imbalance at the bottom of the well, amplitude/sqrt(2);
-                  the full two-regime phase portrait requires it <= 1, with
-                  equality meaning complete localization.
-    mqst_only:    amplitude > 1 — the separatrix would exceed the physical
-                  band, so only self-trapped motion exists at this energy.
-    """
-
-    amplitude: float
-    well_minimum: float
-    mqst_only: bool
-
-    @property
-    def full_portrait(self) -> bool:
-        return self.well_minimum <= 1.0
-
-
-def separatrix_amplitude(lam: float, h: float) -> SeparatrixAmplitude:
-    """Amplitude of the separatrix orbit at junction energy h (lam*h > 1)."""
-    excess = lam * h - 1.0
-    if excess <= 0.0:
-        raise ValueError(
-            f"separatrix requires lam*h > 1, got lam*h = {lam * h!r}"
-        )
-    amplitude = 2.0 * math.sqrt(excess / (lam * lam))
-    return SeparatrixAmplitude(
-        amplitude=amplitude,
-        well_minimum=amplitude / math.sqrt(2.0),
-        mqst_only=amplitude > 1.0,
-    )

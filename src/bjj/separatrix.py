@@ -47,6 +47,7 @@ from .errors import QuadratureError
 from .model import TrapParams, trap_asymmetry
 
 __all__ = [
+    "ASYMPTOTE_OMEGA",
     "SeparatrixFrame",
     "StabilityCurve",
     "separatrix_orbit",
@@ -59,11 +60,17 @@ __all__ = [
     "melnikov_closed",
     "running_stability_integral",
     "drive_coefficient",
-    "asymptote_frequency",
     "stability_curve",
     "duffing_residual",
     "frame_from_initial",
 ]
+
+
+#: Drive frequency where the de1 coefficient's bracket vanishes.  Solving
+#: lam*(kappa^2 + omega^2)/|lam|^3 = h/|lam| gives omega^2 = lam*h - kappa^2
+#: = 1 identically: the resonance sits at the bare tunneling frequency for
+#: every valid frame.
+ASYMPTOTE_OMEGA = 1.0
 
 
 def _sech(x):
@@ -88,10 +95,13 @@ class SeparatrixFrame:
     amplitude: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("lam", "h", "c0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"'{name}' must be finite, got {getattr(self, name)!r}")
         excess = self.lam * self.h - 1.0
-        if excess <= 0.0:
+        if not 0.0 < excess < math.inf:
             raise ValueError(
-                f"separatrix requires lam*h > 1, got lam*h = {self.lam * self.h!r}"
+                f"'h' must give a separatrix (lam*h > 1), got lam*h = {self.lam * self.h!r}"
             )
         kappa = math.sqrt(excess)
         object.__setattr__(self, "kappa", kappa)
@@ -191,18 +201,11 @@ def melnikov_numeric(
     """Melnikov integral by adaptive quadrature; returns (value, abs error).
 
     The integrand decays like e^{-|xi|}, so truncating at |xi| = 40 leaves
-    a tail below 1e-12 of the coefficients.  Raises QuadratureError when
-    the achieved error is worse than max(1e-10, 1e-8*|value|).
+    a tail below 1e-12 of the coefficients.
     """
-    g = _integrand(f, p)
     t_lo = (-xi_max - f.c0) / f.kappa
     t_hi = (xi_max - f.c0) / f.kappa
-    value, abserr, info, *rest = quad(
-        g, t_lo, t_hi, epsabs=epsabs, epsrel=1e-11, limit=20000, full_output=1
-    )
-    if rest and abserr > max(1e-10, 1e-8 * abs(value)):
-        raise QuadratureError("Melnikov quadrature did not converge", abserr)
-    return float(value), float(abserr)
+    return running_stability_integral(f, p, t_lo, t_hi, epsabs)
 
 
 def running_stability_integral(
@@ -212,15 +215,21 @@ def running_stability_integral(
     t_hi: float,
     epsabs: float = 1e-12,
 ) -> tuple[float, float]:
-    """Partial accumulation of the Melnikov integrand over [t_lo, t_hi]."""
+    """Partial accumulation of the Melnikov integrand over [t_lo, t_hi].
+
+    Returns (value, abs error).  Raises QuadratureError when quad reports
+    trouble and the achieved error is worse than max(1e-10, 1e-8*|value|).
+    """
     if t_hi < t_lo:
         raise ValueError("t_hi must be >= t_lo")
-    g = _integrand(f, p)
-    value, abserr, info, *rest = quad(
-        g, t_lo, t_hi, epsabs=epsabs, epsrel=1e-11, limit=20000, full_output=1
+    value, abserr, _info, *rest = quad(
+        _integrand(f, p), t_lo, t_hi, epsabs=epsabs, epsrel=1e-11, limit=20000,
+        full_output=1,
     )
     if rest and abserr > max(1e-10, 1e-8 * abs(value)):
-        raise QuadratureError("running stability integral did not converge", abserr)
+        raise QuadratureError(
+            f"stability integral over [{t_lo!r}, {t_hi!r}] did not converge", abserr
+        )
     return float(value), float(abserr)
 
 
@@ -230,7 +239,7 @@ def drive_coefficient(f: SeparatrixFrame, omega: float) -> float:
     Vanishes at the cosine zeros (set by c0) and at omega = 1, the root of
     the bracket lam*(omega^2 - 1)/|lam|^3 common to all valid frames.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     kappa = f.kappa
     a = abs(f.lam)
@@ -260,16 +269,6 @@ def melnikov_closed(f: SeparatrixFrame, p: TrapParams) -> float:
     return damp + p.de1 * drive_coefficient(f, p.omega)
 
 
-def asymptote_frequency(f: SeparatrixFrame) -> float:
-    """Drive frequency where the de1 coefficient's bracket vanishes.
-
-    Solving lam*(kappa^2 + omega^2)/|lam|^3 = h/|lam| gives
-    omega^2 = lam*h - kappa^2 = 1 identically: the resonance sits at the
-    bare tunneling frequency for every valid frame.
-    """
-    return 1.0
-
-
 @dataclass(frozen=True)
 class StabilityCurve:
     """Critical drive amplitude versus frequency at fixed damping.
@@ -291,9 +290,8 @@ class StabilityCurve:
 
 def _asymptotes_in(f: SeparatrixFrame, omega_min: float, omega_max: float) -> list[float]:
     marks: list[float] = []
-    star = asymptote_frequency(f)
-    if omega_min <= star <= omega_max:
-        marks.append(star)
+    if omega_min <= ASYMPTOTE_OMEGA <= omega_max:
+        marks.append(ASYMPTOTE_OMEGA)
     if f.c0 != 0.0:
         scale = f.kappa / abs(f.c0)
         k = 0
@@ -324,7 +322,7 @@ def stability_curve(
     level get +/-inf; the closed-form asymptote list (bracket root at
     omega = 1 plus the cosine zeros for c0 != 0) is returned alongside.
     """
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if not (0.0 < omega_min < omega_max):
         raise ValueError("need 0 < omega_min < omega_max")

@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bjj import config
 from bjj.cli import main
 from bjj.config import RunConfig, fmt, merge_sources, parse_config, parse_kv_text
 from bjj.errors import ConfigError
+from bjj.integrate import StepControl, default_control
 
 PRESETS = sorted(p.name for p in __import__("pathlib").Path("presets").glob("*.cfg"))
 
@@ -58,6 +62,59 @@ def test_range_error_names_key():
         RunConfig.from_values(parse_kv_text("eta=-0.1"))
     with pytest.raises(ConfigError, match="'z0'"):
         RunConfig.from_values(parse_kv_text("z0=1.5"))
+
+
+# Inputs that at one time gave NaN rows, a hang, or an error naming no key.
+NON_FINITE_INPUTS = [
+    (["simulate", "--z0", "nan"], "z0"),
+    (["melnikov", "--energy", "nan"], "energy"),
+    (["simulate", "--abs-tol", "nan"], "abs_tol"),
+    (["simulate", "--sample-dt", "nan"], "sample_dt"),
+    (["simulate", "--h-max", "nan"], "h_max"),
+    (["simulate", "--eta", "nan"], "eta"),
+    (["classify", "--z0", "nan"], "z0"),
+    (["simulate", "--t-end", "inf"], "t_end"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,key", NON_FINITE_INPUTS, ids=[" ".join(a) for a, _ in NON_FINITE_INPUTS]
+)
+def test_range_error_names_key_non_finite(argv, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        RunConfig.from_values({key: float(argv[-1])})
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_control_carries_every_step_key():
+    steps = {"abs_tol": 1e-7, "rel_tol": 2e-7, "h_init": 3e-3, "h_min": 4e-9,
+             "h_max": 0.02, "safety": 0.8}
+    assert {f.name for f in fields(StepControl)} == set(steps)
+    ctl = RunConfig.from_values(steps).control()
+    assert {name: getattr(ctl, name) for name in steps} == steps
+    # unset h_max is derived from the drive
+    driven = RunConfig.from_values({"de1": 3.0, "omega_pi": 4.0})
+    assert driven.control().h_max == default_control(driven.trap).h_max
+    assert driven.control().h_max == driven.period / 50.0
+    assert RunConfig.from_values({}).control().h_max == 0.05
+
+
+FLOAT_KEYS = sorted(k for k, (parse, _) in config._KEYS.items() if parse is config._parse_float)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from(FLOAT_KEYS), st.floats(), max_size=4))
+def test_from_values_rejects_or_returns_finite(values):
+    try:
+        cfg = RunConfig.from_values(values)
+    except ConfigError:
+        return
+    assert all(math.isfinite(v) for v in vars(cfg).values() if isinstance(v, float))
+    ctl = cfg.control()
+    assert all(math.isfinite(getattr(ctl, f.name)) for f in fields(StepControl))
 
 
 def test_exclusive_pairs_conflict_within_one_source():

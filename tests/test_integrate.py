@@ -109,6 +109,8 @@ def test_step_control_validation():
         StepControl(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(ValueError):
         StepControl(h_min=0.1, h_max=0.01)
+    with pytest.raises(ValueError, match="'abs_tol'"):
+        StepControl(abs_tol=math.nan)
 
 
 def test_step_underflow_on_non_integrable_kink():

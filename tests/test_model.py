@@ -16,9 +16,9 @@ from bjj.model import (
     hamiltonian,
     make_rate,
     rhs,
-    separatrix_amplitude,
     trap_asymmetry,
 )
+from bjj.separatrix import SeparatrixFrame
 
 LAM10 = TrapParams(lam=10.0)
 
@@ -96,10 +96,9 @@ def test_classify_rejects_negative_h_eff_in_single_well():
 
 
 def test_separatrix_amplitude_frozen_case():
-    amp = separatrix_amplitude(2.0, 1.0)
-    assert amp.amplitude == pytest.approx(1.0, abs=1e-15)
+    assert SeparatrixFrame(lam=2.0, h=1.0).amplitude == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        separatrix_amplitude(2.0, 0.4)
+        SeparatrixFrame(lam=2.0, h=0.4)
 
 
 def test_trap_params_validation():
@@ -107,6 +106,8 @@ def test_trap_params_validation():
         TrapParams(lam=10.0, eta=-0.1)
     with pytest.raises(ValueError):
         TrapParams(lam=10.0, de1=1.0, omega=0.0)
+    with pytest.raises(ValueError, match="'omega'"):
+        TrapParams(lam=10.0, omega=math.nan)
     with pytest.raises(ValueError):
         TrapParams(lam=float("nan"))
 

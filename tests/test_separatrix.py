@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bjj.model import TrapParams
 from bjj.separatrix import (
+    ASYMPTOTE_OMEGA,
     SeparatrixFrame,
-    asymptote_frequency,
     basis_z11,
     basis_z12,
     drive_coefficient,
@@ -40,6 +40,8 @@ def test_frame_constants():
     assert UNIT.amplitude == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         SeparatrixFrame(lam=2.0, h=0.5)
+    with pytest.raises(ValueError, match="'h'"):
+        SeparatrixFrame(lam=10.0, h=math.nan)
 
 
 def test_orbit_peak_and_decay():
@@ -168,9 +170,9 @@ def test_running_integral_converges_to_melnikov():
 
 
 def test_drive_coefficient_changes_sign_at_unit_frequency():
+    assert ASYMPTOTE_OMEGA == 1.0
     for f in (UNIT, SeparatrixFrame(lam=4.0, h=0.9), SeparatrixFrame(lam=1.5, h=2.0)):
-        assert asymptote_frequency(f) == 1.0
-        assert abs(drive_coefficient(f, 1.0)) < 1e-14
+        assert abs(drive_coefficient(f, ASYMPTOTE_OMEGA)) < 1e-14
         assert drive_coefficient(f, 0.9) * drive_coefficient(f, 1.1) < 0.0
 
 
