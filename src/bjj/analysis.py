@@ -172,8 +172,8 @@ def detect_frequency_locking(
     cloud whose diameter exceeds chaos_spread_min is chaotic; anything
     else (quasiperiodic loops, undamped islands) is undecided.
     """
-    if cluster_tol <= 0.0:
-        raise ValueError("cluster_tol must be > 0")
+    if not cluster_tol > 0.0:
+        raise ValueError(f"'cluster_tol' must be > 0, got {cluster_tol!r}")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if discard_periods < 0:
@@ -249,10 +249,15 @@ def lyapunov_estimate(
     separation direction.  Regular orbits give ~ log(T)/T, decaying toward
     zero with the horizon; chaotic ones converge to a positive rate.
     """
-    if d0 <= 0.0:
-        raise ValueError("d0 must be > 0")
-    if renorm_interval <= 0.0 or horizon < renorm_interval:
-        raise ValueError("need 0 < renorm_interval <= horizon")
+    if not d0 > 0.0:
+        raise ValueError(f"'d0' must be > 0, got {d0!r}")
+    if not renorm_interval > 0.0:
+        raise ValueError(f"'renorm_interval' must be > 0, got {renorm_interval!r}")
+    if not renorm_interval <= horizon < math.inf:
+        raise ValueError(
+            f"'horizon' must be finite and >= renorm_interval={renorm_interval!r}, "
+            f"got {horizon!r}"
+        )
     if ctl is None:
         ctl = default_control(p)
     n_int = int(round(horizon / renorm_interval))

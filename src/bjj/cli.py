@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, separatrix, twomode
-from .config import RunConfig, fmt, merge_sources, parse_config, parse_kv_text
+from .config import (
+    _EXCLUSIVE,
+    _KEYS,
+    RunConfig,
+    fmt,
+    merge_sources,
+    parse_config,
+)
 from .errors import BjjError, ConfigError
 from .integrate import integrate_adaptive, sample_stroboscopic
 from .model import classify_regime, effective_potential, hamiltonian
@@ -97,55 +104,18 @@ def _find_preset(name: str) -> Path:
     )
 
 
-# (flag, config key, argparse kwargs)
-_OVERRIDES: list[tuple[str, str, dict]] = [
-    ("--lambda", "lambda", dict(type=float)),
-    ("--de0", "de0", dict(type=float)),
-    ("--de1", "de1", dict(type=float)),
-    ("--omega", "omega", dict(type=float)),
-    ("--omega-pi", "omega_pi", dict(type=float)),
-    ("--eta", "eta", dict(type=float)),
-    ("--damping", "damping", dict(choices=["population", "velocity", "none"])),
-    ("--z0", "z0", dict(type=float)),
-    ("--phi0", "phi0", dict(type=float)),
-    ("--t-end", "t_end", dict(type=float)),
-    ("--n-periods", "n_periods", dict(type=int)),
-    ("--sample-dt", "sample_dt", dict(type=float)),
-    ("--discard", "discard", dict(type=int)),
-    ("--abs-tol", "abs_tol", dict(type=float)),
-    ("--rel-tol", "rel_tol", dict(type=float)),
-    ("--h-init", "h_init", dict(type=float)),
-    ("--h-min", "h_min", dict(type=float)),
-    ("--h-max", "h_max", dict(type=float)),
-    ("--safety", "safety", dict(type=float)),
-    ("--window", "window", dict(choices=["rect", "hann"])),
-    ("--cluster-tol", "cluster_tol", dict(type=float)),
-    ("--max-order", "max_order", dict(type=int)),
-    ("--chaos-spread-min", "chaos_spread_min", dict(type=float)),
-    ("--d0", "d0", dict(type=float)),
-    ("--renorm-interval", "renorm_interval", dict(type=float)),
-    ("--horizon", "horizon", dict(type=float)),
-    ("--energy", "energy", dict(type=float)),
-    ("--c0", "c0", dict(type=float)),
-    ("--xi-max", "xi_max", dict(type=float)),
-    ("--omega-min", "omega_min", dict(type=float)),
-    ("--omega-max", "omega_max", dict(type=float)),
-    ("--n-points", "n_points", dict(type=int)),
-    ("--z-min", "z_min", dict(type=float)),
-    ("--z-max", "z_max", dict(type=float)),
-    ("--n-z", "n_z", dict(type=int)),
-]
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:
     out: dict[str, object] = {}
-    for _, key, _kw in _OVERRIDES:
+    for key in _KEYS:
         value = getattr(args, f"ov_{key}")
         if value is not None:
-            if key == "omega_pi" and "omega" in out:
-                raise ConfigError("set exactly one of --omega / --omega-pi")
-            if key == "omega" and "omega_pi" in out:
-                raise ConfigError("set exactly one of --omega / --omega-pi")
+            other = _EXCLUSIVE.get(key)
+            if other in out:
+                raise ConfigError(f"set exactly one of {_flag(other)} / {_flag(key)}")
             out[key] = value
     return out
 
@@ -392,8 +362,10 @@ def _build_parser() -> _Parser:
         src.add_argument("--config", metavar="PATH", help="key=value config file")
         src.add_argument("--preset", metavar="NAME", help="named preset (presets/NAME.cfg)")
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        for flag, key, kwargs in _OVERRIDES:
-            p.add_argument(flag, dest=f"ov_{key}", default=None, **kwargs)
+        for key, (parse, help_text) in _KEYS.items():
+            choices = getattr(parse, "choices", None)
+            p.add_argument(_flag(key), dest=f"ov_{key}", help=help_text,
+                           type=None if choices else parse, choices=choices)
     return parser
 
 

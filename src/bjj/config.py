@@ -43,12 +43,10 @@ _DAMPING_NAMES = tuple(k.value for k in DampingKind)
 _WINDOW_NAMES = ("rect", "hann")
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
+# The builtins themselves, so a command-line flag of this type reports a
+# bad value as "invalid float value" / "invalid int value".
+_parse_float = float
+_parse_int = int
 
 
 def _parse_word(allowed: tuple[str, ...]) -> Callable[[str], str]:
@@ -57,6 +55,7 @@ def _parse_word(allowed: tuple[str, ...]) -> Callable[[str], str]:
             raise ValueError(f"expected one of {', '.join(allowed)}")
         return text
 
+    parse.choices = allowed  # type: ignore[attr-defined]
     return parse
 
 
@@ -297,6 +296,15 @@ class RunConfig:
             _ = (self.trap, self.control())
         except ValueError as exc:
             raise ConfigError(f"out-of-range value: {exc}") from None
+        if self.t_end is not None or self.n_periods is not None:
+            try:
+                horizon = self.resolved_t_end()
+            except OverflowError:  # an int too large for a float
+                horizon = math.inf
+            if not math.isfinite(horizon):  # t_end is finite by now
+                raise bad("n_periods", "n_periods * period must be a finite time")
+            if self.sample_dt is not None and not math.isfinite(horizon / self.sample_dt):
+                raise bad("sample_dt", "horizon/sample_dt must be a finite sample count")
 
     # -- derived objects ---------------------------------------------------
 

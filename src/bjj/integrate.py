@@ -156,7 +156,8 @@ def _drive(
     on_target fires at every target (after exact landing); on_step fires
     at every other accepted step.  Raises StepUnderflowError when the
     tolerance cannot be met above h_min, and propagates SingularityError
-    when the current state itself sits inside the guard band.
+    when the current state itself sits inside the guard band.  A NaN error
+    estimate never passes the tolerance test.
     """
     abs_tol = ctl.abs_tol
     rel_tol = ctl.rel_tol
@@ -179,16 +180,19 @@ def _drive(
             # Stage 1 is shared by the full step and the first half step.
             # A singular current state raises here independent of h, so the
             # exception propagates; singular *trial* states further along
-            # the step are treated as a rejection instead.
+            # the step are treated as a rejection instead, and so are trial
+            # states that overflowed (math.sin(inf) raises ValueError).
             k1 = f(t, y)
             try:
                 y_big = _rk4_from_k1(f, t, y, h_try, k1)
                 half = 0.5 * h_try
                 y_mid = _rk4_from_k1(f, t, y, half, k1)
                 y_fine = rk4_step(f, t + half, y_mid, half)
-            except SingularityError:
+            except (SingularityError, ValueError) as exc:
                 if h_try <= underflow_edge:
-                    raise
+                    if isinstance(exc, SingularityError):
+                        raise
+                    raise StepUnderflowError(t, h_try) from None
                 h = max(h_min, 0.5 * h_try)
                 continue
 
@@ -196,7 +200,7 @@ def _drive(
             for y0, yb, yf in zip(y, y_big, y_fine):
                 scale = abs_tol + rel_tol * max(abs(y0), abs(yf))
                 err = abs(yf - yb) / (15.0 * scale)
-                if err > ratio:
+                if err > ratio or err != err:  # a NaN error sticks
                     ratio = err
 
             if ratio <= 1.0:
@@ -220,7 +224,7 @@ def _drive(
                 if h_try <= underflow_edge:
                     raise StepUnderflowError(t, h_try)
                 fac = safety * ratio**-0.2
-                if fac < _MIN_SHRINK:
+                if not fac >= _MIN_SHRINK:
                     fac = _MIN_SHRINK
                 h = max(h_try * fac, h_min)
         if on_target is not None:
@@ -230,15 +234,77 @@ def _drive(
 
 def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
     """Multiples of sample_dt covering (0, t_end], end collapsed onto t_end."""
-    if sample_dt <= 0.0:
-        raise ValueError("sample_dt must be > 0")
-    count = int(math.floor(t_end / sample_dt + 1e-9))
-    targets = [k * sample_dt for k in range(1, count + 1)]
+    if not sample_dt > 0.0:
+        raise ValueError(f"'sample_dt' must be > 0, got {sample_dt!r}")
+    count = t_end / sample_dt + 1e-9
+    if not math.isfinite(count):
+        raise ValueError(
+            f"t_end/sample_dt = {t_end!r}/{sample_dt!r} is not a finite sample count"
+        )
+    targets = [k * sample_dt for k in range(1, int(math.floor(count)) + 1)]
     if targets and targets[-1] > t_end:
         targets[-1] = t_end
     elif not targets or t_end - targets[-1] > 1e-9 * sample_dt:
         targets.append(t_end)
     return targets
+
+
+def _sample(
+    rate: RateFn,
+    t0: float,
+    y0: tuple[float, ...],
+    t_end: float,
+    ctl: StepControl,
+    sample_dt: float | None,
+) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Recorded (times, states) of one run from (t0, y0) to t_end.
+
+    The initial state is the first row.  With sample_dt unset every
+    accepted step is recorded; otherwise only the multiples of sample_dt
+    (sample grids are anchored at t=0) and t_end, each landed exactly.
+    """
+    if t_end < t0:
+        raise ValueError(f"t_end={t_end} precedes initial time {t0}")
+    ts = [t0]
+    ys = [y0]
+
+    def record(t: float, y: tuple[float, ...]) -> None:
+        ts.append(t)
+        ys.append(y)
+
+    if t_end > t0:
+        if sample_dt is None:
+            _drive(rate, t0, y0, [t_end], ctl, on_target=record, on_step=record)
+        else:
+            if t0 != 0.0:
+                raise ValueError("sample grids are anchored at t=0")
+            targets = _sample_targets(t_end, sample_dt)
+            _drive(rate, t0, y0, targets, ctl, on_target=record)
+    return ts, ys
+
+
+def _trajectory(
+    p: TrapParams,
+    s0: PhaseState,
+    t_end: float,
+    ctl: StepControl | None,
+    sample_dt: float | None,
+) -> Trajectory:
+    """Body of integrate_adaptive, shared with sample_stroboscopic so that
+    one public entry point never runs inside another."""
+    if ctl is None:
+        ctl = default_control(p)
+    rate = make_rate(p)
+    ts, ys = _sample(rate, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
+    zphi = np.asarray(ys)
+    return Trajectory(
+        params=p,
+        control=ctl,
+        t=np.asarray(ts),
+        z=zphi[:, 0],
+        phi=zphi[:, 1],
+        dz_dt=np.asarray([rate(t, y)[0] for t, y in zip(ts, ys)]),
+    )
 
 
 def advance(
@@ -270,43 +336,7 @@ def integrate_adaptive(
     recorded.  Landing is by step clamping, so no interpolation error
     enters the samples.
     """
-    if ctl is None:
-        ctl = default_control(p)
-    if t_end < s0.t:
-        raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
-    rate = make_rate(p)
-
-    ts: list[float] = []
-    zs: list[float] = []
-    phis: list[float] = []
-    dzs: list[float] = []
-
-    def record(t: float, y: tuple[float, ...]) -> None:
-        dz, _ = rate(t, y)
-        ts.append(t)
-        zs.append(y[0])
-        phis.append(y[1])
-        dzs.append(dz)
-
-    record(s0.t, (s0.z, s0.phi))
-    if t_end > s0.t:
-        if sample_dt is None:
-            _drive(rate, s0.t, (s0.z, s0.phi), [t_end], ctl,
-                   on_target=record, on_step=record)
-        else:
-            if s0.t != 0.0:
-                raise ValueError("sample grids are anchored at t=0")
-            targets = _sample_targets(t_end, sample_dt)
-            _drive(rate, s0.t, (s0.z, s0.phi), targets, ctl, on_target=record)
-
-    return Trajectory(
-        params=p,
-        control=ctl,
-        t=np.asarray(ts),
-        z=np.asarray(zs),
-        phi=np.asarray(phis),
-        dz_dt=np.asarray(dzs),
-    )
+    return _trajectory(p, s0, t_end, ctl, sample_dt)
 
 
 def sample_stroboscopic(
@@ -326,34 +356,9 @@ def sample_stroboscopic(
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     if s0.t != 0.0:
         raise ValueError("stroboscopic sampling starts at t=0")
-    if ctl is None:
-        ctl = default_control(p)
-    rate = make_rate(p)
     period = p.period
-
-    ts: list[float] = []
-    zs: list[float] = []
-    dzs: list[float] = []
-
-    def record(t: float, y: tuple[float, ...]) -> None:
-        dz, _ = rate(t, y)
-        ts.append(t)
-        zs.append(y[0])
-        dzs.append(dz)
-
-    record(0.0, (s0.z, s0.phi))
-    targets = [n * period for n in range(1, n_periods + 1)]
-    _drive(rate, 0.0, (s0.z, s0.phi), targets, ctl, on_target=record)
-
-    return SectionPoints(
-        params=p,
-        control=ctl,
-        period=period,
-        n=np.arange(n_periods + 1),
-        t=np.asarray(ts),
-        z=np.asarray(zs),
-        dz_dt=np.asarray(dzs),
-    )
+    traj = _trajectory(p, s0, n_periods * period, ctl, sample_dt=period)
+    return section_from_trajectory(traj, period)
 
 
 def section_from_trajectory(traj: Trajectory, period: float) -> SectionPoints:

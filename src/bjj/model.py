@@ -37,18 +37,15 @@ __all__ = [
     "PhysicalParams",
     "TrapParams",
     "PhaseState",
-    "EffectiveState",
     "PotentialShape",
     "MotionClass",
     "Regime",
     "derive_dimensionless",
     "trap_asymmetry",
     "make_rate",
-    "rhs",
     "hamiltonian",
     "effective_energy",
     "effective_potential",
-    "effective_state",
     "classify_regime",
 ]
 
@@ -137,19 +134,6 @@ class PhaseState:
     phi: float
 
 
-@dataclass(frozen=True)
-class EffectiveState:
-    """Fictitious-particle view of a junction state.
-
-    h is the junction energy, h_eff = (1 - h^2)/2 the energy of the
-    equivalent particle whose coordinate is z, and p_z its momentum dz/dt.
-    """
-
-    h: float
-    h_eff: float
-    p_z: float
-
-
 class PotentialShape(enum.Enum):
     DOUBLE_WELL = "DoubleWell"
     PARABOLIC = "Parabolic"
@@ -202,8 +186,9 @@ RateFn = Callable[[float, tuple[float, float]], tuple[float, float]]
 def make_rate(p: TrapParams) -> RateFn:
     """Bind parameters into a fast rate function ``f(t, (z, phi))``.
 
-    This closure is the single source of the equations of motion; the
-    integrators call it directly and :func:`rhs` wraps it for scalar use.
+    This closure is the single source of the equations of motion: the
+    integrators call it, and ``make_rate(p)(t, (z, phi))`` is the rate at
+    a single state.
     Raises SingularityError when |z| enters the Z_GUARD band around 1.
     """
     lam = p.lam
@@ -252,11 +237,6 @@ def make_rate(p: TrapParams) -> RateFn:
     return rate
 
 
-def rhs(p: TrapParams, s: PhaseState) -> tuple[float, float]:
-    """Time derivatives (dz/dt, dphi/dt) at a single state."""
-    return make_rate(p)(s.t, (s.z, s.phi))
-
-
 def hamiltonian(p: TrapParams, z: float, phi: float, t: float = 0.0) -> float:
     """Junction energy H = lam*z^2/2 + de(t)*z - sqrt(1-z^2) cos(phi).
 
@@ -292,15 +272,6 @@ def effective_potential(
     symmetric = 0.5 * z2 * (1.0 - lam * h + 0.25 * lam * lam * z2)
     tilt = 0.5 * de * lam * z2 * z + 0.5 * de * de * z2 - de * h * z
     return symmetric + tilt
-
-
-def effective_state(
-    p: TrapParams, z: float, phi: float, t: float = 0.0
-) -> EffectiveState:
-    """Map a junction state to the fictitious-particle variables."""
-    h = hamiltonian(p, z, phi, t)
-    p_z, _ = rhs(p, PhaseState(t=t, z=z, phi=phi))
-    return EffectiveState(h=h, h_eff=effective_energy(h), p_z=p_z)
 
 
 def classify_regime(p: TrapParams, z0: float, phi0: float) -> Regime:

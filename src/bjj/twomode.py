@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import StepControl, _drive, _sample_targets, default_control
+from .integrate import StepControl, _sample, default_control
 from .model import TrapParams
 
 __all__ = [
@@ -29,9 +29,7 @@ __all__ = [
     "TwoModeTrajectory",
     "CrosscheckReport",
     "amplitudes_from_phase",
-    "project",
     "project_trajectory",
-    "norm",
     "integrate_twomode",
     "crosscheck_max_dz",
 ]
@@ -79,28 +77,6 @@ def amplitudes_from_phase(z0: float, phi0: float) -> tuple[complex, complex]:
     return a1, a2
 
 
-def norm(s: TwoModeState) -> float:
-    return abs(s.a1) ** 2 + abs(s.a2) ** 2
-
-
-def project(s: TwoModeState) -> tuple[float, float]:
-    """Map amplitudes to (z, phi); phi is nan when a mode is empty.
-
-    z is normalized by the instantaneous total so that slow norm drift in
-    a numerical trajectory does not leak into the imbalance.  The nan flag
-    (rather than a silent 0) marks the genuinely undefined relative phase
-    at full polarization.
-    """
-    n1 = abs(s.a1) ** 2
-    n2 = abs(s.a2) ** 2
-    total = n1 + n2
-    z = (n1 - n2) / total
-    if n1 < PHASE_FLOOR * total or n2 < PHASE_FLOOR * total:
-        return z, math.nan
-    phi = cmath.phase(s.a2) - cmath.phase(s.a1)
-    return z, phi
-
-
 def _make_rate(p: TrapParams):
     """Real 4-vector (re1, im1, re2, im2) rate function for the generic driver."""
     lam = p.lam
@@ -141,41 +117,23 @@ def integrate_twomode(
         raise ValueError("two-mode oracle is conservative; requires eta = 0")
     if ctl is None:
         ctl = default_control(p)
-    if t_end < s0.t:
-        raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
-    rate = _make_rate(p)
     y0 = (s0.a1.real, s0.a1.imag, s0.a2.real, s0.a2.imag)
-
-    ts: list[float] = []
-    a1s: list[complex] = []
-    a2s: list[complex] = []
-
-    def record(t, y):
-        ts.append(t)
-        a1s.append(complex(y[0], y[1]))
-        a2s.append(complex(y[2], y[3]))
-
-    record(s0.t, y0)
-    if t_end > s0.t:
-        if sample_dt is None:
-            _drive(rate, s0.t, y0, [t_end], ctl, on_target=record, on_step=record)
-        else:
-            if s0.t != 0.0:
-                raise ValueError("sample grids are anchored at t=0")
-            targets = _sample_targets(t_end, sample_dt)
-            _drive(rate, s0.t, y0, targets, ctl, on_target=record)
-
+    ts, ys = _sample(_make_rate(p), s0.t, y0, t_end, ctl, sample_dt)
+    amps = np.asarray(ys).view(np.complex128)
     return TwoModeTrajectory(
-        params=p,
-        control=ctl,
-        t=np.asarray(ts),
-        a1=np.asarray(a1s),
-        a2=np.asarray(a2s),
+        params=p, control=ctl, t=np.asarray(ts), a1=amps[:, 0], a2=amps[:, 1]
     )
 
 
 def project_trajectory(traj: TwoModeTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(z, phi) arrays with phi unwrapped to a continuous branch."""
+    """(z, phi) arrays with phi unwrapped to a continuous branch.
+
+    z is normalized by the instantaneous total so that slow norm drift in
+    a numerical trajectory does not leak into the imbalance.  phi is nan
+    (rather than a silent 0) where a mode is empty, marking the genuinely
+    undefined relative phase at full polarization; it is then left
+    unwrapped.
+    """
     n1 = np.abs(traj.a1) ** 2
     n2 = np.abs(traj.a2) ** 2
     total = n1 + n2

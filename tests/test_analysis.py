@@ -188,6 +188,13 @@ def test_insufficient_points_raise():
         detect_frequency_locking(make_section(z, z), discard_periods=10, max_order=12)
 
 
+def test_locking_validation():
+    z = np.zeros(500)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="'cluster_tol'"):
+            detect_frequency_locking(make_section(z, z), cluster_tol=bad, discard_periods=10)
+
+
 # --- lyapunov --------------------------------------------------------------
 
 
@@ -203,3 +210,8 @@ def test_lyapunov_validation():
         lyapunov_estimate(p, 0.5, 0.0, d0=0.0)
     with pytest.raises(ValueError):
         lyapunov_estimate(p, 0.5, 0.0, horizon=0.1, renorm_interval=0.5)
+    for name in ("d0", "renorm_interval", "horizon"):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            lyapunov_estimate(p, 0.5, 0.0, **{"horizon": 2.0, name: math.nan})
+    with pytest.raises(ValueError, match="'horizon'"):
+        lyapunov_estimate(p, 0.5, 0.0, horizon=math.inf)

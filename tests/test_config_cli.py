@@ -265,7 +265,7 @@ def test_attractor_json_on_short_run(tmp_path):
     assert doc["n_sections"] == 201
 
 
-def test_exit_code_1_on_input_errors(tmp_path):
+def test_exit_code_1_on_input_errors(tmp_path, capsys):
     assert main(["simulate", "--nonsense"]) == 1
     assert main(["simulate", "--eta", "-1"]) == 1
     assert main(["melnikov", "--lambda", "2", "--energy", "0.1"]) == 1  # no separatrix
@@ -275,13 +275,54 @@ def test_exit_code_1_on_input_errors(tmp_path):
     assert main(["crosscheck", "--lambda", "2", "--eta", "0.1"]) == 1
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["simulate", "--preset", "no_such_preset"]) == 1
+    # horizons whose float form overflows name their key
+    capsys.readouterr()
+    assert main(["simulate", "--de1", "1", "--n-periods", str(10**310)]) == 1
+    assert "'n_periods'" in capsys.readouterr().err
+    assert main(["simulate", "--t-end", "1e300", "--sample-dt", "1e-300"]) == 1
+    assert "'sample_dt'" in capsys.readouterr().err
 
 
-def test_exit_code_2_on_numerical_failure():
+def test_flag_errors_name_the_flag(capsys):
+    assert main(["simulate", "--damping", "sideways"]) == 1
+    err = capsys.readouterr().err
+    assert "--damping" in err and "population" in err and "velocity" in err
+    assert main(["simulate", "--window", "hamming"]) == 1
+    err = capsys.readouterr().err
+    assert "--window" in err and "hann" in err
+    assert main(["simulate", "--z0", "half"]) == 1
+    assert "--z0: invalid float value" in capsys.readouterr().err
+    assert main(["simulate", "--n-periods", "1.5"]) == 1
+    assert "--n-periods: invalid int value" in capsys.readouterr().err
+
+
+def test_flags_cover_every_key_with_its_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key, (_, help_text) in config._KEYS.items():
+        assert f"--{key.replace('_', '-')}" in text
+        assert " ".join(help_text.split()) in text
+
+
+@pytest.mark.parametrize("pair", [("--omega", "--omega-pi"), ("--t-end", "--n-periods")])
+def test_exclusive_flags_conflict(pair, capsys):
+    argv = ["simulate", "--de1", "1", pair[0], "2", pair[1], "3"]
+    assert main(argv) == 1
+    assert f"set exactly one of {pair[0]} / {pair[1]}" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_numerical_failure(capsys):
     # a step-size floor combined with an unattainable tolerance underflows
     assert main(["simulate", "--lambda", "10", "--t-end", "1",
                  "--h-min", "0.05", "--h-max", "0.05", "--h-init", "0.05",
                  "--abs-tol", "1e-16", "--rel-tol", "1e-16"]) == 2
+    # finite parameters whose trial stages overflow to inf/NaN at any step
+    for flag in ("--lambda", "--de0"):
+        capsys.readouterr()
+        assert main(["simulate", flag, "1e308", "--t-end", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "t=" in err and "h_min=" in err
 
 
 def test_crosscheck_json(tmp_path):

@@ -8,6 +8,7 @@ from bjj.errors import SingularityError, StepUnderflowError
 from bjj.integrate import (
     StepControl,
     _drive,
+    _sample_targets,
     advance,
     default_control,
     integrate_adaptive,
@@ -15,7 +16,7 @@ from bjj.integrate import (
     sample_stroboscopic,
     section_from_trajectory,
 )
-from bjj.model import PhaseState, TrapParams, hamiltonian, rhs
+from bjj.model import PhaseState, TrapParams, hamiltonian, make_rate
 
 TIGHT = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-14, h_max=0.05)
 
@@ -64,8 +65,9 @@ def test_sample_grid_appends_ragged_end():
 def test_dz_dt_matches_rate_at_samples():
     p = TrapParams(lam=10.0, de1=2.0, omega=2.0 * math.pi, eta=0.01)
     traj = integrate_adaptive(p, PhaseState(0.0, 0.5, 0.0), 3.0, sample_dt=0.25)
+    rate = make_rate(p)
     for t, z, phi, dz in zip(traj.t, traj.z, traj.phi, traj.dz_dt):
-        assert dz == pytest.approx(rhs(p, PhaseState(t, z, phi))[0], abs=1e-12)
+        assert dz == pytest.approx(rate(t, (z, phi))[0], abs=1e-12)
 
 
 def test_stroboscopic_lands_exactly_on_periods():
@@ -120,6 +122,28 @@ def test_step_underflow_on_non_integrable_kink():
     ctl = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-10, h_max=0.05)
     with pytest.raises(StepUnderflowError):
         _drive(f, 0.0, (0.0,), [1.0], ctl)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+def test_non_finite_rates_never_pass_the_error_test(bad):
+    # a NaN error estimate in any component rejects the step down to h_min
+    with pytest.raises(StepUnderflowError):
+        _drive(lambda t, y: bad, 0.0, (0.0, 0.0), [1.0], TIGHT)
+
+
+def test_overflowing_trial_stage_is_a_rejection():
+    # the RK4 weights sum dphi/dt = 1e308 to inf, so every trial step lands
+    # on phi = inf, where math.sin raises ValueError
+    with pytest.raises(StepUnderflowError):
+        _drive(lambda t, y: (math.sin(y[1]), 1e308), 0.0, (0.0, 0.0), [1.0], TIGHT)
+
+
+def test_sample_targets_need_a_finite_count():
+    assert _sample_targets(1.0, 0.5) == [0.5, 1.0]
+    with pytest.raises(ValueError, match="finite sample count"):
+        _sample_targets(1e300, 1e-300)
+    with pytest.raises(ValueError, match="'sample_dt'"):
+        _sample_targets(1.0, math.nan)
 
 
 def test_singularity_propagates_from_interior():

@@ -6,16 +6,14 @@ from hypothesis import given, strategies as st
 from bjj.errors import SingularityError
 from bjj.model import (
     DampingKind,
-    PhaseState,
     PhysicalParams,
     TrapParams,
     classify_regime,
     derive_dimensionless,
+    effective_energy,
     effective_potential,
-    effective_state,
     hamiltonian,
     make_rate,
-    rhs,
     trap_asymmetry,
 )
 from bjj.separatrix import SeparatrixFrame
@@ -45,8 +43,13 @@ def test_trap_asymmetry_peaks_at_quarter_period():
     assert trap_asymmetry(p, 0.0) == 0.0
 
 
+def rate_at(p, z, phi, t=0.0):
+    """(dz/dt, dphi/dt) at a single state."""
+    return make_rate(p)(t, (z, phi))
+
+
 def test_rhs_frozen_point():
-    dz, dphi = rhs(LAM10, PhaseState(0.0, 0.5, 0.0))
+    dz, dphi = rate_at(LAM10, 0.5, 0.0)
     assert dz == 0.0
     assert dphi == pytest.approx(5.5773502691896257, abs=1e-15)
 
@@ -66,10 +69,11 @@ def test_effective_potential_double_well_value():
 
 
 def test_effective_state_relations():
-    s = effective_state(LAM10, 0.5, 0.3)
-    assert s.h_eff == pytest.approx((1.0 - s.h**2) / 2.0, rel=1e-14)
-    dz, _ = rhs(LAM10, PhaseState(0.0, 0.5, 0.3))
-    assert s.p_z == pytest.approx(dz, abs=1e-15)
+    h = hamiltonian(LAM10, 0.5, 0.3)
+    assert effective_energy(h) == pytest.approx((1.0 - h**2) / 2.0, rel=1e-14)
+    # the fictitious particle's momentum is the imbalance rate
+    dz, _ = rate_at(LAM10, 0.5, 0.3)
+    assert dz == pytest.approx(-math.sqrt(1.0 - 0.5**2) * math.sin(0.3), abs=1e-15)
 
 
 def test_classify_rabi_and_self_trapped():
@@ -133,8 +137,8 @@ def test_period_property():
 def test_rhs_odd_in_symmetric_trap(z, phi, lam, eta, damping):
     """With no tilt the equations are odd under (z, phi) -> (-z, -phi)."""
     p = TrapParams(lam=lam, eta=eta, damping=damping)
-    fwd = rhs(p, PhaseState(0.0, z, phi))
-    bwd = rhs(p, PhaseState(0.0, -z, -phi))
+    fwd = rate_at(p, z, phi)
+    bwd = rate_at(p, -z, -phi)
     assert bwd[0] == pytest.approx(-fwd[0], abs=1e-12)
     assert bwd[1] == pytest.approx(-fwd[1], abs=1e-12)
 
@@ -148,7 +152,7 @@ def test_rhs_odd_in_symmetric_trap(z, phi, lam, eta, damping):
 def test_rhs_is_canonical_flow_of_h(z, phi, lam, de0):
     """Undamped rates equal the canonical derivatives of the energy."""
     p = TrapParams(lam=lam, de0=de0)
-    dz, dphi = rhs(p, PhaseState(0.0, z, phi))
+    dz, dphi = rate_at(p, z, phi)
     eps = 1e-6
     dh_dphi = (hamiltonian(p, z, phi + eps) - hamiltonian(p, z, phi - eps)) / (2 * eps)
     dh_dz = (hamiltonian(p, z + eps, phi) - hamiltonian(p, z - eps, phi)) / (2 * eps)
@@ -160,6 +164,7 @@ def test_rhs_is_canonical_flow_of_h(z, phi, lam, de0):
 def test_effective_energy_identity(z, phi):
     """h_eff = kinetic + potential along any state, tilted or not."""
     p = TrapParams(lam=6.0, de0=0.7)
-    s = effective_state(p, z, phi)
-    v = effective_potential(p, s.h, z)
-    assert s.h_eff == pytest.approx(s.p_z**2 / 2.0 + v, rel=1e-9, abs=1e-9)
+    h = hamiltonian(p, z, phi)
+    p_z, _ = rate_at(p, z, phi)
+    v = effective_potential(p, h, z)
+    assert effective_energy(h) == pytest.approx(p_z**2 / 2.0 + v, rel=1e-9, abs=1e-9)

@@ -5,29 +5,38 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bjj.errors import StepUnderflowError
 from bjj.model import PhaseState, TrapParams
 from bjj.twomode import (
     TwoModeState,
+    TwoModeTrajectory,
     amplitudes_from_phase,
     crosscheck_max_dz,
     integrate_twomode,
-    norm,
-    project,
     project_trajectory,
 )
+
+
+def project(a1, a2):
+    """(z, phi) of one amplitude pair, through a one-row trajectory."""
+    one = TwoModeTrajectory(
+        TrapParams(lam=0.0), None, np.zeros(1), np.array([a1]), np.array([a2])
+    )
+    z, phi = project_trajectory(one)
+    return float(z[0]), float(phi[0])
 
 
 def test_amplitudes_and_projection_roundtrip():
     a1, a2 = amplitudes_from_phase(0.5, math.pi / 3)
     assert abs(a1) ** 2 == pytest.approx(0.75, abs=1e-15)
     assert abs(a2) ** 2 == pytest.approx(0.25, abs=1e-15)
-    z, phi = project(TwoModeState(0.0, a1, a2))
+    z, phi = project(a1, a2)
     assert z == pytest.approx(0.5, abs=1e-15)
     assert phi == pytest.approx(math.pi / 3, abs=1e-15)
 
 
 def test_projection_flags_empty_mode():
-    z, phi = project(TwoModeState(0.0, 1.0 + 0j, 0.0 + 0j))
+    z, phi = project(1.0 + 0j, 0.0 + 0j)
     assert z == pytest.approx(1.0)
     assert math.isnan(phi)
 
@@ -38,6 +47,13 @@ def test_norm_is_conserved():
     traj = integrate_twomode(p, TwoModeState(0.0, a1, a2), 100.0, sample_dt=1.0)
     norms = np.abs(traj.a1) ** 2 + np.abs(traj.a2) ** 2
     assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+
+def test_overflowing_run_raises_instead_of_nan_rows():
+    # lam*|a|^2 ~ 1e308 overflows every trial step, however small
+    a1, a2 = amplitudes_from_phase(0.5, 0.0)
+    with pytest.raises(StepUnderflowError):
+        integrate_twomode(TrapParams(lam=1e308), TwoModeState(0.0, a1, a2), 1.0, sample_dt=0.5)
 
 
 def test_damping_is_rejected():
@@ -75,9 +91,8 @@ def test_projected_trajectory_unwraps_phase():
 @settings(max_examples=25)
 def test_amplitude_construction_is_normalized(z0, phi0):
     a1, a2 = amplitudes_from_phase(z0, phi0)
-    s = TwoModeState(0.0, a1, a2)
-    assert norm(s) == pytest.approx(1.0, abs=1e-14)
-    z, phi = project(s)
+    assert abs(a1) ** 2 + abs(a2) ** 2 == pytest.approx(1.0, abs=1e-14)
+    z, phi = project(a1, a2)
     assert z == pytest.approx(z0, abs=1e-14)
     if abs(z0) < 0.999:
         assert cmath.exp(1j * phi) == pytest.approx(cmath.exp(1j * phi0), abs=1e-12)
