@@ -30,11 +30,11 @@ class SingularityError(BjjError):
 class StepUnderflowError(BjjError):
     """Adaptive step control could not satisfy the tolerance above h_min."""
 
-    def __init__(self, t: float, h: float):
-        self.t = t
-        self.h = h
+    def __init__(self, t: float, y: tuple, h: float, h_min: float):
+        self.t, self.y, self.h, self.h_min = t, y, h, h_min
         super().__init__(
-            f"step size underflow at t={t!r}: required h below h_min={h!r}"
+            f"step size underflow at t={t!r}, state={y!r}: step h={h!r} was "
+            f"rejected and may not shrink below h_min={h_min!r}"
         )
 
 

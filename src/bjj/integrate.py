@@ -7,8 +7,9 @@ accepted state is the Richardson-extrapolated fine solution.  Requested
 output times are hit exactly by clamping the step, never by interpolation,
 which is what makes stroboscopic sections of driven runs trustworthy.
 
-The generic kernel works on tuples of floats so the same loop integrates
-the reduced (z, phi) system and the four-component two-mode oracle.
+The kernel is written out for a state of two components, each a float or
+a Python complex, so the same loop integrates the reduced (z, phi) system
+and the two-mode amplitudes (a1, a2).
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ __all__ = [
     "Trajectory",
     "SectionPoints",
     "default_control",
-    "rk4_step",
     "advance",
     "integrate_adaptive",
     "sample_stroboscopic",
     "section_from_trajectory",
 ]
 
-RateFn = Callable[[float, tuple[float, ...]], tuple[float, ...]]
+# Two components, each a float or a Python complex.
+State = tuple[complex, complex]
+RateFn = Callable[[float, State], State]
 
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.1
@@ -118,39 +120,31 @@ class SectionPoints:
         return len(self.n)
 
 
-def rk4_step(
-    f: RateFn, t: float, y: tuple[float, ...], h: float
-) -> tuple[float, ...]:
-    """One classical Runge-Kutta step of size h."""
-    return _rk4_from_k1(f, t, y, h, f(t, y))
-
-
-def _rk4_from_k1(
-    f: RateFn, t: float, y: tuple[float, ...], h: float, k1: tuple[float, ...]
-) -> tuple[float, ...]:
+def _rk4(
+    f: RateFn, t: float, y0: complex, y1: complex, h: float, k0: complex, k1: complex
+) -> State:
+    """One classical Runge-Kutta step of size h from (y0, y1), whose rate
+    (k0, k1) at t is already known."""
     half = 0.5 * h
-    y2 = tuple(yi + half * ki for yi, ki in zip(y, k1))
-    k2 = f(t + half, y2)
-    y3 = tuple(yi + half * ki for yi, ki in zip(y, k2))
-    k3 = f(t + half, y3)
-    y4 = tuple(yi + h * ki for yi, ki in zip(y, k3))
-    k4 = f(t + h, y4)
+    a0, a1 = f(t + half, (y0 + half * k0, y1 + half * k1))
+    b0, b1 = f(t + half, (y0 + half * a0, y1 + half * a1))
+    c0, c1 = f(t + h, (y0 + h * b0, y1 + h * b1))
     sixth = h / 6.0
-    return tuple(
-        yi + sixth * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    return (
+        y0 + sixth * (k0 + 2.0 * (a0 + b0) + c0),
+        y1 + sixth * (k1 + 2.0 * (a1 + b1) + c1),
     )
 
 
 def _drive(
     f: RateFn,
     t: float,
-    y: tuple[float, ...],
+    y: State,
     targets: Sequence[float],
     ctl: StepControl,
-    on_target: Callable[[float, tuple[float, ...]], None] | None = None,
-    on_step: Callable[[float, tuple[float, ...]], None] | None = None,
-) -> tuple[float, tuple[float, ...]]:
+    on_target: Callable[[float, State], None] | None = None,
+    on_step: Callable[[float, State], None] | None = None,
+) -> tuple[float, State]:
     """Advance through an increasing list of target times, landing exactly.
 
     on_target fires at every target (after exact landing); on_step fires
@@ -166,6 +160,7 @@ def _drive(
     safety = ctl.safety
     h = min(max(ctl.h_init, h_min), h_max)
     underflow_edge = h_min * (1.0 + 1e-9)
+    y0, y1 = y
 
     for target in targets:
         while t < target:
@@ -182,31 +177,35 @@ def _drive(
             # exception propagates; singular *trial* states further along
             # the step are treated as a rejection instead, and so are trial
             # states that overflowed (math.sin(inf) raises ValueError).
-            k1 = f(t, y)
+            k0, k1 = f(t, (y0, y1))
             try:
-                y_big = _rk4_from_k1(f, t, y, h_try, k1)
+                b0, b1 = _rk4(f, t, y0, y1, h_try, k0, k1)
                 half = 0.5 * h_try
-                y_mid = _rk4_from_k1(f, t, y, half, k1)
-                y_fine = rk4_step(f, t + half, y_mid, half)
+                m0, m1 = _rk4(f, t, y0, y1, half, k0, k1)
+                j0, j1 = f(t + half, (m0, m1))
+                n0, n1 = _rk4(f, t + half, m0, m1, half, j0, j1)
             except (SingularityError, ValueError) as exc:
                 if h_try <= underflow_edge:
                     if isinstance(exc, SingularityError):
                         raise
-                    raise StepUnderflowError(t, h_try) from None
+                    raise StepUnderflowError(t, (y0, y1), h_try, h_min) from None
                 h = max(h_min, 0.5 * h_try)
                 continue
 
+            # Real and imaginary parts are scored apart (a float's .imag is
+            # 0.0, and a zero difference scores 0 without a division).
             ratio = 0.0
-            for y0, yb, yf in zip(y, y_big, y_fine):
-                scale = abs_tol + rel_tol * max(abs(y0), abs(yf))
-                err = abs(yf - yb) / (15.0 * scale)
-                if err > ratio or err != err:  # a NaN error sticks
-                    ratio = err
+            for y_, n_, b_ in ((y0.real, n0.real, b0.real), (y1.real, n1.real, b1.real),
+                               (y0.imag, n0.imag, b0.imag), (y1.imag, n1.imag, b1.imag)):
+                diff = abs(n_ - b_)
+                if diff:
+                    err = diff / (15.0 * (abs_tol + rel_tol * max(abs(y_), abs(n_))))
+                    if err > ratio or err != err:  # a NaN error sticks
+                        ratio = err
 
             if ratio <= 1.0:
-                y = tuple(
-                    yf + (yf - yb) / 15.0 for yf, yb in zip(y_fine, y_big)
-                )
+                y0 = n0 + (n0 - b0) / 15.0
+                y1 = n1 + (n1 - b1) / 15.0
                 if landing:
                     t = target  # exact by assignment, no accumulation drift
                 else:
@@ -219,17 +218,17 @@ def _drive(
                         fac = _MAX_GROW
                     h = min(max(h_try * fac, h_min), h_max)
                     if on_step is not None:
-                        on_step(t, y)
+                        on_step(t, (y0, y1))
             else:
                 if h_try <= underflow_edge:
-                    raise StepUnderflowError(t, h_try)
+                    raise StepUnderflowError(t, (y0, y1), h_try, h_min)
                 fac = safety * ratio**-0.2
                 if not fac >= _MIN_SHRINK:
                     fac = _MIN_SHRINK
                 h = max(h_try * fac, h_min)
         if on_target is not None:
-            on_target(t, y)
-    return t, y
+            on_target(t, (y0, y1))
+    return t, (y0, y1)
 
 
 def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
@@ -252,11 +251,11 @@ def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
 def _sample(
     rate: RateFn,
     t0: float,
-    y0: tuple[float, ...],
+    y0: State,
     t_end: float,
     ctl: StepControl,
     sample_dt: float | None,
-) -> tuple[list[float], list[tuple[float, ...]]]:
+) -> tuple[list[float], list[State]]:
     """Recorded (times, states) of one run from (t0, y0) to t_end.
 
     The initial state is the first row.  With sample_dt unset every
@@ -268,7 +267,7 @@ def _sample(
     ts = [t0]
     ys = [y0]
 
-    def record(t: float, y: tuple[float, ...]) -> None:
+    def record(t: float, y: State) -> None:
         ts.append(t)
         ys.append(y)
 

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 from .model import TrapParams, trap_asymmetry
@@ -220,6 +219,8 @@ def running_stability_integral(
     Returns (value, abs error).  Raises QuadratureError when quad reports
     trouble and the achieved error is worse than max(1e-10, 1e-8*|value|).
     """
+    from scipy.integrate import quad  # loading it is most of `import bjj`'s cost
+
     if t_hi < t_lo:
         raise ValueError("t_hi must be >= t_lo")
     value, abserr, _info, *rest = quad(

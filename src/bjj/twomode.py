@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import StepControl, _sample, default_control
-from .model import TrapParams
+from .integrate import StepControl, _sample, default_control, integrate_adaptive
+from .model import PhaseState, TrapParams
 
 __all__ = [
     "TwoModeState",
@@ -78,7 +78,7 @@ def amplitudes_from_phase(z0: float, phi0: float) -> tuple[complex, complex]:
 
 
 def _make_rate(p: TrapParams):
-    """Real 4-vector (re1, im1, re2, im2) rate function for the generic driver."""
+    """Rate of the amplitude pair (a1, a2), two Python complex numbers."""
     lam = p.lam
     de0 = p.de0
     de1 = p.de1
@@ -86,16 +86,15 @@ def _make_rate(p: TrapParams):
     sin = math.sin
 
     def rate(t, y):
-        x1, y1, x2, y2 = y
+        a1, a2 = y
+        x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
         half_de = 0.5 * (de0 + de1 * sin(omega * t)) if de1 != 0.0 else 0.5 * de0
         c1 = half_de + lam * (x1 * x1 + y1 * y1)
         c2 = -half_de + lam * (x2 * x2 + y2 * y2)
         # i da/dt = c a - other/2   =>   da/dt = -i c a + i other/2
         return (
-            c1 * y1 - 0.5 * y2,
-            -c1 * x1 + 0.5 * x2,
-            c2 * y2 - 0.5 * y1,
-            -c2 * x2 + 0.5 * x1,
+            complex(c1 * y1 - 0.5 * y2, -c1 * x1 + 0.5 * x2),
+            complex(c2 * y2 - 0.5 * y1, -c2 * x2 + 0.5 * x1),
         )
 
     return rate
@@ -117,9 +116,9 @@ def integrate_twomode(
         raise ValueError("two-mode oracle is conservative; requires eta = 0")
     if ctl is None:
         ctl = default_control(p)
-    y0 = (s0.a1.real, s0.a1.imag, s0.a2.real, s0.a2.imag)
+    y0 = (complex(s0.a1), complex(s0.a2))
     ts, ys = _sample(_make_rate(p), s0.t, y0, t_end, ctl, sample_dt)
-    amps = np.asarray(ys).view(np.complex128)
+    amps = np.asarray(ys)
     return TwoModeTrajectory(
         params=p, control=ctl, t=np.asarray(ts), a1=amps[:, 0], a2=amps[:, 1]
     )
@@ -155,9 +154,6 @@ def crosscheck_max_dz(
     ctl: StepControl | None = None,
 ) -> CrosscheckReport:
     """Integrate both routes from the same state and compare z on a grid."""
-    from .integrate import integrate_adaptive  # local to avoid cycle at import
-    from .model import PhaseState
-
     if p.eta != 0.0:
         raise ValueError("crosscheck requires eta = 0 (oracle is conservative)")
     reduced = integrate_adaptive(

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bjj
 from bjj import config
 from bjj.cli import main
 from bjj.config import RunConfig, fmt, merge_sources, parse_config, parse_kv_text
@@ -361,3 +366,23 @@ def test_presets_run_reduced(name, tmp_path):
         args = ["attractor", "--preset", name, "--n-periods", "150", "--discard", "20"]
     code, text = run_cli(args, tmp_path)
     assert code == 0 and text
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports bjj from the package under test."""
+    src = str(Path(bjj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    proc = run_python("-c", "import sys, bjj; print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_python_m_bjj_runs_the_cli():
+    proc = run_python("-m", "bjj", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: bjj" in proc.stdout

@@ -4,38 +4,79 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bjj.integrate
 from bjj.errors import SingularityError, StepUnderflowError
 from bjj.integrate import (
     StepControl,
     _drive,
+    _rk4,
     _sample_targets,
     advance,
     default_control,
     integrate_adaptive,
-    rk4_step,
     sample_stroboscopic,
     section_from_trajectory,
 )
 from bjj.model import PhaseState, TrapParams, hamiltonian, make_rate
+from bjj.twomode import crosscheck_max_dz
 
 TIGHT = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-14, h_max=0.05)
 
 
+def oscillator(t, y):
+    """Harmonic oscillator; from (1, 0) the exact state is (cos t, -sin t)."""
+    return y[1], -y[0]
+
+
+def rk4_step(t, y, h):
+    return _rk4(oscillator, t, *y, h, *oscillator(t, y))
+
+
 def test_rk4_single_step_accuracy():
-    y = rk4_step(lambda t, y: (-y[0],), 0.0, (1.0,), 0.1)
-    assert abs(y[0] - math.exp(-0.1)) < 1e-7
+    y = rk4_step(0.0, (1.0, 0.0), 0.1)
+    assert abs(y[0] - math.cos(0.1)) < 1e-7
+    assert abs(y[1] + math.sin(0.1)) < 1e-7
 
 
 def test_rk4_fixed_step_is_fourth_order():
     def run(n):
         h = 1.0 / n
-        y = (1.0,)
+        y = (1.0, 0.0)
         for k in range(n):
-            y = rk4_step(lambda t, y: (-y[0],), k * h, y, h)
-        return abs(y[0] - math.exp(-1.0))
+            y = rk4_step(k * h, y, h)
+        return math.hypot(y[0] - math.cos(1.0), y[1] + math.sin(1.0))
 
     ratio = run(32) / run(64)
     assert 12.0 < ratio < 20.0
+
+
+def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
+    # Values recorded from the tuple-generic stepper that the 2-component
+    # kernel replaced: the same floating-point operations in the same order
+    # give the same steps, rate evaluations and bits.
+    evals = [0]
+
+    def counting_make_rate(p):
+        rate = make_rate(p)
+
+        def counted(t, y):
+            evals[0] += 1
+            return rate(t, y)
+
+        return counted
+
+    monkeypatch.setattr(bjj.integrate, "make_rate", counting_make_rate)
+    p = TrapParams(lam=10.0, de1=7.5, omega=4.0 * math.pi)
+    s0 = PhaseState(0.0, 0.5, 0.0)
+    sec = sample_stroboscopic(p, s0, 40)
+    assert evals[0] == 26969  # 41 of them evaluate dz/dt at the section points
+    assert sec.z[-1] == 0.020592784343077236
+    assert sec.dz_dt[-1] == -0.9935658489367988
+    traj = integrate_adaptive(p, s0, 40 * p.period, sample_dt=p.period)
+    assert (traj.z[-1], traj.phi[-1]) == (0.020592784343077236, 1.6824196467883532)
+    # fig5_de1_3.0 parameters; the two-mode oracle runs on complex (a1, a2)
+    p3 = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
+    assert crosscheck_max_dz(p3, 0.5, 0.0, t_end=10.0).max_abs_dz == 7.731298075699944e-10
 
 
 def test_advance_matches_trajectory_endpoint():
@@ -117,11 +158,11 @@ def test_step_control_validation():
 
 def test_step_underflow_on_non_integrable_kink():
     def f(t, y):
-        return (1.0 / math.sqrt(abs(t - 0.5)) if t != 0.5 else 1e300,)
+        return (1.0 / math.sqrt(abs(t - 0.5)) if t != 0.5 else 1e300), 0.0
 
     ctl = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-10, h_max=0.05)
     with pytest.raises(StepUnderflowError):
-        _drive(f, 0.0, (0.0,), [1.0], ctl)
+        _drive(f, 0.0, (0.0, 0.0), [1.0], ctl)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
@@ -136,6 +177,14 @@ def test_overflowing_trial_stage_is_a_rejection():
     # on phi = inf, where math.sin raises ValueError
     with pytest.raises(StepUnderflowError):
         _drive(lambda t, y: (math.sin(y[1]), 1e308), 0.0, (0.0, 0.0), [1.0], TIGHT)
+
+
+def test_pure_relative_tolerance_on_a_zero_state():
+    # with abs_tol=0 an unchanging zero part (z, phi, or a float's .imag)
+    # scores 0 instead of dividing 0 by a zero tolerance
+    ctl = StepControl(abs_tol=0.0, rel_tol=1e-10)
+    end = advance(TrapParams(lam=10.0), PhaseState(0.0, 0.0, 0.0), 1.0, ctl)
+    assert (end.t, end.z, end.phi) == (1.0, 0.0, 0.0)
 
 
 def test_sample_targets_need_a_finite_count():

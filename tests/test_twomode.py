@@ -56,6 +56,19 @@ def test_overflowing_run_raises_instead_of_nan_rows():
         integrate_twomode(TrapParams(lam=1e308), TwoModeState(0.0, a1, a2), 1.0, sample_dt=0.5)
 
 
+def test_step_underflow_names_configured_h_min():
+    a1, a2 = amplitudes_from_phase(0.5, 0.0)
+    with pytest.raises(StepUnderflowError) as info:
+        integrate_twomode(TrapParams(lam=1e308), TwoModeState(0.0, a1, a2), 1.0, sample_dt=0.5)
+    err = info.value
+    assert (err.t, err.h_min) == (0.0, 1e-12)
+    assert err.h <= 1e-12 * (1.0 + 1e-9)
+    message = str(err)
+    assert "h_min=1e-12" in message
+    assert f"t={err.t!r}" in message and f"h={err.h!r}" in message
+    assert f"state={err.y!r}" in message
+
+
 def test_damping_is_rejected():
     p = TrapParams(lam=10.0, eta=0.1)
     a1, a2 = amplitudes_from_phase(0.5, 0.0)
