@@ -7,9 +7,11 @@ accepted state is the Richardson-extrapolated fine solution.  Requested
 output times are hit exactly by clamping the step, never by interpolation,
 which is what makes stroboscopic sections of driven runs trustworthy.
 
-The kernel is written out for a state of two components, each a float or
-a Python complex, so the same loop integrates the reduced (z, phi) system
-and the two-mode amplitudes (a1, a2).
+The driver writes its stages out for a state of two components, each a
+float or a Python complex, with a flat rate f(t, y0, y1), so the same loop
+integrates the reduced (z, phi) system and the two-mode amplitudes
+(a1, a2).  Float components are scored as they are, complex ones by their
+real and imaginary parts apart.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SingularityError, StepUnderflowError
-from .model import PhaseState, TrapParams, make_rate
+from .model import PhaseState, RateFn, TrapParams, make_rate
 
 __all__ = [
     "StepControl",
@@ -36,10 +38,12 @@ __all__ = [
 
 # Two components, each a float or a Python complex.
 State = tuple[complex, complex]
-RateFn = Callable[[float, State], State]
 
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.1
+
+#: Most landing targets one run may request; the target list is built up front.
+MAX_TARGETS = 10**7
 
 
 @dataclass(frozen=True)
@@ -120,22 +124,6 @@ class SectionPoints:
         return len(self.n)
 
 
-def _rk4(
-    f: RateFn, t: float, y0: complex, y1: complex, h: float, k0: complex, k1: complex
-) -> State:
-    """One classical Runge-Kutta step of size h from (y0, y1), whose rate
-    (k0, k1) at t is already known."""
-    half = 0.5 * h
-    a0, a1 = f(t + half, (y0 + half * k0, y1 + half * k1))
-    b0, b1 = f(t + half, (y0 + half * a0, y1 + half * a1))
-    c0, c1 = f(t + h, (y0 + h * b0, y1 + h * b1))
-    sixth = h / 6.0
-    return (
-        y0 + sixth * (k0 + 2.0 * (a0 + b0) + c0),
-        y1 + sixth * (k1 + 2.0 * (a1 + b1) + c1),
-    )
-
-
 def _drive(
     f: RateFn,
     t: float,
@@ -161,6 +149,8 @@ def _drive(
     h = min(max(ctl.h_init, h_min), h_max)
     underflow_edge = h_min * (1.0 + 1e-9)
     y0, y1 = y
+    # Complex components score their real and imaginary parts apart.
+    parts = isinstance(y0, complex) or isinstance(y1, complex)
 
     for target in targets:
         while t < target:
@@ -172,18 +162,37 @@ def _drive(
                 h_try = h
                 landing = False
 
-            # Stage 1 is shared by the full step and the first half step.
-            # A singular current state raises here independent of h, so the
-            # exception propagates; singular *trial* states further along
-            # the step are treated as a rejection instead, and so are trial
-            # states that overflowed (math.sin(inf) raises ValueError).
-            k0, k1 = f(t, (y0, y1))
+            # One classical RK4 step of h_try (to b) and two of h_try/2 (to
+            # m, then n), all from the stage-1 rate k at t.  A singular
+            # current state raises at k independent of h, so the exception
+            # propagates; singular *trial* states further along the step are
+            # treated as a rejection instead, and so are trial states that
+            # overflowed (math.sin(inf) raises ValueError).
+            k0, k1 = f(t, y0, y1)
+            half = 0.5 * h_try
+            q = 0.5 * half
+            t_half = t + half
+            t_q = t + q
             try:
-                b0, b1 = _rk4(f, t, y0, y1, h_try, k0, k1)
-                half = 0.5 * h_try
-                m0, m1 = _rk4(f, t, y0, y1, half, k0, k1)
-                j0, j1 = f(t + half, (m0, m1))
-                n0, n1 = _rk4(f, t + half, m0, m1, half, j0, j1)
+                a0, a1 = f(t_half, y0 + half * k0, y1 + half * k1)
+                c0, c1 = f(t_half, y0 + half * a0, y1 + half * a1)
+                d0, d1 = f(t + h_try, y0 + h_try * c0, y1 + h_try * c1)
+                sixth = h_try / 6.0
+                b0 = y0 + sixth * (k0 + 2.0 * (a0 + c0) + d0)
+                b1 = y1 + sixth * (k1 + 2.0 * (a1 + c1) + d1)
+                a0, a1 = f(t_q, y0 + q * k0, y1 + q * k1)
+                c0, c1 = f(t_q, y0 + q * a0, y1 + q * a1)
+                d0, d1 = f(t_half, y0 + half * c0, y1 + half * c1)
+                sixth = half / 6.0
+                m0 = y0 + sixth * (k0 + 2.0 * (a0 + c0) + d0)
+                m1 = y1 + sixth * (k1 + 2.0 * (a1 + c1) + d1)
+                j0, j1 = f(t_half, m0, m1)
+                t_hq = t_half + q
+                a0, a1 = f(t_hq, m0 + q * j0, m1 + q * j1)
+                c0, c1 = f(t_hq, m0 + q * a0, m1 + q * a1)
+                d0, d1 = f(t_half + half, m0 + half * c0, m1 + half * c1)
+                n0 = m0 + sixth * (j0 + 2.0 * (a0 + c0) + d0)
+                n1 = m1 + sixth * (j1 + 2.0 * (a1 + c1) + d1)
             except (SingularityError, ValueError) as exc:
                 if h_try <= underflow_edge:
                     if isinstance(exc, SingularityError):
@@ -192,15 +201,28 @@ def _drive(
                 h = max(h_min, 0.5 * h_try)
                 continue
 
-            # Real and imaginary parts are scored apart (a float's .imag is
-            # 0.0, and a zero difference scores 0 without a division).
+            # err = |n - b| / (15 (abs_tol + rel_tol max(|y|, |n|))) per part;
+            # a zero difference scores 0 without a division, and a NaN error
+            # sticks as the step's ratio.
             ratio = 0.0
-            for y_, n_, b_ in ((y0.real, n0.real, b0.real), (y1.real, n1.real, b1.real),
-                               (y0.imag, n0.imag, b0.imag), (y1.imag, n1.imag, b1.imag)):
-                diff = abs(n_ - b_)
+            if parts:
+                for y_, n_, b_ in ((y0.real, n0.real, b0.real), (y1.real, n1.real, b1.real),
+                                   (y0.imag, n0.imag, b0.imag), (y1.imag, n1.imag, b1.imag)):
+                    diff = abs(n_ - b_)
+                    if diff:
+                        err = diff / (15.0 * (abs_tol + rel_tol * max(abs(y_), abs(n_))))
+                        if err > ratio or err != err:
+                            ratio = err
+            else:
+                diff = abs(n0 - b0)
                 if diff:
-                    err = diff / (15.0 * (abs_tol + rel_tol * max(abs(y_), abs(n_))))
-                    if err > ratio or err != err:  # a NaN error sticks
+                    u, v = abs(y0), abs(n0)
+                    ratio = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                diff = abs(n1 - b1)
+                if diff:
+                    u, v = abs(y1), abs(n1)
+                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                    if err > ratio or err != err:
                         ratio = err
 
             if ratio <= 1.0:
@@ -240,7 +262,13 @@ def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
         raise ValueError(
             f"t_end/sample_dt = {t_end!r}/{sample_dt!r} is not a finite sample count"
         )
-    targets = [k * sample_dt for k in range(1, int(math.floor(count)) + 1)]
+    n = int(math.floor(count))
+    if n > MAX_TARGETS:
+        raise ValueError(
+            f"'sample_dt'={sample_dt!r} asks for {n} samples up to t_end={t_end!r}, "
+            f"more than {MAX_TARGETS}"
+        )
+    targets = [k * sample_dt for k in range(1, n + 1)]
     if targets and targets[-1] > t_end:
         targets[-1] = t_end
     elif not targets or t_end - targets[-1] > 1e-9 * sample_dt:
@@ -302,7 +330,7 @@ def _trajectory(
         t=np.asarray(ts),
         z=zphi[:, 0],
         phi=zphi[:, 1],
-        dz_dt=np.asarray([rate(t, y)[0] for t, y in zip(ts, ys)]),
+        dz_dt=np.asarray([rate(t, z, phi)[0] for t, (z, phi) in zip(ts, ys)]),
     )
 
 
@@ -351,8 +379,8 @@ def sample_stroboscopic(
     """
     if p.de1 == 0.0:
         raise ValueError("stroboscopic sections need a modulated trap (de1 != 0)")
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    if not 1 <= n_periods <= MAX_TARGETS:
+        raise ValueError(f"'n_periods' must lie in [1, {MAX_TARGETS}], got {n_periods}")
     if s0.t != 0.0:
         raise ValueError("stroboscopic sampling starts at t=0")
     period = p.period

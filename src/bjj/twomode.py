@@ -85,8 +85,7 @@ def _make_rate(p: TrapParams):
     omega = p.omega
     sin = math.sin
 
-    def rate(t, y):
-        a1, a2 = y
+    def rate(t, a1, a2):
         x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
         half_de = 0.5 * (de0 + de1 * sin(omega * t)) if de1 != 0.0 else 0.5 * de0
         c1 = half_de + lam * (x1 * x1 + y1 * y1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -205,6 +206,26 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert header == "n,z,dzdt"
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["poincare", "--preset", "fig5_de1_7.5", "--n-periods", "200"],
+         "5b267080b0aa100e000695f53ad3929e1fda2ef9dfb8e0d41430cffe75ccfe34"),
+        (["simulate", "--preset", "fig7_left", "--t-end", "20", "--sample-dt", "0.01"],
+         "eb6862af88095ff96d75946a6279a59743301a9bbf1bbf876019daca23711021"),
+        (["crosscheck", "--preset", "fig5_de1_3.0", "--t-end", "5"],
+         "32de772b14248c693c8d541aa86cb2a3333e5f6a264413ab86dfd70ce49b7887"),
+    ],
+    ids=["poincare", "simulate", "crosscheck"],
+)
+def test_cli_outputs_keep_pinned_bytes(tmp_path, args, digest):
+    # SHA-256 of outputs recorded before the driver was written out stage
+    # by stage; a stepper change that moves one bit of an orbit shows here.
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_classify_reports_rabi_for_driven_chaotic_preset(tmp_path):
     code, text = run_cli(["classify", "--preset", "fig5_de1_7.5"], tmp_path)
     assert code == 0
@@ -286,6 +307,12 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     assert "'n_periods'" in capsys.readouterr().err
     assert main(["simulate", "--t-end", "1e300", "--sample-dt", "1e-300"]) == 1
     assert "'sample_dt'" in capsys.readouterr().err
+    # finite horizons with more landing targets than MAX_TARGETS fail before
+    # the target list is built
+    assert main(["simulate", "--t-end", "1e12", "--sample-dt", "1"]) == 1
+    assert "'sample_dt'" in capsys.readouterr().err
+    assert main(["poincare", "--lambda", "2", "--de1", "1", "--n-periods", str(10**12)]) == 1
+    assert "'n_periods'" in capsys.readouterr().err
 
 
 def test_flag_errors_name_the_flag(capsys):

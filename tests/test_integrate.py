@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bjj.integrate
 from bjj.errors import SingularityError, StepUnderflowError
 from bjj.integrate import (
+    MAX_TARGETS,
     StepControl,
     _drive,
-    _rk4,
     _sample_targets,
     advance,
     default_control,
@@ -17,37 +17,59 @@ from bjj.integrate import (
     sample_stroboscopic,
     section_from_trajectory,
 )
-from bjj.model import PhaseState, TrapParams, hamiltonian, make_rate
-from bjj.twomode import crosscheck_max_dz
+from bjj.model import DampingKind, PhaseState, TrapParams, hamiltonian, make_rate
+from bjj.twomode import (
+    TwoModeState,
+    amplitudes_from_phase,
+    crosscheck_max_dz,
+    integrate_twomode,
+)
 
 TIGHT = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-14, h_max=0.05)
 
 
-def oscillator(t, y):
+def oscillator(t, x, v):
     """Harmonic oscillator; from (1, 0) the exact state is (cos t, -sin t)."""
-    return y[1], -y[0]
+    return v, -x
 
 
-def rk4_step(t, y, h):
-    return _rk4(oscillator, t, *y, h, *oscillator(t, y))
+def fixed_steps(h, t_end):
+    """Oscillator state at t_end from (1, 0) after steps of exactly h: a
+    unit tolerance accepts every step, and h_min = h_max = h pins it."""
+    ctl = StepControl(abs_tol=1.0, rel_tol=1.0, h_init=h, h_min=h, h_max=h)
+    return _drive(oscillator, 0.0, (1.0, 0.0), [t_end], ctl)[1]
 
 
 def test_rk4_single_step_accuracy():
-    y = rk4_step(0.0, (1.0, 0.0), 0.1)
+    y = fixed_steps(0.1, 0.1)
     assert abs(y[0] - math.cos(0.1)) < 1e-7
     assert abs(y[1] + math.sin(0.1)) < 1e-7
 
 
 def test_rk4_fixed_step_is_fourth_order():
+    # the accepted state is the Richardson extrapolation of two fourth-order
+    # solutions, so the global error falls as h^5: halving h divides it by 32
     def run(n):
-        h = 1.0 / n
-        y = (1.0, 0.0)
-        for k in range(n):
-            y = rk4_step(k * h, y, h)
+        y = fixed_steps(1.0 / n, 1.0)
         return math.hypot(y[0] - math.cos(1.0), y[1] + math.sin(1.0))
 
     ratio = run(32) / run(64)
-    assert 12.0 < ratio < 20.0
+    assert 24.0 < ratio < 40.0
+
+
+def counting(make, evals):
+    """make, with every call of the rates it builds counted in evals[0]."""
+
+    def make_counted(p):
+        rate = make(p)
+
+        def counted(*args):
+            evals[0] += 1
+            return rate(*args)
+
+        return counted
+
+    return make_counted
 
 
 def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
@@ -55,17 +77,7 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
     # kernel replaced: the same floating-point operations in the same order
     # give the same steps, rate evaluations and bits.
     evals = [0]
-
-    def counting_make_rate(p):
-        rate = make_rate(p)
-
-        def counted(t, y):
-            evals[0] += 1
-            return rate(t, y)
-
-        return counted
-
-    monkeypatch.setattr(bjj.integrate, "make_rate", counting_make_rate)
+    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, evals))
     p = TrapParams(lam=10.0, de1=7.5, omega=4.0 * math.pi)
     s0 = PhaseState(0.0, 0.5, 0.0)
     sec = sample_stroboscopic(p, s0, 40)
@@ -77,6 +89,45 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
     # fig5_de1_3.0 parameters; the two-mode oracle runs on complex (a1, a2)
     p3 = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
     assert crosscheck_max_dz(p3, 0.5, 0.0, t_end=10.0).max_abs_dz == 7.731298075699944e-10
+
+
+S_PIN = PhaseState(0.0, 0.5, 0.3)
+
+
+@pytest.mark.parametrize(
+    "p, sample_dt, evals, rows, z, phi",
+    [
+        # undriven: the de1 == 0 closure
+        (TrapParams(lam=10.0), 0.5, 13967, 41, -0.22191888138686355, -1.7527239785630258),
+        (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.POPULATION), 0.5,
+         14209, 41, -0.12179148388330586, -5.535668405817371),
+        (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.VELOCITY), 0.5,
+         13692, 41, 0.5409370209014888, 84.44174223604693),
+        # every accepted step recorded
+        (TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi), None,
+         6157, 514, 0.1279277221190182, -2.3104289405126646),
+    ],
+    ids=["undriven", "population_damped", "velocity_damped", "every_step"],
+)
+def test_rate_closures_keep_pinned_orbit_bits(monkeypatch, p, sample_dt, evals, rows, z, phi):
+    # Values recorded before the driver was written out stage by stage; the
+    # count includes one dz/dt evaluation per recorded row.
+    count = [0]
+    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, count))
+    t_end = 5.0 if sample_dt is None else 20.0
+    traj = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
+    assert (count[0], len(traj)) == (evals, rows)
+    assert (traj.z[-1], traj.phi[-1]) == (z, phi)
+
+
+def test_twomode_keeps_pinned_amplitude_bits():
+    p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
+    a1, a2 = amplitudes_from_phase(S_PIN.z, S_PIN.phi)
+    traj = integrate_twomode(p, TwoModeState(0.0, a1, a2), 5.0, sample_dt=0.5)
+    assert (complex(traj.a1[-1]), complex(traj.a2[-1])) == (
+        0.013766190900418373 + 0.7508490880616501j,
+        0.47955608560102075 - 0.4539406347224939j,
+    )
 
 
 def test_advance_matches_trajectory_endpoint():
@@ -108,7 +159,7 @@ def test_dz_dt_matches_rate_at_samples():
     traj = integrate_adaptive(p, PhaseState(0.0, 0.5, 0.0), 3.0, sample_dt=0.25)
     rate = make_rate(p)
     for t, z, phi, dz in zip(traj.t, traj.z, traj.phi, traj.dz_dt):
-        assert dz == pytest.approx(rate(t, (z, phi))[0], abs=1e-12)
+        assert dz == pytest.approx(rate(t, z, phi)[0], abs=1e-12)
 
 
 def test_stroboscopic_lands_exactly_on_periods():
@@ -157,7 +208,7 @@ def test_step_control_validation():
 
 
 def test_step_underflow_on_non_integrable_kink():
-    def f(t, y):
+    def f(t, y0, y1):
         return (1.0 / math.sqrt(abs(t - 0.5)) if t != 0.5 else 1e300), 0.0
 
     ctl = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-10, h_max=0.05)
@@ -169,19 +220,19 @@ def test_step_underflow_on_non_integrable_kink():
 def test_non_finite_rates_never_pass_the_error_test(bad):
     # a NaN error estimate in any component rejects the step down to h_min
     with pytest.raises(StepUnderflowError):
-        _drive(lambda t, y: bad, 0.0, (0.0, 0.0), [1.0], TIGHT)
+        _drive(lambda t, y0, y1: bad, 0.0, (0.0, 0.0), [1.0], TIGHT)
 
 
 def test_overflowing_trial_stage_is_a_rejection():
     # the RK4 weights sum dphi/dt = 1e308 to inf, so every trial step lands
     # on phi = inf, where math.sin raises ValueError
     with pytest.raises(StepUnderflowError):
-        _drive(lambda t, y: (math.sin(y[1]), 1e308), 0.0, (0.0, 0.0), [1.0], TIGHT)
+        _drive(lambda t, y0, y1: (math.sin(y1), 1e308), 0.0, (0.0, 0.0), [1.0], TIGHT)
 
 
 def test_pure_relative_tolerance_on_a_zero_state():
-    # with abs_tol=0 an unchanging zero part (z, phi, or a float's .imag)
-    # scores 0 instead of dividing 0 by a zero tolerance
+    # with abs_tol=0 an unchanging zero component scores 0 instead of
+    # dividing 0 by a zero tolerance
     ctl = StepControl(abs_tol=0.0, rel_tol=1e-10)
     end = advance(TrapParams(lam=10.0), PhaseState(0.0, 0.0, 0.0), 1.0, ctl)
     assert (end.t, end.z, end.phi) == (1.0, 0.0, 0.0)
@@ -193,6 +244,15 @@ def test_sample_targets_need_a_finite_count():
         _sample_targets(1e300, 1e-300)
     with pytest.raises(ValueError, match="'sample_dt'"):
         _sample_targets(1.0, math.nan)
+
+
+def test_target_count_is_capped():
+    # checked before the target list is built, so nothing large is allocated
+    with pytest.raises(ValueError, match="'sample_dt'"):
+        _sample_targets(MAX_TARGETS + 1.0, 1.0)
+    p = TrapParams(lam=10.0, de1=1.0)
+    with pytest.raises(ValueError, match="'n_periods'"):
+        sample_stroboscopic(p, PhaseState(0.0, 0.5, 0.0), MAX_TARGETS + 1)
 
 
 def test_singularity_propagates_from_interior():
@@ -207,10 +267,11 @@ def test_singularity_propagates_from_interior():
     phi0=st.floats(-3.0, 3.0),
     lam=st.floats(0.5, 12.0),
 )
+@example(z0=0.5, phi0=2.0, lam=7.0)  # drifts 9.4e-9 at the default control
 @settings(max_examples=15)
 def test_energy_conserved_undriven(z0, phi0, lam):
     p = TrapParams(lam=lam)
-    traj = integrate_adaptive(p, PhaseState(0.0, z0, phi0), 10.0, sample_dt=0.5)
+    traj = integrate_adaptive(p, PhaseState(0.0, z0, phi0), 10.0, TIGHT, sample_dt=0.5)
     h = np.array([hamiltonian(p, z, f) for z, f in zip(traj.z, traj.phi)])
     assert np.max(np.abs(h - h[0])) < 5e-9
 
