@@ -39,11 +39,18 @@ __all__ = ["main", "console_main"]
 # serialization helpers
 
 
-def _csv_text(cfg: RunConfig, header: str, rows: list[tuple]) -> str:
+def _csv_text(cfg: RunConfig, header: str, *columns) -> str:
+    """Metadata lines, the header, then row i from item i of every column.
+
+    A column holds one type. Each row is one ``%`` over plain Python values
+    that writes what ``fmt`` writes: ``%.17g`` for floats, ``%d`` for ints.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = cfg.metadata_lines()
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    if cols and len(cols[0]):
+        row = ",".join("%.17g" if isinstance(c[0], float) else "%d" for c in cols)
+        lines.extend(row % values for values in zip(*cols))
     return "\n".join(lines) + "\n"
 
 
@@ -183,14 +190,12 @@ def _cmd_simulate(cfg: RunConfig) -> str:
     traj = integrate_adaptive(
         cfg.trap, cfg.state0, cfg.resolved_t_end(), ctl=cfg.control(), sample_dt=cfg.sample_dt
     )
-    rows = list(zip(traj.t, traj.z, traj.phi, traj.dz_dt))
-    return _csv_text(cfg, "t,z,phi,dzdt", rows)
+    return _csv_text(cfg, "t,z,phi,dzdt", traj.t, traj.z, traj.phi, traj.dz_dt)
 
 
 def _cmd_poincare(cfg: RunConfig) -> str:
     sec = sample_stroboscopic(cfg.trap, cfg.state0, cfg.n_periods, ctl=cfg.control())
-    rows = list(zip(sec.n, sec.z, sec.dz_dt))
-    return _csv_text(cfg, "n,z,dzdt", rows)
+    return _csv_text(cfg, "n,z,dzdt", sec.n, sec.z, sec.dz_dt)
 
 
 def _cmd_spectrum(cfg: RunConfig) -> str:
@@ -202,8 +207,7 @@ def _cmd_spectrum(cfg: RunConfig) -> str:
     if int(np.count_nonzero(keep)) < 4:
         raise ConfigError("discard leaves fewer than 4 samples for the spectrum")
     spec = analysis.power_spectrum(traj.t[keep], traj.z[keep], window=cfg.window)
-    rows = list(zip(spec.freqs, spec.power))
-    return _csv_text(cfg, "freq,power", rows)
+    return _csv_text(cfg, "freq,power", spec.freqs, spec.power)
 
 
 def _cmd_attractor(cfg: RunConfig) -> str:
@@ -265,14 +269,13 @@ def _cmd_stability_curve(cfg: RunConfig) -> str:
     for a in curve.asymptotes:
         rows.append((float(a), math.inf, bisect.bisect_left(list(curve.asymptotes), a)))
     rows.sort(key=lambda r: (r[0], 0 if math.isinf(r[1]) else 1))
-    return _csv_text(cfg, "omega,de1_critical,branch", rows)
+    return _csv_text(cfg, "omega,de1_critical,branch", *zip(*rows))
 
 
 def _cmd_potential(cfg: RunConfig) -> str:
     z = np.linspace(cfg.z_min, cfg.z_max, cfg.n_z)
     v = effective_potential(cfg.trap, cfg.energy, z)
-    rows = list(zip(z, v))
-    return _csv_text(cfg, "z,V", rows)
+    return _csv_text(cfg, "z,V", z, v)
 
 
 def _cmd_crosscheck(cfg: RunConfig) -> str:
@@ -352,12 +355,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The ``bjj`` parser. With ``command`` set, only that subcommand gets its
+    flags; the others keep the name and help that ``bjj --help`` lists."""
     parser = _Parser(prog="bjj", description="coupled-condensate junction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _HANDLERS.items():
         p = sub.add_parser(name, help=_HELP[name])
         p.set_defaults(handler=handler)
+        if command is not None and name != command:
+            continue
         src = p.add_mutually_exclusive_group()
         src.add_argument("--config", metavar="PATH", help="key=value config file")
         src.add_argument("--preset", metavar="NAME", help="named preset (presets/NAME.cfg)")
@@ -370,8 +377,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        command = next((a for a in argv if a in _HANDLERS), None)
+        args = _build_parser(command).parse_args(argv)
         cfg = _resolve_config(args)
         text = args.handler(cfg)
         if args.out is not None:

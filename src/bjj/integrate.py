@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SingularityError, StepUnderflowError
+from .errors import BjjError, SingularityError, StepUnderflowError
 from .model import PhaseState, RateFn, TrapParams, make_rate
 
 __all__ = [
@@ -42,7 +42,8 @@ State = tuple[complex, complex]
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.1
 
-#: Most landing targets one run may request; the target list is built up front.
+#: Most landing targets one run may request (the target list is built up
+#: front), and most rows an every-step recording may hold.
 MAX_TARGETS = 10**7
 
 
@@ -287,8 +288,9 @@ def _sample(
     """Recorded (times, states) of one run from (t0, y0) to t_end.
 
     The initial state is the first row.  With sample_dt unset every
-    accepted step is recorded; otherwise only the multiples of sample_dt
-    (sample grids are anchored at t=0) and t_end, each landed exactly.
+    accepted step is recorded, up to MAX_TARGETS rows; otherwise only the
+    multiples of sample_dt (sample grids are anchored at t=0) and t_end,
+    each landed exactly.
     """
     if t_end < t0:
         raise ValueError(f"t_end={t_end} precedes initial time {t0}")
@@ -299,9 +301,17 @@ def _sample(
         ts.append(t)
         ys.append(y)
 
+    def record_step(t: float, y: State) -> None:
+        if len(ts) >= MAX_TARGETS:
+            raise BjjError(
+                f"every-step recording stopped at t={t!r} after {len(ts)} rows; "
+                "set sample_dt to record a grid"
+            )
+        record(t, y)
+
     if t_end > t0:
         if sample_dt is None:
-            _drive(rate, t0, y0, [t_end], ctl, on_target=record, on_step=record)
+            _drive(rate, t0, y0, [t_end], ctl, on_target=record_step, on_step=record_step)
         else:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")

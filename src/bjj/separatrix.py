@@ -176,12 +176,15 @@ def _integrand(f: SeparatrixFrame, p: TrapParams):
     de0 = p.de0
     de1 = p.de1
     omega = p.omega
+    exp = np.exp
     tanh = math.tanh
     sin = math.sin
 
     def g(t: float) -> float:
         xi = c0 + kappa * t
-        s = _sech(xi)
+        # _sech(xi) in float arithmetic; np.exp stays, math.exp rounds differently
+        e = float(exp(-abs(xi)))
+        s = 2.0 * e / (1.0 + e * e)
         z0 = amp * s
         z11 = -(2.0 * kappa * kappa / a) * s * tanh(xi)
         de = de0 + de1 * sin(omega * t)

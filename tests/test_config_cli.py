@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,12 +8,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bjj
-from bjj import config
-from bjj.cli import main
+import bjj.integrate
+from bjj import cli, config
+from bjj.cli import _csv_text, main
 from bjj.config import RunConfig, fmt, merge_sources, parse_config, parse_kv_text
 from bjj.errors import ConfigError
 from bjj.integrate import StepControl, default_control
@@ -146,6 +149,51 @@ def test_omega_pi_is_exact():
 def test_fmt_round_trips_doubles():
     for x in (math.pi, 1e-300, 0.1, 2.0, 4.0 * math.pi):
         assert float(fmt(x)) == x
+
+
+def reference_csv_text(cfg, header, rows):
+    """_csv_text as it was when every value went through fmt on its own."""
+    lines = cfg.metadata_lines()
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), st.floats())
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# One strategy per column kind: plain Python values (ints past 2**53
+# included), numpy scalars, and the numpy arrays the handlers pass.
+COLUMNS = {
+    "int": st.integers(-(2**70), 2**70),
+    "float": FLOATS,
+    "np.float64": FLOATS.map(np.float64),
+    "np.int64": INT64.map(np.int64),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    n = draw(st.integers(0, 6))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=4)):
+        column = draw(st.lists(COLUMNS[kind], min_size=n, max_size=n))
+        if kind.startswith("np.") and draw(st.booleans()):
+            column = np.array(column)
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=200)
+@given(csv_columns())
+@example([[1, 2**53 + 1, -(2**70)], [0.1, -0.0, 5e-324],
+          [np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf)],
+          np.array([2**62, -1, 0])])
+def test_csv_rows_match_fmt_per_value(columns):
+    cfg = RunConfig.from_values({"lambda": 2.0})
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    want = reference_csv_text(cfg, header, zip(*columns))
+    assert _csv_text(cfg, header, *columns) == want
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -337,6 +385,21 @@ def test_flags_cover_every_key_with_its_help(capsys):
         assert " ".join(help_text.split()) in text
 
 
+def help_texts(parser):
+    """Help text of the parser and of each of its subcommands."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser.format_help(), {name: p.format_help() for name, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("name", list(cli._HANDLERS))
+def test_one_command_parser_keeps_every_help_text(name):
+    # main builds the flags of the invoked subcommand only
+    top, subs = help_texts(cli._build_parser(name))
+    full_top, full_subs = help_texts(cli._build_parser())
+    assert top == full_top
+    assert subs[name] == full_subs[name]
+
+
 @pytest.mark.parametrize("pair", [("--omega", "--omega-pi"), ("--t-end", "--n-periods")])
 def test_exclusive_flags_conflict(pair, capsys):
     argv = ["simulate", "--de1", "1", pair[0], "2", pair[1], "3"]
@@ -355,6 +418,21 @@ def test_exit_code_2_on_numerical_failure(capsys):
         assert main(["simulate", flag, "1e308", "--t-end", "1"]) == 2
         err = capsys.readouterr().err
         assert "t=" in err and "h_min=" in err
+
+
+def test_every_step_recording_is_capped(monkeypatch, tmp_path, capsys):
+    # the cap shrunk to one short run's row count; the real one is never run
+    argv = ["simulate", "--lambda", "2", "--t-end", "1"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    rows = sum(not line.startswith("#") for line in text.splitlines()) - 1
+    monkeypatch.setattr(bjj.integrate, "MAX_TARGETS", rows)
+    assert run_cli(argv, tmp_path, "again") == (0, text)
+    monkeypatch.setattr(bjj.integrate, "MAX_TARGETS", rows - 1)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "t=" in err and f"after {rows - 1} rows" in err
 
 
 def test_crosscheck_json(tmp_path):

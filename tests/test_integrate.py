@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bjj.integrate
-from bjj.errors import SingularityError, StepUnderflowError
+from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
     MAX_TARGETS,
     StepControl,
@@ -253,6 +253,20 @@ def test_target_count_is_capped():
     p = TrapParams(lam=10.0, de1=1.0)
     with pytest.raises(ValueError, match="'n_periods'"):
         sample_stroboscopic(p, PhaseState(0.0, 0.5, 0.0), MAX_TARGETS + 1)
+
+
+def test_every_step_recording_is_capped(monkeypatch):
+    # the cap shrunk to one short run's row count; the real one is never run
+    p = TrapParams(lam=2.0)
+    s0 = PhaseState(0.0, 0.5, 0.0)
+    rows = len(integrate_adaptive(p, s0, 1.0))
+    monkeypatch.setattr(bjj.integrate, "MAX_TARGETS", rows)
+    assert len(integrate_adaptive(p, s0, 1.0)) == rows
+    monkeypatch.setattr(bjj.integrate, "MAX_TARGETS", rows - 1)
+    with pytest.raises(BjjError, match=rf"t=.* after {rows - 1} rows"):
+        integrate_adaptive(p, s0, 1.0)
+    # a sample grid records its targets, not every step
+    assert len(integrate_adaptive(p, s0, 1.0, sample_dt=0.5)) == 3
 
 
 def test_singularity_propagates_from_interior():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bjj.model import TrapParams
+from bjj.model import TrapParams, trap_asymmetry
 from bjj.separatrix import (
     ASYMPTOTE_OMEGA,
     SeparatrixFrame,
+    _integrand,
     basis_z11,
     basis_z12,
     drive_coefficient,
@@ -122,6 +123,46 @@ def test_melnikov_numeric_trivial_and_damping_only():
     p = TrapParams(lam=2.0, eta=0.4)
     value, _ = melnikov_numeric(UNIT, p)
     assert value == pytest.approx(-8.0 * 0.4 / (3.0 * 4.0), rel=1e-10)
+
+
+PIN_FRAMES = [
+    SeparatrixFrame(lam=4.0, h=0.5),
+    SeparatrixFrame(lam=10.0, h=0.2, c0=0.7),
+    SeparatrixFrame(lam=-3.0, h=-1.0, c0=-1.3),
+]
+PIN_PARAMS = [
+    TrapParams(lam=4.0, de1=0.3, omega=2.5, eta=0.1),
+    TrapParams(lam=10.0, de0=0.2, de1=7.5, omega=4.0 * math.pi, eta=0.01),
+    TrapParams(lam=-3.0, de1=1.2, omega=0.8, eta=0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "f, p, want",
+    zip(PIN_FRAMES, PIN_PARAMS, [
+        (0.04424092732348809, 1.6060594115186724e-13),
+        (-0.0002706889249447857, 8.105173793971964e-13),
+        (-0.2931540634667563, 9.652843151385355e-14),
+    ]),
+    ids=["fig3", "fig5_offset", "negative_lam"],
+)
+def test_melnikov_numeric_keeps_pinned_bits(f, p, want):
+    # recorded while the integrand still ran in numpy-scalar arithmetic
+    assert melnikov_numeric(f, p) == want
+
+
+@pytest.mark.parametrize("f", PIN_FRAMES)
+@pytest.mark.parametrize("p", [TrapParams(lam=1.0, eta=0.3), *PIN_PARAMS[1:]])
+def test_integrand_is_basis_times_perturbation(f, p):
+    # the quadrature's inline integrand against the named functions it restates
+    g = _integrand(f, p)
+    for xi in np.linspace(-40.0, 40.0, 4001):
+        t = (xi - f.c0) / f.kappa
+        z0 = separatrix_orbit(f, t)
+        z11 = basis_z11(f, t)
+        de = trap_asymmetry(p, t)
+        terms = abs(z11) * (p.eta * abs(z11) + abs(de) * (abs(f.h) + 1.5 * abs(f.lam) * z0**2))
+        assert abs(g(t) - z11 * epsilon1(f, p, t)) <= 1e-14 * terms
 
 
 def test_melnikov_closed_trivial_zeros():
