@@ -8,10 +8,16 @@ output times are hit exactly by clamping the step, never by interpolation,
 which is what makes stroboscopic sections of driven runs trustworthy.
 
 The driver writes its stages out for a state of two components, each a
-float or a Python complex, with a flat rate f(t, y0, y1), so the same loop
-integrates the reduced (z, phi) system and the two-mode amplitudes
-(a1, a2).  Float components are scored as they are, complex ones by their
-real and imaginary parts apart.
+float or a Python complex, with a flat rate f(t, de, y0, y1), so the same
+loop integrates the reduced (z, phi) system and the two-mode amplitudes
+(a1, a2).  The driver owns the drive: it evaluates the tilt
+de(t) = de0 + de1*sin(omega*t) once per distinct stage time and hands it
+to every rate call at that time.  A driven step evaluates it five times
+(the tilt at the step's start is carried over from the end of the step
+before, or evaluated afresh after a landing); an undriven one never does.
+The rates add the tilt first, so passing the sum in keeps every bit.
+Float components are scored as they are, complex ones by their real and
+imaginary parts apart.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BjjError, SingularityError, StepUnderflowError
-from .model import PhaseState, RateFn, TrapParams, make_rate
+from .model import PhaseState, RateFn, TrapParams, make_rate, trap_asymmetry
 
 __all__ = [
     "StepControl",
@@ -127,6 +133,7 @@ class SectionPoints:
 
 def _drive(
     f: RateFn,
+    drive: tuple[float, float, float],
     t: float,
     y: State,
     targets: Sequence[float],
@@ -136,6 +143,9 @@ def _drive(
 ) -> tuple[float, State]:
     """Advance through an increasing list of target times, landing exactly.
 
+    drive is (de0, de1, omega): every rate call gets the tilt
+    de0 + de1*sin(omega*t) at its stage time, evaluated once per distinct
+    stage time (never when de1 == 0, where every stage gets de0).
     on_target fires at every target (after exact landing); on_step fires
     at every other accepted step.  Raises StepUnderflowError when the
     tolerance cannot be met above h_min, and propagates SingularityError
@@ -149,6 +159,10 @@ def _drive(
     safety = ctl.safety
     h = min(max(ctl.h_init, h_min), h_max)
     underflow_edge = h_min * (1.0 + 1e-9)
+    de0, de1, omega = drive
+    driven = de1 != 0.0
+    sin = math.sin
+    de = de0 + de1 * sin(omega * t) if driven else de0
     y0, y1 = y
     # Complex components score their real and imaginary parts apart.
     parts = isinstance(y0, complex) or isinstance(y1, complex)
@@ -169,29 +183,39 @@ def _drive(
             # propagates; singular *trial* states further along the step are
             # treated as a rejection instead, and so are trial states that
             # overflowed (math.sin(inf) raises ValueError).
-            k0, k1 = f(t, y0, y1)
+            k0, k1 = f(t, de, y0, y1)
             half = 0.5 * h_try
             q = 0.5 * half
             t_half = t + half
             t_q = t + q
+            t_full = t + h_try
+            t_hq = t_half + q
+            t_fine = t_half + half
+            if driven:
+                de_half = de0 + de1 * sin(omega * t_half)
+                de_q = de0 + de1 * sin(omega * t_q)
+                de_full = de0 + de1 * sin(omega * t_full)
+                de_hq = de0 + de1 * sin(omega * t_hq)
+                de_fine = de0 + de1 * sin(omega * t_fine)
+            else:
+                de_half = de_q = de_full = de_hq = de_fine = de0
             try:
-                a0, a1 = f(t_half, y0 + half * k0, y1 + half * k1)
-                c0, c1 = f(t_half, y0 + half * a0, y1 + half * a1)
-                d0, d1 = f(t + h_try, y0 + h_try * c0, y1 + h_try * c1)
+                a0, a1 = f(t_half, de_half, y0 + half * k0, y1 + half * k1)
+                c0, c1 = f(t_half, de_half, y0 + half * a0, y1 + half * a1)
+                d0, d1 = f(t_full, de_full, y0 + h_try * c0, y1 + h_try * c1)
                 sixth = h_try / 6.0
                 b0 = y0 + sixth * (k0 + 2.0 * (a0 + c0) + d0)
                 b1 = y1 + sixth * (k1 + 2.0 * (a1 + c1) + d1)
-                a0, a1 = f(t_q, y0 + q * k0, y1 + q * k1)
-                c0, c1 = f(t_q, y0 + q * a0, y1 + q * a1)
-                d0, d1 = f(t_half, y0 + half * c0, y1 + half * c1)
+                a0, a1 = f(t_q, de_q, y0 + q * k0, y1 + q * k1)
+                c0, c1 = f(t_q, de_q, y0 + q * a0, y1 + q * a1)
+                d0, d1 = f(t_half, de_half, y0 + half * c0, y1 + half * c1)
                 sixth = half / 6.0
                 m0 = y0 + sixth * (k0 + 2.0 * (a0 + c0) + d0)
                 m1 = y1 + sixth * (k1 + 2.0 * (a1 + c1) + d1)
-                j0, j1 = f(t_half, m0, m1)
-                t_hq = t_half + q
-                a0, a1 = f(t_hq, m0 + q * j0, m1 + q * j1)
-                c0, c1 = f(t_hq, m0 + q * a0, m1 + q * a1)
-                d0, d1 = f(t_half + half, m0 + half * c0, m1 + half * c1)
+                j0, j1 = f(t_half, de_half, m0, m1)
+                a0, a1 = f(t_hq, de_hq, m0 + q * j0, m1 + q * j1)
+                c0, c1 = f(t_hq, de_hq, m0 + q * a0, m1 + q * a1)
+                d0, d1 = f(t_fine, de_fine, m0 + half * c0, m1 + half * c1)
                 n0 = m0 + sixth * (j0 + 2.0 * (a0 + c0) + d0)
                 n1 = m1 + sixth * (j1 + 2.0 * (a1 + c1) + d1)
             except (SingularityError, ValueError) as exc:
@@ -204,22 +228,40 @@ def _drive(
 
             # err = |n - b| / (15 (abs_tol + rel_tol max(|y|, |n|))) per part;
             # a zero difference scores 0 without a division, and a NaN error
-            # sticks as the step's ratio.
+            # sticks as the step's ratio.  Parts are scored in the order
+            # y0.real, y1.real, y0.imag, y1.imag.
+            e0 = n0 - b0
+            e1 = n1 - b1
             ratio = 0.0
             if parts:
-                for y_, n_, b_ in ((y0.real, n0.real, b0.real), (y1.real, n1.real, b1.real),
-                                   (y0.imag, n0.imag, b0.imag), (y1.imag, n1.imag, b1.imag)):
-                    diff = abs(n_ - b_)
-                    if diff:
-                        err = diff / (15.0 * (abs_tol + rel_tol * max(abs(y_), abs(n_))))
-                        if err > ratio or err != err:
-                            ratio = err
+                diff = abs(e0.real)
+                if diff:
+                    u, v = abs(y0.real), abs(n0.real)
+                    ratio = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                diff = abs(e1.real)
+                if diff:
+                    u, v = abs(y1.real), abs(n1.real)
+                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                    if err > ratio or err != err:
+                        ratio = err
+                diff = abs(e0.imag)
+                if diff:
+                    u, v = abs(y0.imag), abs(n0.imag)
+                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                    if err > ratio or err != err:
+                        ratio = err
+                diff = abs(e1.imag)
+                if diff:
+                    u, v = abs(y1.imag), abs(n1.imag)
+                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                    if err > ratio or err != err:
+                        ratio = err
             else:
-                diff = abs(n0 - b0)
+                diff = abs(e0)
                 if diff:
                     u, v = abs(y0), abs(n0)
                     ratio = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                diff = abs(n1 - b1)
+                diff = abs(e1)
                 if diff:
                     u, v = abs(y1), abs(n1)
                     err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
@@ -227,19 +269,25 @@ def _drive(
                         ratio = err
 
             if ratio <= 1.0:
-                y0 = n0 + (n0 - b0) / 15.0
-                y1 = n1 + (n1 - b1) / 15.0
+                y0 = n0 + e0 / 15.0
+                y1 = n1 + e1 / 15.0
                 if landing:
                     t = target  # exact by assignment, no accumulation drift
+                    de = de0 + de1 * sin(omega * t) if driven else de0
                 else:
-                    t += h_try
+                    t = t_full
+                    de = de_full
                     if ratio > 1e-30:
                         fac = safety * ratio**-0.2
                         if fac > _MAX_GROW:
                             fac = _MAX_GROW
                     else:
                         fac = _MAX_GROW
-                    h = min(max(h_try * fac, h_min), h_max)
+                    h = h_try * fac
+                    if h > h_max:
+                        h = h_max
+                    elif h < h_min:
+                        h = h_min
                     if on_step is not None:
                         on_step(t, (y0, y1))
             else:
@@ -248,7 +296,9 @@ def _drive(
                 fac = safety * ratio**-0.2
                 if not fac >= _MIN_SHRINK:
                     fac = _MIN_SHRINK
-                h = max(h_try * fac, h_min)
+                h = h_try * fac
+                if h < h_min:
+                    h = h_min
         if on_target is not None:
             on_target(t, (y0, y1))
     return t, (y0, y1)
@@ -279,13 +329,15 @@ def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
 
 def _sample(
     rate: RateFn,
+    drive: tuple[float, float, float],
     t0: float,
     y0: State,
     t_end: float,
     ctl: StepControl,
     sample_dt: float | None,
 ) -> tuple[list[float], list[State]]:
-    """Recorded (times, states) of one run from (t0, y0) to t_end.
+    """Recorded (times, states) of one run from (t0, y0) to t_end under the
+    drive (de0, de1, omega).
 
     The initial state is the first row.  With sample_dt unset every
     accepted step is recorded, up to MAX_TARGETS rows; otherwise only the
@@ -311,12 +363,13 @@ def _sample(
 
     if t_end > t0:
         if sample_dt is None:
-            _drive(rate, t0, y0, [t_end], ctl, on_target=record_step, on_step=record_step)
+            _drive(rate, drive, t0, y0, [t_end], ctl, on_target=record_step,
+                   on_step=record_step)
         else:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
             targets = _sample_targets(t_end, sample_dt)
-            _drive(rate, t0, y0, targets, ctl, on_target=record)
+            _drive(rate, drive, t0, y0, targets, ctl, on_target=record)
     return ts, ys
 
 
@@ -332,7 +385,8 @@ def _trajectory(
     if ctl is None:
         ctl = default_control(p)
     rate = make_rate(p)
-    ts, ys = _sample(rate, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
+    drive = (p.de0, p.de1, p.omega)
+    ts, ys = _sample(rate, drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
     zphi = np.asarray(ys)
     return Trajectory(
         params=p,
@@ -340,7 +394,9 @@ def _trajectory(
         t=np.asarray(ts),
         z=zphi[:, 0],
         phi=zphi[:, 1],
-        dz_dt=np.asarray([rate(t, z, phi)[0] for t, (z, phi) in zip(ts, ys)]),
+        dz_dt=np.asarray(
+            [rate(t, trap_asymmetry(p, t), z, phi)[0] for t, (z, phi) in zip(ts, ys)]
+        ),
     )
 
 
@@ -354,8 +410,8 @@ def advance(
         raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
     if t_end == s0.t:
         return s0
-    rate = make_rate(p)
-    t, y = _drive(rate, s0.t, (s0.z, s0.phi), [t_end], ctl)
+    drive = (p.de0, p.de1, p.omega)
+    t, y = _drive(make_rate(p), drive, s0.t, (s0.z, s0.phi), [t_end], ctl)
     return PhaseState(t=t, z=y[0], phi=y[1])
 
 

@@ -180,62 +180,49 @@ def trap_asymmetry(p: TrapParams, t: float) -> float:
     return p.de0 + p.de1 * math.sin(p.omega * t)
 
 
-# Rate of a two-component state, f(t, y0, y1) -> (dy0/dt, dy1/dt), with
-# float components here and Python complex ones in the two-mode oracle.
-RateFn = Callable[[float, complex, complex], tuple[complex, complex]]
+# Rate of a two-component state at time t under the tilt de = de(t),
+# f(t, de, y0, y1) -> (dy0/dt, dy1/dt), with float components here and Python
+# complex ones in the two-mode oracle.  The integration driver evaluates the
+# tilt once per stage time and passes it in; t is kept for error messages.
+RateFn = Callable[[float, float, complex, complex], tuple[complex, complex]]
 
 
 def make_rate(p: TrapParams) -> RateFn:
-    """Bind parameters into a fast rate function ``f(t, z, phi)``.
+    """Bind parameters into a fast rate function ``f(t, de, z, phi)``.
 
     This closure is the single source of the equations of motion: the
-    integrators call it, and ``make_rate(p)(t, z, phi)`` is the rate
-    ``(dz/dt, dphi/dt)`` at a single state; the components go in flat, so
-    a call builds no state tuple.  The driver's error test scores these
-    float components as they are (the oracle's complex ones per part).
-    Raises SingularityError when |z| enters the Z_GUARD band around 1.
+    integrators call it, and ``make_rate(p)(t, trap_asymmetry(p, t), z, phi)``
+    is the rate ``(dz/dt, dphi/dt)`` at a single state.  The tilt ``de`` comes
+    in as an argument, so the closure never evaluates the drive; the
+    integration driver computes it once per distinct stage time, with the
+    same bits as ``trap_asymmetry``.  The components go in flat, so a call
+    builds no state tuple.  The driver's error test scores these float
+    components as they are (the oracle's complex ones per part).
+    Raises SingularityError, naming t, when |z| enters the Z_GUARD band
+    around 1.
     """
     lam = p.lam
-    de0 = p.de0
-    de1 = p.de1
-    omega = p.omega
     eta = p.eta
+    damped = p.damped
+    velocity = p.damping is DampingKind.VELOCITY
     sin = math.sin
     cos = math.cos
     sqrt = math.sqrt
     guard = 1.0 - Z_GUARD
     neg_guard = -guard
 
-    damp_z = eta if (eta > 0.0 and p.damping is DampingKind.POPULATION) else 0.0
-    damp_v = eta if (eta > 0.0 and p.damping is DampingKind.VELOCITY) else 0.0
-
-    if de1 == 0.0:
-
-        def rate(t: float, z: float, phi: float) -> tuple[float, float]:
-            if z > guard or z < neg_guard:
-                raise SingularityError(t, z)
-            root = sqrt(1.0 - z * z)
-            dz = -root * sin(phi)
-            dphi = de0 + lam * z + (z / root) * cos(phi)
-            if damp_v:
-                dphi -= damp_v * dz
-            if damp_z:
-                dz -= damp_z * z
-            return dz, dphi
-
-    else:
-
-        def rate(t: float, z: float, phi: float) -> tuple[float, float]:
-            if z > guard or z < neg_guard:
-                raise SingularityError(t, z)
-            root = sqrt(1.0 - z * z)
-            dz = -root * sin(phi)
-            dphi = de0 + de1 * sin(omega * t) + lam * z + (z / root) * cos(phi)
-            if damp_v:
-                dphi -= damp_v * dz
-            if damp_z:
-                dz -= damp_z * z
-            return dz, dphi
+    def rate(t: float, de: float, z: float, phi: float) -> tuple[float, float]:
+        if z > guard or z < neg_guard:
+            raise SingularityError(t, z)
+        root = sqrt(1.0 - z * z)
+        dz = -root * sin(phi)
+        dphi = de + lam * z + (z / root) * cos(phi)
+        if damped:
+            if velocity:
+                dphi -= eta * dz
+            else:
+                dz -= eta * z
+        return dz, dphi
 
     return rate
 

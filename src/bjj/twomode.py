@@ -78,22 +78,20 @@ def amplitudes_from_phase(z0: float, phi0: float) -> tuple[complex, complex]:
 
 
 def _make_rate(p: TrapParams):
-    """Rate of the amplitude pair (a1, a2), two Python complex numbers."""
+    """Rate f(t, de, a1, a2) of the amplitude pair, two Python complex
+    numbers, under the tilt de that the driver evaluates at time t."""
     lam = p.lam
-    de0 = p.de0
-    de1 = p.de1
-    omega = p.omega
-    sin = math.sin
+    cplx = complex
 
-    def rate(t, a1, a2):
+    def rate(t, de, a1, a2):
         x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
-        half_de = 0.5 * (de0 + de1 * sin(omega * t)) if de1 != 0.0 else 0.5 * de0
+        half_de = 0.5 * de
         c1 = half_de + lam * (x1 * x1 + y1 * y1)
         c2 = -half_de + lam * (x2 * x2 + y2 * y2)
         # i da/dt = c a - other/2   =>   da/dt = -i c a + i other/2
         return (
-            complex(c1 * y1 - 0.5 * y2, -c1 * x1 + 0.5 * x2),
-            complex(c2 * y2 - 0.5 * y1, -c2 * x2 + 0.5 * x1),
+            cplx(c1 * y1 - 0.5 * y2, -c1 * x1 + 0.5 * x2),
+            cplx(c2 * y2 - 0.5 * y1, -c2 * x2 + 0.5 * x1),
         )
 
     return rate
@@ -116,7 +114,7 @@ def integrate_twomode(
     if ctl is None:
         ctl = default_control(p)
     y0 = (complex(s0.a1), complex(s0.a2))
-    ts, ys = _sample(_make_rate(p), s0.t, y0, t_end, ctl, sample_dt)
+    ts, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
     amps = np.asarray(ys)
     return TwoModeTrajectory(
         params=p, control=ctl, t=np.asarray(ts), a1=amps[:, 0], a2=amps[:, 1]

@@ -245,6 +245,23 @@ def test_metadata_header_reproduces_run_bytes(tmp_path):
     assert first == second
 
 
+def test_unknown_metadata_comments_stay_comments(tmp_path):
+    # run statistics written as `# key=value` lines name no config key, so a
+    # replay reads them as plain comments
+    stats = "# stat_rate_evals=26969\n# stat_steps_rejected=12\n"
+    assert parse_kv_text(stats) == {}
+    assert parse_kv_text("# lambda=4\n" + stats) == {"lambda": 4.0}
+    args = ["simulate", "--lambda", "7", "--z0", "0.3", "--t-end", "2", "--sample-dt", "0.5"]
+    code, first = run_cli(args, tmp_path, "a.csv")
+    assert code == 0
+    meta = "\n".join(l for l in first.splitlines() if l.startswith("#"))
+    cfg_file = tmp_path / "replay.cfg"
+    cfg_file.write_text(meta + "\n" + stats)
+    code, second = run_cli(["simulate", "--config", str(cfg_file)], tmp_path, "b.csv")
+    assert code == 0
+    assert first == second
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     args = ["poincare", "--preset", "fig5_de1_3.0", "--n-periods", "40"]
     _, a = run_cli(args, tmp_path, "a.csv")
@@ -263,12 +280,24 @@ def test_repeat_runs_are_byte_identical(tmp_path):
          "eb6862af88095ff96d75946a6279a59743301a9bbf1bbf876019daca23711021"),
         (["crosscheck", "--preset", "fig5_de1_3.0", "--t-end", "5"],
          "32de772b14248c693c8d541aa86cb2a3333e5f6a264413ab86dfd70ce49b7887"),
+        # population-damped
+        (["attractor", "--preset", "fig8_de1_3.0", "--n-periods", "400", "--discard", "100"],
+         "e73ed662bd88f80dabfb3497c3809d4c7629dc4a55d5c7110c0258ec6d150078"),
+        # undriven: the tilt is de0 at every stage
+        (["simulate", "--preset", "fig4a", "--t-end", "30"],
+         "6d70e6b74ebc9102551902164aa528bb9c7b2ea0a42bc4e55df130c5eec470bd"),
+        # restarted advance calls: the tilt is recomputed after every landing
+        (["lyapunov", "--preset", "fig5_de1_7.5", "--horizon", "5"],
+         "a85e20d3286b2430c6d09f2cb7cbd7f12019463ebb89b365eb2d5af2c4206183"),
     ],
-    ids=["poincare", "simulate", "crosscheck"],
+    ids=["poincare", "simulate", "crosscheck", "attractor_damped", "simulate_undriven",
+         "lyapunov"],
 )
 def test_cli_outputs_keep_pinned_bytes(tmp_path, args, digest):
     # SHA-256 of outputs recorded before the driver was written out stage
-    # by stage; a stepper change that moves one bit of an orbit shows here.
+    # by stage (the first three) and before the driver took over the tilt
+    # (the last three); a stepper change that moves one bit of an orbit
+    # shows here.
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

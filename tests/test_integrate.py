@@ -17,7 +17,14 @@ from bjj.integrate import (
     sample_stroboscopic,
     section_from_trajectory,
 )
-from bjj.model import DampingKind, PhaseState, TrapParams, hamiltonian, make_rate
+from bjj.model import (
+    DampingKind,
+    PhaseState,
+    TrapParams,
+    hamiltonian,
+    make_rate,
+    trap_asymmetry,
+)
 from bjj.twomode import (
     TwoModeState,
     amplitudes_from_phase,
@@ -28,16 +35,20 @@ from bjj.twomode import (
 TIGHT = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-14, h_max=0.05)
 
 
-def oscillator(t, x, v):
+def oscillator(t, de, x, v):
     """Harmonic oscillator; from (1, 0) the exact state is (cos t, -sin t)."""
     return v, -x
+
+
+#: Drive (de0, de1, omega) of a rate that ignores its tilt argument.
+NO_DRIVE = (0.0, 0.0, 1.0)
 
 
 def fixed_steps(h, t_end):
     """Oscillator state at t_end from (1, 0) after steps of exactly h: a
     unit tolerance accepts every step, and h_min = h_max = h pins it."""
     ctl = StepControl(abs_tol=1.0, rel_tol=1.0, h_init=h, h_min=h, h_max=h)
-    return _drive(oscillator, 0.0, (1.0, 0.0), [t_end], ctl)[1]
+    return _drive(oscillator, NO_DRIVE, 0.0, (1.0, 0.0), [t_end], ctl)[1]
 
 
 def test_rk4_single_step_accuracy():
@@ -97,7 +108,7 @@ S_PIN = PhaseState(0.0, 0.5, 0.3)
 @pytest.mark.parametrize(
     "p, sample_dt, evals, rows, z, phi",
     [
-        # undriven: the de1 == 0 closure
+        # undriven: every stage gets de0 and no sin is evaluated
         (TrapParams(lam=10.0), 0.5, 13967, 41, -0.22191888138686355, -1.7527239785630258),
         (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.POPULATION), 0.5,
          14209, 41, -0.12179148388330586, -5.535668405817371),
@@ -159,7 +170,7 @@ def test_dz_dt_matches_rate_at_samples():
     traj = integrate_adaptive(p, PhaseState(0.0, 0.5, 0.0), 3.0, sample_dt=0.25)
     rate = make_rate(p)
     for t, z, phi, dz in zip(traj.t, traj.z, traj.phi, traj.dz_dt):
-        assert dz == pytest.approx(rate(t, z, phi)[0], abs=1e-12)
+        assert dz == pytest.approx(rate(t, trap_asymmetry(p, t), z, phi)[0], abs=1e-12)
 
 
 def test_stroboscopic_lands_exactly_on_periods():
@@ -208,26 +219,72 @@ def test_step_control_validation():
 
 
 def test_step_underflow_on_non_integrable_kink():
-    def f(t, y0, y1):
+    def f(t, de, y0, y1):
         return (1.0 / math.sqrt(abs(t - 0.5)) if t != 0.5 else 1e300), 0.0
 
     ctl = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-10, h_max=0.05)
     with pytest.raises(StepUnderflowError):
-        _drive(f, 0.0, (0.0, 0.0), [1.0], ctl)
+        _drive(f, NO_DRIVE, 0.0, (0.0, 0.0), [1.0], ctl)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
 def test_non_finite_rates_never_pass_the_error_test(bad):
     # a NaN error estimate in any component rejects the step down to h_min
     with pytest.raises(StepUnderflowError):
-        _drive(lambda t, y0, y1: bad, 0.0, (0.0, 0.0), [1.0], TIGHT)
+        _drive(lambda t, de, y0, y1: bad, NO_DRIVE, 0.0, (0.0, 0.0), [1.0], TIGHT)
 
 
 def test_overflowing_trial_stage_is_a_rejection():
     # the RK4 weights sum dphi/dt = 1e308 to inf, so every trial step lands
     # on phi = inf, where math.sin raises ValueError
     with pytest.raises(StepUnderflowError):
-        _drive(lambda t, y0, y1: (math.sin(y1), 1e308), 0.0, (0.0, 0.0), [1.0], TIGHT)
+        _drive(lambda t, de, y0, y1: (math.sin(y1), 1e308), NO_DRIVE, 0.0, (0.0, 0.0), [1.0],
+               TIGHT)
+
+
+@given(
+    de0=st.floats(-5.0, 5.0),
+    de1=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0)),
+    omega=st.floats(0.1, 40.0),
+    t0=st.floats(0.0, 100.0),
+    gaps=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+    tight=st.booleans(),
+)
+@example(de0=-0.0, de1=0.0, omega=1.0, t0=0.0, gaps=[0.3], tight=True)
+@example(de0=0.0, de1=-0.0, omega=1.0, t0=0.0, gaps=[0.3], tight=False)
+# the second landing starts from a t with t + (target - t) != target, so a
+# tilt carried across that landing, not recomputed at the target, differs
+@example(de0=0.5, de1=1.5, omega=1.0, t0=0.17412782971344687,
+         gaps=[0.06665597452689973, 1.6166443828810433, 2.1775996049215016], tight=False)
+@settings(max_examples=40)
+def test_driver_tilt_matches_trap_asymmetry(de0, de1, omega, t0, gaps, tight):
+    # The driver evaluates de(t) itself, once per distinct stage time, and
+    # carries it across accepted steps; every rate call must still get
+    # exactly trap_asymmetry(p, t), through landings and rejections.
+    p = TrapParams(lam=1.0, de0=de0, de1=de1, omega=omega)
+    calls = []
+
+    def rate(t, de, y0, y1):
+        calls.append((t, de))
+        return de, -y1
+
+    # at the tight tolerance the first step, h = min(0.5, gap) on y1' = -y1,
+    # is far too long and is rejected; the loose one takes long steps
+    tol = 1e-12 if tight else 1.0
+    ctl = StepControl(abs_tol=tol, rel_tol=tol, h_init=0.5, h_min=1e-14, h_max=2.0)
+    targets = [t0 + gaps[0]]
+    for gap in gaps[1:]:
+        targets.append(targets[-1] + gap)
+    t, _ = _drive(rate, (de0, de1, omega), t0, (0.0, 1.0), targets, ctl)
+    assert t == targets[-1]
+    starts = [calls[i][0] for i in range(0, len(calls), 11)]
+    assert len(calls) == 11 * len(starts)
+    if tight:
+        assert any(a == b for a, b in zip(starts, starts[1:]))  # a rejected step
+    for t, de in calls:
+        assert de.hex() == trap_asymmetry(p, t).hex(), t
+    if de1 == 0.0:
+        assert {de.hex() for _, de in calls} == {de0.hex()}
 
 
 def test_pure_relative_tolerance_on_a_zero_state():

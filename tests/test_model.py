@@ -45,7 +45,7 @@ def test_trap_asymmetry_peaks_at_quarter_period():
 
 def rate_at(p, z, phi, t=0.0):
     """(dz/dt, dphi/dt) at a single state."""
-    return make_rate(p)(t, z, phi)
+    return make_rate(p)(t, trap_asymmetry(p, t), z, phi)
 
 
 def test_rhs_frozen_point():
@@ -119,7 +119,7 @@ def test_trap_params_validation():
 def test_rate_raises_on_near_unit_z():
     f = make_rate(LAM10)
     with pytest.raises(SingularityError):
-        f(0.0, 1.0 - 1e-13, 0.0)
+        f(0.0, 0.0, 1.0 - 1e-13, 0.0)
 
 
 def test_period_property():
