@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import SectionPoints, StepControl, advance, default_control
+from .integrate import MAX_TARGETS, SectionPoints, StepControl, advance, default_control
 from .model import PhaseState, TrapParams
 
 __all__ = [
@@ -156,6 +156,13 @@ def _diameter(pts: np.ndarray) -> float:
     return math.sqrt(d2)
 
 
+def _check_locking(cluster_tol: float, max_order: int) -> None:
+    if not cluster_tol > 0.0:
+        raise ValueError(f"'cluster_tol' must be > 0, got {cluster_tol!r}")
+    if max_order < 1:
+        raise ValueError(f"'max_order' must be >= 1, got {max_order!r}")
+
+
 def detect_frequency_locking(
     section: SectionPoints,
     cluster_tol: float = 1e-3,
@@ -172,10 +179,7 @@ def detect_frequency_locking(
     cloud whose diameter exceeds chaos_spread_min is chaotic; anything
     else (quasiperiodic loops, undamped islands) is undecided.
     """
-    if not cluster_tol > 0.0:
-        raise ValueError(f"'cluster_tol' must be > 0, got {cluster_tol!r}")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    _check_locking(cluster_tol, max_order)
     if discard_periods < 0:
         raise ValueError("discard_periods must be >= 0")
     pts = np.column_stack([section.z, section.dz_dt])
@@ -232,6 +236,23 @@ def detect_frequency_locking(
     )
 
 
+def _check_lyapunov(horizon: float, renorm_interval: float, d0: float) -> None:
+    if not d0 > 0.0:
+        raise ValueError(f"'d0' must be > 0, got {d0!r}")
+    if not renorm_interval > 0.0:
+        raise ValueError(f"'renorm_interval' must be > 0, got {renorm_interval!r}")
+    if not renorm_interval <= horizon < math.inf:
+        raise ValueError(
+            f"'horizon' must be finite and >= renorm_interval={renorm_interval!r}, "
+            f"got {horizon!r}"
+        )
+    if not horizon / renorm_interval <= MAX_TARGETS:
+        raise ValueError(
+            f"'renorm_interval' must leave at most {MAX_TARGETS} intervals "
+            f"up to horizon={horizon!r}, got {renorm_interval!r}"
+        )
+
+
 def lyapunov_estimate(
     p: TrapParams,
     z0: float,
@@ -249,15 +270,7 @@ def lyapunov_estimate(
     separation direction.  Regular orbits give ~ log(T)/T, decaying toward
     zero with the horizon; chaotic ones converge to a positive rate.
     """
-    if not d0 > 0.0:
-        raise ValueError(f"'d0' must be > 0, got {d0!r}")
-    if not renorm_interval > 0.0:
-        raise ValueError(f"'renorm_interval' must be > 0, got {renorm_interval!r}")
-    if not renorm_interval <= horizon < math.inf:
-        raise ValueError(
-            f"'horizon' must be finite and >= renorm_interval={renorm_interval!r}, "
-            f"got {horizon!r}"
-        )
+    _check_lyapunov(horizon, renorm_interval, d0)
     if ctl is None:
         ctl = default_control(p)
     n_int = int(round(horizon / renorm_interval))

@@ -143,12 +143,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _apply_profile(cfg: RunConfig, command: str, explicit: set[str]) -> None:
     """Fill subcommand-specific defaults; reject keys a subcommand cannot honor."""
-    period_commands = {"poincare", "attractor"}
-    if command in period_commands:
-        if cfg.t_end is not None:
-            raise ConfigError(f"'{command}' counts its horizon in drive periods; use n_periods")
-        if cfg.de1 == 0.0:
-            raise ConfigError(f"'{command}' needs a modulated tilt (de1 != 0)")
+    if command in {"poincare", "attractor"} and cfg.t_end is not None:
+        raise ConfigError(f"'{command}' counts its horizon in drive periods; use n_periods")
     if command == "simulate" and cfg.t_end is None and cfg.n_periods is None:
         cfg.t_end = 100.0
     elif command == "poincare" and cfg.n_periods is None:
@@ -169,8 +165,6 @@ def _apply_profile(cfg: RunConfig, command: str, explicit: set[str]) -> None:
         if cfg.de1 == 0.0 and cfg.discard > 0:
             raise ConfigError("'discard' counts drive periods; it needs de1 != 0")
     elif command == "crosscheck":
-        if cfg.eta != 0.0:
-            raise ConfigError("crosscheck requires eta=0 (the mode-pair form is undamped)")
         if cfg.t_end is None and cfg.n_periods is None:
             cfg.t_end = 50.0
         if cfg.sample_dt is None:

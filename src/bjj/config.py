@@ -23,8 +23,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
+from . import analysis, separatrix
 from .errors import ConfigError
-from .integrate import StepControl, default_control
+from .integrate import MAX_TARGETS, StepControl, default_control
 from .model import Z_GUARD, DampingKind, PhaseState, TrapParams
 
 __all__ = ["RunConfig", "parse_kv_text", "parse_config", "merge_sources", "fmt"]
@@ -250,8 +251,8 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        """Check the keys no model object owns, then build the trap and step
-        control, whose constructors check the rest; every failure names its key."""
+        """Check the keys no other code owns, then call the checks of the code
+        that uses the rest (trap, control, analysis, separatrix); each names its key."""
 
         def bad(key: str, why: str) -> ConfigError:
             return ConfigError(f"out-of-range value for '{key}': {why}")
@@ -270,30 +271,19 @@ class RunConfig:
             raise bad("sample_dt", f"must be > 0, got {fmt(self.sample_dt)}")
         if self.discard < 0:
             raise bad("discard", f"must be >= 0, got {self.discard}")
-        if not self.cluster_tol > 0.0:
-            raise bad("cluster_tol", f"must be > 0, got {fmt(self.cluster_tol)}")
-        if self.max_order < 1:
-            raise bad("max_order", f"must be >= 1, got {self.max_order}")
         if not self.chaos_spread_min > 0.0:
             raise bad("chaos_spread_min", "must be > 0")
-        if not self.d0 > 0.0:
-            raise bad("d0", f"must be > 0, got {fmt(self.d0)}")
-        if not self.renorm_interval > 0.0:
-            raise bad("renorm_interval", "must be > 0")
-        if not self.horizon >= self.renorm_interval:
-            raise bad("horizon", "must be >= renorm_interval")
         if not self.xi_max > 0.0:
             raise bad("xi_max", f"must be > 0, got {fmt(self.xi_max)}")
-        if not (0.0 < self.omega_min < self.omega_max):
-            raise bad("omega_min", "need 0 < omega_min < omega_max")
-        if self.n_points < 2:
-            raise bad("n_points", f"must be >= 2, got {self.n_points}")
         if not self.z_min < self.z_max:
             raise bad("z_min", "need z_min < z_max")
-        if self.n_z < 2:
-            raise bad("n_z", f"must be >= 2, got {self.n_z}")
+        if not 2 <= self.n_z <= MAX_TARGETS:
+            raise bad("n_z", f"must lie in [2, {MAX_TARGETS}], got {self.n_z}")
         try:
             _ = (self.trap, self.control())
+            analysis._check_locking(self.cluster_tol, self.max_order)
+            analysis._check_lyapunov(self.horizon, self.renorm_interval, self.d0)
+            separatrix._check_grid(self.omega_min, self.omega_max, self.n_points)
         except ValueError as exc:
             raise ConfigError(f"out-of-range value: {exc}") from None
         if self.t_end is not None or self.n_periods is not None:

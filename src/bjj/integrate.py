@@ -49,7 +49,8 @@ _MAX_GROW = 5.0
 _MIN_SHRINK = 0.1
 
 #: Most landing targets one run may request (the target list is built up
-#: front), and most rows an every-step recording may hold.
+#: front), most rows an every-step recording may hold, and the largest
+#: Lyapunov interval count and grid size (n_points, n_z).
 MAX_TARGETS = 10**7
 
 
@@ -180,10 +181,16 @@ def _drive(
             # One classical RK4 step of h_try (to b) and two of h_try/2 (to
             # m, then n), all from the stage-1 rate k at t.  A singular
             # current state raises at k independent of h, so the exception
-            # propagates; singular *trial* states further along the step are
+            # propagates (a ValueError there, from a non-finite state, as a
+            # BjjError); singular *trial* states further along the step are
             # treated as a rejection instead, and so are trial states that
             # overflowed (math.sin(inf) raises ValueError).
-            k0, k1 = f(t, de, y0, y1)
+            try:
+                k0, k1 = f(t, de, y0, y1)
+            except ValueError as exc:
+                raise BjjError(
+                    f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h_try!r}: {exc}"
+                ) from None
             half = 0.5 * h_try
             q = 0.5 * half
             t_half = t + half
@@ -447,8 +454,6 @@ def sample_stroboscopic(
         raise ValueError("stroboscopic sections need a modulated trap (de1 != 0)")
     if not 1 <= n_periods <= MAX_TARGETS:
         raise ValueError(f"'n_periods' must lie in [1, {MAX_TARGETS}], got {n_periods}")
-    if s0.t != 0.0:
-        raise ValueError("stroboscopic sampling starts at t=0")
     period = p.period
     traj = _trajectory(p, s0, n_periods * period, ctl, sample_dt=period)
     return section_from_trajectory(traj, period)

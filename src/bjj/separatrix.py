@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError
+from .integrate import MAX_TARGETS
 from .model import TrapParams, trap_asymmetry
 
 __all__ = [
@@ -312,6 +313,17 @@ def _asymptotes_in(f: SeparatrixFrame, omega_min: float, omega_max: float) -> li
     return marks
 
 
+def _check_grid(omega_min: float, omega_max: float, n_points: int) -> None:
+    if not omega_min > 0.0:
+        raise ValueError(f"'omega_min' must be > 0, got {omega_min!r}")
+    if not omega_min < omega_max < math.inf:
+        raise ValueError(
+            f"'omega_max' must be finite and > omega_min={omega_min!r}, got {omega_max!r}"
+        )
+    if not 2 <= n_points <= MAX_TARGETS:
+        raise ValueError(f"'n_points' must lie in [2, {MAX_TARGETS}], got {n_points!r}")
+
+
 def stability_curve(
     f: SeparatrixFrame,
     eta: float,
@@ -328,10 +340,7 @@ def stability_curve(
     """
     if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    if not (0.0 < omega_min < omega_max):
-        raise ValueError("need 0 < omega_min < omega_max")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    _check_grid(omega_min, omega_max, n_points)
 
     grid = np.linspace(omega_min, omega_max, n_points)
     damp = 8.0 * eta * f.kappa**3 / (3.0 * f.lam**2)

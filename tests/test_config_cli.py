@@ -98,6 +98,55 @@ def test_range_error_names_key_non_finite(argv, key, tmp_path, capsys):
     assert not out.exists()
 
 
+def _lyapunov(**kw):
+    return bjj.lyapunov_estimate(bjj.TrapParams(lam=10.0), 0.5, 0.0, **{"horizon": 2.0, **kw})
+
+
+def _locking(**kw):
+    p = bjj.TrapParams(lam=10.0, de1=1.0)
+    n = np.arange(500)
+    zeros = np.zeros(500)
+    sec = bjj.SectionPoints(params=p, control=default_control(p), period=p.period, n=n,
+                            t=n * p.period, z=zeros, dz_dt=zeros)
+    return bjj.detect_frequency_locking(sec, discard_periods=10, **kw)
+
+
+def _stability_curve(**kw):
+    return bjj.stability_curve(bjj.SeparatrixFrame(lam=4.0, h=0.5), 0.3, **kw)
+
+
+# (key, bad values, owner, module whose MAX_TARGETS shrinks to 10 during the
+# call); the config keys are the owners' keyword names.
+RANGE_RULES = [
+    ("d0", {"d0": 0.0}, _lyapunov, None),
+    ("d0", {"d0": -1e-8}, _lyapunov, None),
+    ("renorm_interval", {"renorm_interval": 0.0}, _lyapunov, None),
+    ("horizon", {"horizon": 0.1}, _lyapunov, None),
+    ("renorm_interval", {"horizon": 1e300, "renorm_interval": 1e-300}, _lyapunov, None),
+    ("renorm_interval", {"horizon": 1.1, "renorm_interval": 0.1}, _lyapunov, bjj.analysis),
+    ("cluster_tol", {"cluster_tol": 0.0}, _locking, None),
+    ("max_order", {"max_order": 0}, _locking, None),
+    ("omega_min", {"omega_min": 0.0}, _stability_curve, None),
+    ("omega_max", {"omega_max": 0.4}, _stability_curve, None),
+    ("n_points", {"n_points": 1}, _stability_curve, None),
+    ("n_points", {"n_points": 11}, _stability_curve, bjj.separatrix),
+]
+
+
+@pytest.mark.parametrize(
+    "key,values,owner,capped", RANGE_RULES,
+    ids=[",".join(f"{k}={v}" for k, v in vals.items()) + ("-capped" if capped else "")
+         for _, vals, _, capped in RANGE_RULES],
+)
+def test_range_rule_is_the_owners(key, values, owner, capped, monkeypatch):
+    if capped is not None:
+        monkeypatch.setattr(capped, "MAX_TARGETS", 10)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        RunConfig.from_values(values)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        owner(**values)
+
+
 def test_control_carries_every_step_key():
     steps = {"abs_tol": 1e-7, "rel_tol": 2e-7, "h_init": 3e-3, "h_min": 4e-9,
              "h_max": 0.02, "safety": 0.8}
@@ -390,6 +439,40 @@ def test_exit_code_1_on_input_errors(tmp_path, capsys):
     assert "'sample_dt'" in capsys.readouterr().err
     assert main(["poincare", "--lambda", "2", "--de1", "1", "--n-periods", str(10**12)]) == 1
     assert "'n_periods'" in capsys.readouterr().err
+
+
+# Rules stated once, in the code that uses the value: each command fails
+# before it integrates anything and writes no output.
+OWNER_RULE_INPUTS = [
+    (["poincare", "--lambda", "2", "--n-periods", "5"], "de1 != 0"),
+    (["attractor", "--lambda", "2"], "de1 != 0"),
+    (["crosscheck", "--lambda", "2", "--eta", "0.1"], "eta"),
+    (["lyapunov", "--lambda", "2", "--horizon", "1e300", "--renorm-interval", "1e-300"],
+     "'renorm_interval'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,needle", OWNER_RULE_INPUTS, ids=[" ".join(a) for a, _ in OWNER_RULE_INPUTS]
+)
+def test_owner_rules_exit_1_without_output(argv, needle, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_potential_grid_is_capped(monkeypatch, tmp_path, capsys):
+    # the cap shrunk to 10; a grid of the real cap is never allocated
+    monkeypatch.setattr(bjj.config, "MAX_TARGETS", 10)
+    argv = ["potential", "--lambda", "2", "--energy", "0.5"]
+    assert run_cli([*argv, "--n-z", "10"], tmp_path)[0] == 0
+    with pytest.raises(ConfigError, match="'n_z'"):
+        RunConfig.from_values({"n_z": 11})
+    capsys.readouterr()
+    assert main([*argv, "--n-z", "11", "--out", str(tmp_path / "big")]) == 1
+    assert "'n_z'" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
 
 
 def test_flag_errors_name_the_flag(capsys):

@@ -333,6 +333,19 @@ def test_singularity_propagates_from_interior():
         advance(p, PhaseState(0.0, 1.0 - 1e-13, 0.0), 1.0)
 
 
+def test_non_finite_current_state_names_t_state_and_h():
+    # math.sin(inf) in the stage-1 rate; no step size can cure it
+    with pytest.raises(BjjError, match=r"t=0\.0, state=\(0\.5, inf\), h=0\.001") as info:
+        advance(TrapParams(lam=10.0), PhaseState(0.0, 0.5, math.inf), 1.0)
+    assert type(info.value) is BjjError
+
+
+def test_stroboscopic_grid_starts_at_zero():
+    p = TrapParams(lam=10.0, de1=1.0)
+    with pytest.raises(ValueError, match="anchored at t=0"):
+        sample_stroboscopic(p, PhaseState(0.5, 0.5, 0.0), 3)
+
+
 @given(
     z0=st.floats(-0.8, 0.8),
     phi0=st.floats(-3.0, 3.0),
