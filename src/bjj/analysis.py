@@ -58,7 +58,7 @@ def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectr
     if len(t) < 16:
         raise ValueError("need at least 16 samples")
     if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {_WINDOWS}, got {window!r}")
+        raise ValueError(f"'window' must be one of {_WINDOWS}, got {window!r}")
     steps = np.diff(t)
     dt = float(steps[0])
     if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
@@ -181,7 +181,7 @@ def detect_frequency_locking(
     """
     _check_locking(cluster_tol, max_order)
     if discard_periods < 0:
-        raise ValueError("discard_periods must be >= 0")
+        raise ValueError(f"'discard_periods' must be >= 0, got {discard_periods!r}")
     pts = np.column_stack([section.z, section.dz_dt])
     if len(pts) <= discard_periods + 10 * max_order:
         raise ValueError(

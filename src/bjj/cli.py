@@ -181,6 +181,7 @@ def _apply_profile(cfg: RunConfig, command: str, explicit: set[str]) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
+    """integrate the junction equations and emit t,z,phi,dzdt"""
     traj = integrate_adaptive(
         cfg.trap, cfg.state0, cfg.resolved_t_end(), ctl=cfg.control(), sample_dt=cfg.sample_dt
     )
@@ -188,11 +189,13 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 
 
 def _cmd_poincare(cfg: RunConfig) -> str:
+    """stroboscopic section at the drive period (n,z,dzdt)"""
     sec = sample_stroboscopic(cfg.trap, cfg.state0, cfg.n_periods, ctl=cfg.control())
     return _csv_text(cfg, "n,z,dzdt", sec.n, sec.z, sec.dz_dt)
 
 
 def _cmd_spectrum(cfg: RunConfig) -> str:
+    """one-sided power spectrum of z(t) (freq,power)"""
     traj = integrate_adaptive(
         cfg.trap, cfg.state0, cfg.resolved_t_end(), ctl=cfg.control(), sample_dt=cfg.sample_dt
     )
@@ -205,6 +208,7 @@ def _cmd_spectrum(cfg: RunConfig) -> str:
 
 
 def _cmd_attractor(cfg: RunConfig) -> str:
+    """classify the long-time stroboscopic set (JSON)"""
     sec = sample_stroboscopic(cfg.trap, cfg.state0, cfg.n_periods, ctl=cfg.control())
     rep = analysis.detect_frequency_locking(
         sec,
@@ -229,6 +233,7 @@ def _cmd_attractor(cfg: RunConfig) -> str:
 
 
 def _cmd_melnikov(cfg: RunConfig) -> str:
+    """separatrix stability integral, closed form and quadrature (JSON)"""
     frame = separatrix.SeparatrixFrame(lam=cfg.lam, h=cfg.energy, c0=cfg.c0)
     closed = separatrix.melnikov_closed(frame, cfg.trap)
     numeric, abserr = separatrix.melnikov_numeric(frame, cfg.trap, xi_max=cfg.xi_max)
@@ -245,6 +250,7 @@ def _cmd_melnikov(cfg: RunConfig) -> str:
 
 
 def _cmd_stability_curve(cfg: RunConfig) -> str:
+    """critical modulation amplitude vs frequency (CSV)"""
     frame = separatrix.SeparatrixFrame(lam=cfg.lam, h=cfg.energy, c0=cfg.c0)
     curve = separatrix.stability_curve(
         frame,
@@ -267,12 +273,14 @@ def _cmd_stability_curve(cfg: RunConfig) -> str:
 
 
 def _cmd_potential(cfg: RunConfig) -> str:
+    """effective potential scan V(z) at fixed junction energy (CSV)"""
     z = np.linspace(cfg.z_min, cfg.z_max, cfg.n_z)
     v = effective_potential(cfg.trap, cfg.energy, z)
     return _csv_text(cfg, "z,V", z, v)
 
 
 def _cmd_crosscheck(cfg: RunConfig) -> str:
+    """compare the reduced equations against the mode-pair form (JSON)"""
     rep = twomode.crosscheck_max_dz(
         cfg.trap,
         cfg.z0,
@@ -290,6 +298,7 @@ def _cmd_crosscheck(cfg: RunConfig) -> str:
 
 
 def _cmd_classify(cfg: RunConfig) -> str:
+    """regime of an initial condition (JSON)"""
     regime = classify_regime(cfg.trap, cfg.z0, cfg.phi0)
     payload = {
         "kind": regime.motion.value,
@@ -301,6 +310,7 @@ def _cmd_classify(cfg: RunConfig) -> str:
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> str:
+    """largest Lyapunov exponent estimate (JSON)"""
     exponent = analysis.lyapunov_estimate(
         cfg.trap,
         cfg.z0,
@@ -330,20 +340,6 @@ _HANDLERS = {
     "lyapunov": _cmd_lyapunov,
 }
 
-_HELP = {
-    "simulate": "integrate the junction equations and emit t,z,phi,dzdt",
-    "poincare": "stroboscopic section at the drive period (n,z,dzdt)",
-    "spectrum": "one-sided power spectrum of z(t) (freq,power)",
-    "attractor": "classify the long-time stroboscopic set (JSON)",
-    "melnikov": "separatrix stability integral, closed form and quadrature (JSON)",
-    "stability-curve": "critical modulation amplitude vs frequency (CSV)",
-    "potential": "effective potential scan V(z) at fixed junction energy (CSV)",
-    "crosscheck": "compare the reduced equations against the mode-pair form (JSON)",
-    "classify": "regime of an initial condition (JSON)",
-    "lyapunov": "largest Lyapunov exponent estimate (JSON)",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ConfigError(message)
@@ -355,7 +351,7 @@ def _build_parser(command: str | None = None) -> _Parser:
     parser = _Parser(prog="bjj", description="coupled-condensate junction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+        p = sub.add_parser(name, help=handler.__doc__)
         p.set_defaults(handler=handler)
         if command is not None and name != command:
             continue

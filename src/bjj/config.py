@@ -14,18 +14,23 @@ metadata lines; feeding those lines back as a config file reproduces the
 run byte for byte.  To support that, a comment line that is an exact,
 cleanly parseable assignment to a known key is honored as an assignment;
 all other comment text is ignored.
+
+The key table is ``RunConfig``'s field list: each field declares its key
+(the field name, or ``lambda`` for ``lam``), parser, default and help
+text.  The config reader, the command-line flags and the metadata echo all
+read that one table (``_KEYS``, derived from the fields).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from . import analysis, separatrix
 from .errors import ConfigError
-from .integrate import MAX_TARGETS, StepControl, default_control
+from .integrate import MAX_TARGETS, StepControl, _check_sample_dt, default_control
 from .model import Z_GUARD, DampingKind, PhaseState, TrapParams
 
 __all__ = ["RunConfig", "parse_kv_text", "parse_config", "merge_sources", "fmt"]
@@ -41,7 +46,6 @@ def fmt(value: object) -> str:
 
 
 _DAMPING_NAMES = tuple(k.value for k in DampingKind)
-_WINDOW_NAMES = ("rect", "hann")
 
 
 # The builtins themselves, so a command-line flag of this type reports a
@@ -60,44 +64,12 @@ def _parse_word(allowed: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-# key -> (parser, help); order defines the metadata echo.
-_KEYS: dict[str, tuple[Callable[[str], object], str]] = {
-    "lambda": (_parse_float, "interaction-to-tunneling ratio"),
-    "de0": (_parse_float, "static tilt between the wells"),
-    "de1": (_parse_float, "tilt modulation amplitude"),
-    "omega": (_parse_float, "tilt modulation angular frequency"),
-    "omega_pi": (_parse_float, "omega in units of pi (alternative to omega)"),
-    "eta": (_parse_float, "damping coefficient (>= 0)"),
-    "damping": (_parse_word(_DAMPING_NAMES), "damping placement"),
-    "z0": (_parse_float, "initial population imbalance"),
-    "phi0": (_parse_float, "initial relative phase"),
-    "t_end": (_parse_float, "integration horizon in time units"),
-    "n_periods": (_parse_int, "integration horizon in drive periods"),
-    "sample_dt": (_parse_float, "output sample spacing"),
-    "discard": (_parse_int, "leading drive periods dropped before analysis"),
-    "abs_tol": (_parse_float, "absolute step error tolerance"),
-    "rel_tol": (_parse_float, "relative step error tolerance"),
-    "h_init": (_parse_float, "initial step size"),
-    "h_min": (_parse_float, "smallest admissible step"),
-    "h_max": (_parse_float, "largest admissible step"),
-    "safety": (_parse_float, "step controller safety factor"),
-    "window": (_parse_word(_WINDOW_NAMES), "spectral window"),
-    "cluster_tol": (_parse_float, "attractor cluster radius"),
-    "max_order": (_parse_int, "largest locking order searched"),
-    "chaos_spread_min": (_parse_float, "minimum spread to call a section chaotic"),
-    "d0": (_parse_float, "initial separation for the Lyapunov estimate"),
-    "renorm_interval": (_parse_float, "Lyapunov renormalization interval"),
-    "horizon": (_parse_float, "Lyapunov estimation horizon"),
-    "energy": (_parse_float, "junction energy h for separatrix analysis"),
-    "c0": (_parse_float, "separatrix phase offset"),
-    "xi_max": (_parse_float, "separatrix quadrature window half-width"),
-    "omega_min": (_parse_float, "stability curve lower frequency"),
-    "omega_max": (_parse_float, "stability curve upper frequency"),
-    "n_points": (_parse_int, "stability curve grid size"),
-    "z_min": (_parse_float, "potential scan lower bound"),
-    "z_max": (_parse_float, "potential scan upper bound"),
-    "n_z": (_parse_int, "potential scan grid size"),
-}
+def _key(default: object, parse: Callable[[str], object], help_text: str,
+         key: str | None = None) -> Any:
+    """A RunConfig field that is also a config key (named after the field
+    unless ``key`` is given)."""
+    return field(default=default, metadata={"parse": parse, "help": help_text, "key": key})
+
 
 # Members of an exclusive pair retire each other across sources.
 _EXCLUSIVE: dict[str, str] = {
@@ -108,34 +80,39 @@ _EXCLUSIVE: dict[str, str] = {
 }
 
 
-def _metadata_assignment(comment: str) -> tuple[str, object] | None:
-    """Recognize an emitted metadata line (`# key=value`) inside a comment.
-
-    Only exact, cleanly parseable assignments to known keys count; any
-    other comment text stays a comment.  This makes an output's metadata
-    header directly reusable as a config file.
-    """
-    body = comment.lstrip("#").strip()
-    if "=" not in body:
-        return None
-    key, _, raw_value = body.partition("=")
-    key = key.strip()
-    raw_value = raw_value.strip()
-    if key not in _KEYS or not raw_value:
-        return None
-    parser, _ = _KEYS[key]
-    try:
-        return key, parser(raw_value)
-    except ValueError:
-        return None
-
-
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, object]:
-    """Parse key=value lines into typed values; errors carry key and line."""
+    """Parse key=value lines into typed values; errors carry key and line.
+    A comment line is read like a plain one but ignored where that fails."""
     values: dict[str, object] = {}
     unknown: list[str] = []
-
-    def assign(key: str, value: object, lineno: int) -> None:
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        comment = line.startswith("#")
+        line = (line.lstrip("#") if comment else line.split("#", 1)[0]).strip()
+        if not line:
+            continue
+        key, eq, raw_value = line.partition("=")
+        key = key.strip()
+        raw_value = raw_value.strip()
+        try:
+            if not eq:
+                raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
+            if key not in _KEYS:
+                if not comment:
+                    unknown.append(f"'{key}' (line {lineno})")
+                continue
+            if not raw_value:
+                raise ConfigError(f"{source}:{lineno}: empty value for '{key}'")
+            try:
+                value = _KEYS[key][0](raw_value)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{source}:{lineno}: invalid value for '{key}': {raw_value!r} ({exc})"
+                ) from None
+        except ConfigError:
+            if comment:
+                continue
+            raise
         other = _EXCLUSIVE.get(key)
         if other is not None and other in values:
             raise ConfigError(
@@ -143,35 +120,6 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, object]:
                 "set exactly one"
             )
         values[key] = value
-
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = raw_line.strip()
-        if stripped.startswith("#"):
-            pair = _metadata_assignment(stripped)
-            if pair is not None:
-                assign(pair[0], pair[1], lineno)
-            continue
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
-        if key not in _KEYS:
-            unknown.append(f"'{key}' (line {lineno})")
-            continue
-        if not raw_value:
-            raise ConfigError(f"{source}:{lineno}: empty value for '{key}'")
-        parser, _ = _KEYS[key]
-        try:
-            value = parser(raw_value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{source}:{lineno}: invalid value for '{key}': {raw_value!r} ({exc})"
-            ) from None
-        assign(key, value, lineno)
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {', '.join(unknown)}")
     return values
@@ -200,65 +148,69 @@ def merge_sources(*sources: dict[str, object]) -> dict[str, object]:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters (one flat namespace for every subcommand)."""
+    """Fully resolved run parameters (one flat namespace for every subcommand).
 
-    lam: float = 10.0
-    de0: float = 0.0
-    de1: float = 0.0
-    omega: float = 2.0 * math.pi
-    eta: float = 0.0
-    damping: str = "population"
-    z0: float = 0.5
-    phi0: float = 0.0
-    t_end: float | None = None
-    n_periods: int | None = None
-    sample_dt: float | None = None
-    discard: int = 0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    h_init: float = 1e-3
-    h_min: float = 1e-12
-    h_max: float | None = None
-    safety: float = 0.9
-    window: str = "hann"
-    cluster_tol: float = 1e-3
-    max_order: int = 12
-    chaos_spread_min: float = 0.2
-    d0: float = 1e-8
-    renorm_interval: float = 0.5
-    horizon: float = 1000.0
-    energy: float | None = None
-    c0: float = 0.0
-    xi_max: float = 40.0
-    omega_min: float = 0.5
-    omega_max: float = 10.0
-    n_points: int = 200
-    z_min: float = -1.0
-    z_max: float = 1.0
-    n_z: int = 401
+    Every field is a config key; ``_key`` gives its parser and help text."""
 
-    _FIELD_BY_KEY = {"lambda": "lam"}
+    lam: float = _key(10.0, _parse_float, "interaction-to-tunneling ratio", key="lambda")
+    de0: float = _key(0.0, _parse_float, "static tilt between the wells")
+    de1: float = _key(0.0, _parse_float, "tilt modulation amplitude")
+    omega: float = _key(2.0 * math.pi, _parse_float, "tilt modulation angular frequency")
+    eta: float = _key(0.0, _parse_float, "damping coefficient (>= 0)")
+    damping: str = _key("population", _parse_word(_DAMPING_NAMES), "damping placement")
+    z0: float = _key(0.5, _parse_float, "initial population imbalance")
+    phi0: float = _key(0.0, _parse_float, "initial relative phase")
+    t_end: float | None = _key(None, _parse_float, "integration horizon in time units")
+    n_periods: int | None = _key(None, _parse_int, "integration horizon in drive periods")
+    sample_dt: float | None = _key(None, _parse_float, "output sample spacing")
+    discard: int = _key(0, _parse_int, "leading drive periods dropped before analysis")
+    abs_tol: float = _key(1e-10, _parse_float, "absolute step error tolerance")
+    rel_tol: float = _key(1e-10, _parse_float, "relative step error tolerance")
+    h_init: float = _key(1e-3, _parse_float, "initial step size")
+    h_min: float = _key(1e-12, _parse_float, "smallest admissible step")
+    h_max: float | None = _key(None, _parse_float, "largest admissible step")
+    safety: float = _key(0.9, _parse_float, "step controller safety factor")
+    window: str = _key("hann", _parse_word(analysis._WINDOWS), "spectral window")
+    cluster_tol: float = _key(1e-3, _parse_float, "attractor cluster radius")
+    max_order: int = _key(12, _parse_int, "largest locking order searched")
+    chaos_spread_min: float = _key(0.2, _parse_float, "minimum spread to call a section chaotic")
+    d0: float = _key(1e-8, _parse_float, "initial separation for the Lyapunov estimate")
+    renorm_interval: float = _key(0.5, _parse_float, "Lyapunov renormalization interval")
+    horizon: float = _key(1000.0, _parse_float, "Lyapunov estimation horizon")
+    energy: float | None = _key(None, _parse_float, "junction energy h for separatrix analysis")
+    c0: float = _key(0.0, _parse_float, "separatrix phase offset")
+    xi_max: float = _key(40.0, _parse_float, "separatrix quadrature window half-width")
+    omega_min: float = _key(0.5, _parse_float, "stability curve lower frequency")
+    omega_max: float = _key(10.0, _parse_float, "stability curve upper frequency")
+    n_points: int = _key(200, _parse_int, "stability curve grid size")
+    z_min: float = _key(-1.0, _parse_float, "potential scan lower bound")
+    z_max: float = _key(1.0, _parse_float, "potential scan upper bound")
+    n_z: int = _key(401, _parse_int, "potential scan grid size")
 
     @classmethod
     def from_values(cls, values: dict[str, object]) -> "RunConfig":
+        unknown = [f"'{key}'" for key in values if key not in _KEYS]
+        if unknown:
+            raise ConfigError(f"unknown keys: {', '.join(unknown)}")
         cfg = cls()
         for key, value in values.items():
             if key == "omega_pi":
                 cfg.omega = float(value) * math.pi
-                continue
-            setattr(cfg, cls._FIELD_BY_KEY.get(key, key), value)
+            else:
+                setattr(cfg, _FIELDS[key], value)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
         """Check the keys no other code owns, then call the checks of the code
-        that uses the rest (trap, control, analysis, separatrix); each names its key."""
+        that uses the rest (trap, control, sampling, analysis, separatrix);
+        each names its key."""
 
         def bad(key: str, why: str) -> ConfigError:
             return ConfigError(f"out-of-range value for '{key}': {why}")
 
-        for key in _KEYS:
-            value = getattr(self, self._FIELD_BY_KEY.get(key, key), None)
+        for key, name in _FIELDS.items():
+            value = getattr(self, name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise bad(key, f"must be finite, got {fmt(value)}")
         if not abs(self.z0) < 1.0 - Z_GUARD:
@@ -267,8 +219,6 @@ class RunConfig:
             raise bad("t_end", f"must be > 0, got {fmt(self.t_end)}")
         if self.n_periods is not None and self.n_periods < 1:
             raise bad("n_periods", f"must be >= 1, got {self.n_periods}")
-        if self.sample_dt is not None and not self.sample_dt > 0.0:
-            raise bad("sample_dt", f"must be > 0, got {fmt(self.sample_dt)}")
         if self.discard < 0:
             raise bad("discard", f"must be >= 0, got {self.discard}")
         if not self.chaos_spread_min > 0.0:
@@ -284,17 +234,18 @@ class RunConfig:
             analysis._check_locking(self.cluster_tol, self.max_order)
             analysis._check_lyapunov(self.horizon, self.renorm_interval, self.d0)
             separatrix._check_grid(self.omega_min, self.omega_max, self.n_points)
+            horizon = 0.0  # without one, only the sign of sample_dt is checked
+            if self.t_end is not None or self.n_periods is not None:
+                try:
+                    horizon = self.resolved_t_end()
+                except OverflowError:  # an int too large for a float
+                    horizon = math.inf
+                if not math.isfinite(horizon):  # t_end is finite by now
+                    raise bad("n_periods", "n_periods * period must be a finite time")
+            if self.sample_dt is not None:
+                _check_sample_dt(self.sample_dt, horizon)
         except ValueError as exc:
             raise ConfigError(f"out-of-range value: {exc}") from None
-        if self.t_end is not None or self.n_periods is not None:
-            try:
-                horizon = self.resolved_t_end()
-            except OverflowError:  # an int too large for a float
-                horizon = math.inf
-            if not math.isfinite(horizon):  # t_end is finite by now
-                raise bad("n_periods", "n_periods * period must be a finite time")
-            if self.sample_dt is not None and not math.isfinite(horizon / self.sample_dt):
-                raise bad("sample_dt", "horizon/sample_dt must be a finite sample count")
 
     # -- derived objects ---------------------------------------------------
 
@@ -349,21 +300,25 @@ class RunConfig:
         omega_pi never appears (omega is canonical); unset optional keys
         are skipped.
         """
-        by_field = {f.name: f.name for f in fields(self)}
         out: list[tuple[str, object]] = []
-        for key in _KEYS:
-            if key == "omega_pi":
-                continue
-            name = self._FIELD_BY_KEY.get(key, key)
-            if name not in by_field:
-                continue
+        for key, name in _FIELDS.items():
             value = getattr(self, name)
             if key == "h_max" and value is None:
                 value = self.control().h_max
-            if value is None:
-                continue
-            out.append((key, value))
+            if value is not None:
+                out.append((key, value))
         return out
 
     def metadata_lines(self) -> list[str]:
         return [f"# {key}={fmt(value)}" for key, value in self.metadata_values()]
+
+
+# key -> field name, and key -> (parser, help) in the order of the metadata
+# echo; omega_pi is read into omega and never echoed.
+_FIELDS = {f.metadata["key"] or f.name: f.name for f in fields(RunConfig)}
+_KEYS: dict[str, tuple[Callable[[str], object], str]] = {}
+for _f in fields(RunConfig):
+    _KEYS[_f.metadata["key"] or _f.name] = (_f.metadata["parse"], _f.metadata["help"])
+    if _f.name == "omega":
+        _KEYS["omega_pi"] = (_parse_float, "omega in units of pi (alternative to omega)")
+del _f

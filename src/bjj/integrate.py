@@ -311,16 +311,23 @@ def _drive(
     return t, (y0, y1)
 
 
-def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
-    """Multiples of sample_dt covering (0, t_end], end collapsed onto t_end."""
+def _check_sample_dt(sample_dt: float, t_end: float = 0.0) -> float:
+    """The sample count t_end/sample_dt (plus 1e-9), once 'sample_dt' is > 0
+    and the count finite."""
     if not sample_dt > 0.0:
         raise ValueError(f"'sample_dt' must be > 0, got {sample_dt!r}")
     count = t_end / sample_dt + 1e-9
     if not math.isfinite(count):
         raise ValueError(
-            f"t_end/sample_dt = {t_end!r}/{sample_dt!r} is not a finite sample count"
+            "'sample_dt' must give a finite sample count t_end/sample_dt, "
+            f"got {t_end!r}/{sample_dt!r}"
         )
-    n = int(math.floor(count))
+    return count
+
+
+def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
+    """Multiples of sample_dt covering (0, t_end], end collapsed onto t_end."""
+    n = int(math.floor(_check_sample_dt(sample_dt, t_end)))
     if n > MAX_TARGETS:
         raise ValueError(
             f"'sample_dt'={sample_dt!r} asks for {n} samples up to t_end={t_end!r}, "

@@ -133,8 +133,7 @@ def basis_z11(f: SeparatrixFrame, t: float) -> float:
 
     Equals dz_s/dt: z11 = -(2 kappa^2/|lam|) sech(xi) tanh(xi).
     """
-    xi = f.xi(t)
-    return -(2.0 * f.kappa**2 / abs(f.lam)) * _sech(xi) * np.tanh(xi)
+    return separatrix_velocity(f, t)
 
 
 def basis_z12(f: SeparatrixFrame, t: float) -> float:
@@ -339,7 +338,7 @@ def stability_curve(
     omega = 1 plus the cosine zeros for c0 != 0) is returned alongside.
     """
     if not eta >= 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+        raise ValueError(f"'eta' must be >= 0, got {eta!r}")
     _check_grid(omega_min, omega_max, n_points)
 
     grid = np.linspace(omega_min, omega_max, n_points)

@@ -108,11 +108,16 @@ def _locking(**kw):
     zeros = np.zeros(500)
     sec = bjj.SectionPoints(params=p, control=default_control(p), period=p.period, n=n,
                             t=n * p.period, z=zeros, dz_dt=zeros)
-    return bjj.detect_frequency_locking(sec, discard_periods=10, **kw)
+    return bjj.detect_frequency_locking(sec, **{"discard_periods": 10, **kw})
 
 
 def _stability_curve(**kw):
     return bjj.stability_curve(bjj.SeparatrixFrame(lam=4.0, h=0.5), 0.3, **kw)
+
+
+def _sampled(t_end=1.0, **kw):
+    return bjj.integrate_adaptive(bjj.TrapParams(lam=10.0), bjj.PhaseState(0.0, 0.5, 0.0),
+                                  t_end, **kw)
 
 
 # (key, bad values, owner, module whose MAX_TARGETS shrinks to 10 during the
@@ -130,6 +135,8 @@ RANGE_RULES = [
     ("omega_max", {"omega_max": 0.4}, _stability_curve, None),
     ("n_points", {"n_points": 1}, _stability_curve, None),
     ("n_points", {"n_points": 11}, _stability_curve, bjj.separatrix),
+    ("sample_dt", {"sample_dt": 0.0}, _sampled, None),
+    ("sample_dt", {"t_end": 1e300, "sample_dt": 1e-300}, _sampled, None),
 ]
 
 
@@ -145,6 +152,27 @@ def test_range_rule_is_the_owners(key, values, owner, capped, monkeypatch):
         RunConfig.from_values(values)
     with pytest.raises(ValueError, match=f"'{key}'"):
         owner(**values)
+
+
+# API arguments whose range errors the config layer never reaches.
+API_RANGE_RULES = [
+    ("eta", lambda: bjj.stability_curve(bjj.SeparatrixFrame(lam=4.0, h=0.5), -1.0)),
+    ("discard_periods", lambda: _locking(discard_periods=-1)),
+    ("window", lambda: bjj.power_spectrum(np.arange(32.0), np.zeros(32), window="x")),
+]
+
+
+@pytest.mark.parametrize("key,call", API_RANGE_RULES, ids=[k for k, _ in API_RANGE_RULES])
+def test_api_range_errors_quote_their_key(key, call):
+    with pytest.raises(ValueError, match=f"^'{key}' must .*, got "):
+        call()
+
+
+@pytest.mark.parametrize("key", ["lamda", "lam"])
+def test_from_values_rejects_unknown_keys(key):
+    # "lam" is the field name; no config file or flag can spell it
+    with pytest.raises(ConfigError, match=f"^unknown keys: '{key}'$"):
+        RunConfig.from_values({"eta": 0.1, key: 3.0})
 
 
 def test_control_carries_every_step_key():
@@ -180,6 +208,105 @@ def test_exclusive_pairs_conflict_within_one_source():
         parse_kv_text("t_end=10\nn_periods=5\n")
     with pytest.raises(ConfigError, match="conflicts with"):
         parse_kv_text("omega=2\nomega_pi=1\n")
+
+
+def reference_parse_kv_text(text, source="<config>"):
+    """parse_kv_text as it was with a separate reader for metadata comments."""
+
+    def metadata_assignment(comment):
+        body = comment.lstrip("#").strip()
+        if "=" not in body:
+            return None
+        key, _, raw_value = body.partition("=")
+        key = key.strip()
+        raw_value = raw_value.strip()
+        if key not in config._KEYS or not raw_value:
+            return None
+        parser, _ = config._KEYS[key]
+        try:
+            return key, parser(raw_value)
+        except ValueError:
+            return None
+
+    values = {}
+    unknown = []
+
+    def assign(key, value, lineno):
+        other = config._EXCLUSIVE.get(key)
+        if other is not None and other in values:
+            raise ConfigError(
+                f"{source}:{lineno}: '{key}' conflicts with '{other}' set above; "
+                "set exactly one"
+            )
+        values[key] = value
+
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        stripped = raw_line.strip()
+        if stripped.startswith("#"):
+            pair = metadata_assignment(stripped)
+            if pair is not None:
+                assign(pair[0], pair[1], lineno)
+            continue
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw_value = line.partition("=")
+        key = key.strip()
+        raw_value = raw_value.strip()
+        if key not in config._KEYS:
+            unknown.append(f"'{key}' (line {lineno})")
+            continue
+        if not raw_value:
+            raise ConfigError(f"{source}:{lineno}: empty value for '{key}'")
+        parser, _ = config._KEYS[key]
+        try:
+            value = parser(raw_value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{source}:{lineno}: invalid value for '{key}': {raw_value!r} ({exc})"
+            ) from None
+        assign(key, value, lineno)
+    if unknown:
+        raise ConfigError(f"{source}: unknown keys: {', '.join(unknown)}")
+    return values
+
+
+# Known keys (both members of each exclusive pair, int and word keys) and
+# unknown ones, good, bad and empty values, and the ways a line can wrap them.
+KV_LINES = st.one_of(
+    st.sampled_from(["", "   ", "#", "# ", "just words", "# a plain remark"]),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", "  ", "# ", "#", "## ", "  # "]),
+            st.sampled_from(["lambda", "eta", "t_end", "n_periods", "omega", "omega_pi",
+                             "window", "damping", "n_z", "speling", "lam", ""]),
+            st.sampled_from(["=", " = ", "= ", " =", "", "=="]),
+            st.sampled_from(["4", "0.5", "-1e-3", "7", "hann", "velocity", "fast", "1.5",
+                             "", "inf"]),
+            st.sampled_from(["", "  ", " # note", "# note", " (disabled)"]),
+        ),
+    ),
+)
+
+
+def parse_outcome(parse, text):
+    try:
+        return repr(parse(text, source="cfg"))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=500)
+@given(st.lists(KV_LINES, max_size=6))
+@example(["# t_end=5", "n_periods=3"])
+@example(["n_periods=3", "# t_end=5"])
+@example(["# lambda=4 # note", "# lambda = 2", "eta=fast", "speling=1"])
+def test_kv_reader_matches_reference(lines):
+    text = "\n".join(lines)
+    assert parse_outcome(parse_kv_text, text) == parse_outcome(reference_parse_kv_text, text)
 
 
 def test_later_source_retires_exclusive_partner():
