@@ -18,12 +18,30 @@ before, or evaluated afresh after a landing); an undriven one never does.
 The rates add the tilt first, so passing the sum in keeps every bit.
 Float components are scored as they are, complex ones by their real and
 imaginary parts apart.
+
+Every run goes through _stepper(f), which writes the rate into the driver:
+on the first run of a rate definition in a process it rewrites _drive's
+source so that each of its 11 rate calls becomes the rate's body, with the
+rate's names prefixed and its closing ``return e0, e1`` assigned to the
+call's two targets, and compiles that once per rate code object.  The
+floating-point operations and their order are _drive's, so the bits,
+counts and exceptions are too.  A rate it cannot take (a lambda, one with
+defaults, a wrapper over ``*args`` such as a counting one, a body with
+nested scopes or an early return, no source) is called by _drive as
+before, so one source serves both.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+import textwrap
+import tokenize
 from dataclasses import dataclass
+from functools import partial
+from inspect import CO_VARARGS, CO_VARKEYWORDS
+from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -311,6 +329,157 @@ def _drive(
     return t, (y0, y1)
 
 
+#: Rate calls in one step of _drive; the inliner replaces every one of them.
+_RATE_CALLS = 11
+#: Prefix of every name of an inlined rate; no name in _drive starts with it.
+_PREFIX = "_rate_"
+#: Statements a rate body may hold: none binds a name other than through a
+#: Name node, opens a scope, returns early or leaves a loop.
+_STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
+#: Expressions it may not hold: each opens a scope, suspends the frame or
+#: (starred) may change the arity of the return.
+_DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+             ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
+
+# The source of _drive, read by the first _stepper call (import reads no source).
+_drive_source: str | None = None
+# _drive with a rate written into it, per rate code object: (factory, names of
+# the rate's globals), where factory(*free values, *global values) returns the
+# specialised driver; None for a rate that runs through _drive itself.
+_INLINED: dict[CodeType, tuple[Callable, tuple[str, ...]] | None] = {}
+
+
+def _stepper(f: RateFn) -> Callable[..., tuple[float, State]]:
+    """_drive with f bound: ``_stepper(f)(drive, t, y, targets, ctl, ...)``.
+
+    A plain def rate (four positional parameters, no defaults, a body of
+    simple statements ending in its one ``return e0, e1``) is written into
+    _drive's source at each of its rate calls, compiled once per process
+    and rate definition, and bound to this f's closure and globals.  The
+    inlined body runs the same floating-point operations in the same order,
+    so every result and exception is the one _drive gives.  Any other rate
+    (a lambda, a wrapper over ``*args``, one with defaults, nested scopes or
+    an early return, without source, or with an empty closure cell) runs
+    through _drive itself.
+    """
+    if type(f) is FunctionType and f.__defaults__ is None and f.__kwdefaults__ is None:
+        code = f.__code__
+        if code not in _INLINED:
+            _INLINED[code] = _inline(f)
+        entry = _INLINED[code]
+        if entry is not None:
+            factory, names = entry
+            scope = f.__globals__
+            builtin = f.__builtins__
+            try:
+                free = [cell.cell_contents for cell in f.__closure__ or ()]
+                glob = [scope[n] if n in scope else builtin[n] for n in names]
+            except (ValueError, KeyError):  # an empty cell, an unbound global
+                pass
+            else:
+                return factory(*free, *glob)
+    return partial(_drive, f)
+
+
+def _source(code: CodeType) -> str:
+    """The lines of code's definition, "" when its file cannot be read."""
+    try:
+        with tokenize.open(code.co_filename) as file:
+            lines = file.readlines()
+    except (OSError, SyntaxError):
+        return ""
+    return "".join(inspect.getblock(lines[code.co_firstlineno - 1:]))
+
+
+def _inline(f: FunctionType) -> tuple[Callable, tuple[str, ...]] | None:
+    """Compile _drive with the body of f at every rate call, or None when f
+    is not a rate the inliner takes."""
+    global _drive_source
+    code = f.__code__
+    if (code.co_name == "<lambda>" or code.co_argcount != 4 or code.co_kwonlyargcount
+            or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
+        return None
+    try:
+        if _drive_source is None:
+            _drive_source = _source(_drive.__code__)
+        (rate,) = ast.parse(textwrap.dedent(_source(code))).body
+        (drive,) = ast.parse(_drive_source).body
+    except (SyntaxError, ValueError):  # no source, or not one definition
+        return None
+    params = code.co_varnames[:4]
+    *body, last = rate.body
+    if (not isinstance(rate, ast.FunctionDef) or rate.decorator_list
+            or [a.arg for a in rate.args.posonlyargs + rate.args.args] != list(params)
+            or not isinstance(last, ast.Return) or not isinstance(last.value, ast.Tuple)
+            or len(last.value.elts) != 2):
+        return None
+    body.append(last.value)
+    stores = set(params)
+    loads = set()
+    for node in body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.stmt) and not isinstance(sub, _STATEMENTS)
+                    or isinstance(sub, _DECLINED)):
+                return None
+            if isinstance(sub, ast.Name):
+                (loads if isinstance(sub.ctx, ast.Load) else stores).add(sub.id)
+                sub.id = _PREFIX + sub.id
+    if stores != set(code.co_varnames) or not set(code.co_freevars) <= loads:
+        return None  # the source on disk is not the code that runs
+    names = tuple(sorted(loads - stores - set(code.co_freevars)))
+    *body, returned = body
+
+    sites = _Sites(params, body, returned)
+    del drive.args.args[0]
+    drive.returns = None
+    for a in drive.args.args:
+        a.annotation = None
+    drive = sites.visit(drive)
+    if sites.count != _RATE_CALLS or any(
+        isinstance(n, ast.Name) and n.id == "f" for n in ast.walk(drive)
+    ):
+        raise RuntimeError(
+            f"_drive has {sites.count} inlinable rate calls, expected {_RATE_CALLS}, "
+            "and must load f nowhere else"
+        )
+    outer = ast.parse(
+        "def factory(" + ", ".join(_PREFIX + n for n in code.co_freevars + names) + "): pass"
+    )
+    outer.body[0].body = [drive, ast.Return(ast.Name(drive.name, ast.Load()))]
+    ast.fix_missing_locations(outer)
+    namespace: dict[str, Callable] = {}
+    exec(compile(outer, f"<_drive inlining {f.__qualname__}>", "exec", dont_inherit=True),
+         globals(), namespace)
+    return namespace["factory"], names
+
+
+class _Sites(ast.NodeTransformer):
+    """Replaces each ``X, Y = f(a, b, c, d)`` with the rate's parameters
+    assigned a, b, c, d, its body, then ``X = e0`` and ``Y = e1``."""
+
+    def __init__(self, params: Sequence[str], body: list[ast.stmt], returned: ast.Tuple):
+        self.params, self.body, self.returned = params, body, returned
+        self.count = 0
+
+    def visit_Assign(self, node: ast.Assign) -> ast.Assign | list[ast.stmt]:
+        call = node.value
+        target = node.targets[0]
+        if not (len(node.targets) == 1 and isinstance(target, ast.Tuple)
+                and len(target.elts) == 2 and isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == "f"
+                and len(call.args) == 4 and not call.keywords):
+            return node
+        self.count += 1
+        out: list[ast.stmt] = [
+            ast.Assign(targets=[ast.Name(_PREFIX + p, ast.Store())], value=arg)
+            for p, arg in zip(self.params, call.args)
+        ]
+        out += self.body
+        out += [ast.Assign(targets=[name], value=e)
+                for name, e in zip(target.elts, self.returned.elts)]
+        return out
+
+
 def _check_sample_dt(sample_dt: float, t_end: float = 0.0) -> float:
     """The sample count t_end/sample_dt (plus 1e-9), once 'sample_dt' is > 0
     and the count finite."""
@@ -377,13 +546,13 @@ def _sample(
 
     if t_end > t0:
         if sample_dt is None:
-            _drive(rate, drive, t0, y0, [t_end], ctl, on_target=record_step,
-                   on_step=record_step)
+            _stepper(rate)(drive, t0, y0, [t_end], ctl, on_target=record_step,
+                           on_step=record_step)
         else:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
             targets = _sample_targets(t_end, sample_dt)
-            _drive(rate, drive, t0, y0, targets, ctl, on_target=record)
+            _stepper(rate)(drive, t0, y0, targets, ctl, on_target=record)
     return ts, ys
 
 
@@ -425,7 +594,7 @@ def advance(
     if t_end == s0.t:
         return s0
     drive = (p.de0, p.de1, p.omega)
-    t, y = _drive(make_rate(p), drive, s0.t, (s0.z, s0.phi), [t_end], ctl)
+    t, y = _stepper(make_rate(p))(drive, s0.t, (s0.z, s0.phi), [t_end], ctl)
     return PhaseState(t=t, z=y[0], phi=y[1])
 
 

@@ -1,10 +1,13 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
@@ -730,3 +733,103 @@ def test_python_m_bjj_runs_the_cli():
     proc = run_python("-m", "bjj", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: bjj" in proc.stdout
+
+
+def test_import_compiles_no_stepper_and_reads_no_source():
+    # the inliner reads _drive's source on the first integration, not at import
+    proc = run_python("-c", "import linecache, bjj, bjj.integrate as i; print("
+                      "len(i._INLINED), i._drive_source, "
+                      "any(k.endswith('integrate.py') for k in linecache.cache))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "None", "False"]
+
+
+# --- every invocation ends in exit 0 with finite data, 1 or 2 ----------------
+
+WILD = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308)
+
+
+def knob(lo, hi, wild=WILD):
+    """Mostly a float in [lo, hi]; one draw in four a value from wild."""
+    return st.one_of(*[st.floats(lo, hi)] * 3, st.sampled_from(wild))
+
+
+CLI_KNOBS = {
+    "lambda": knob(-20.0, 20.0),
+    "de0": knob(-5.0, 5.0),
+    "de1": knob(-8.0, 8.0),
+    "omega": knob(0.5, 40.0),
+    "eta": knob(0.0, 1.0),
+    "damping": st.sampled_from(["none", "population", "velocity", "viscous"]),
+    "z0": knob(-1.0, 1.0),
+    "phi0": knob(-10.0, 10.0),
+    "sample_dt": knob(0.01, 1.0),
+    "abs_tol": knob(1e-14, 1e-3),
+    "rel_tol": knob(1e-14, 1e-3),
+    "h_init": knob(1e-6, 0.1),
+    "h_min": knob(1e-14, 1e-6),
+    "h_max": knob(1e-3, 0.1),
+    "safety": knob(0.1, 0.99),
+    "d0": knob(1e-10, 1e-4),
+    "renorm_interval": knob(0.05, 1.0),
+}
+SHORT = (math.nan, math.inf, -1.0, 0.0)
+# The keys each command always gets: a small horizon keeps the run short.
+CLI_BASES = {
+    "simulate": {"t_end": knob(0.1, 3.0, SHORT)},
+    "poincare": {"n_periods": st.integers(0, 4), "de1": knob(-8.0, 8.0)},
+    "lyapunov": {"horizon": knob(0.5, 5.0, SHORT)},
+    "crosscheck": {"t_end": knob(0.1, 3.0, SHORT)},
+}
+CLI_BUDGET_S = 10.0
+
+
+class Overtime(BaseException):
+    """Raised by the alarm when a run outlasts its budget."""
+
+
+def _overtime(signum, frame):
+    raise Overtime
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(sorted(CLI_BASES)))
+    values = draw(st.fixed_dictionaries(CLI_BASES[command]))
+    for knob_key in draw(st.lists(st.sampled_from(sorted(CLI_KNOBS)), max_size=4, unique=True)):
+        values[knob_key] = draw(CLI_KNOBS[knob_key])
+    return [command, *(f"{cli._flag(k)}={v}" for k, v in values.items())]
+
+
+def finite_data(command, text):
+    """Whether every data value of a command's output is a finite number."""
+    if command in {"simulate", "poincare"}:
+        rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        return bool(rows) and all(math.isfinite(float(x)) for r in rows for x in r.split(","))
+    payload = json.loads(text)
+    del payload["config"]
+    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in payload.values())
+
+
+@given(cli_runs())
+@example(["simulate", "--t-end=1.0", "--lambda=1e+308"])
+@example(["poincare", "--n-periods=2", "--de1=0.0"])
+@example(["crosscheck", "--t-end=1.0", "--eta=0.5"])
+@example(["lyapunov", "--horizon=2.0", "--phi0=1e+308"])
+@settings(max_examples=60)
+def test_cli_ends_in_one_of_three_ways(argv):
+    # exit 0 with finite data, 1 for the input or 2 for the numerics, each
+    # within a budget: a hang, a raw traceback or a NaN row is a bug
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.setitimer(signal.ITIMER_REAL, CLI_BUDGET_S)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    if code == 0:
+        assert finite_data(argv[0], out.getvalue()), out.getvalue()[-400:]
+    else:
+        assert (code, err.getvalue().split(":")[0]) in {(1, "error"), (2, "runtime failure")}

@@ -1,16 +1,20 @@
+import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bjj.integrate
+import bjj.twomode
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
     MAX_TARGETS,
     StepControl,
     _drive,
     _sample_targets,
+    _stepper,
     advance,
     default_control,
     integrate_adaptive,
@@ -18,6 +22,7 @@ from bjj.integrate import (
     section_from_trajectory,
 )
 from bjj.model import (
+    Z_GUARD,
     DampingKind,
     PhaseState,
     TrapParams,
@@ -83,16 +88,17 @@ def counting(make, evals):
     return make_counted
 
 
-def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
-    # Values recorded from the tuple-generic stepper that the 2-component
-    # kernel replaced: the same floating-point operations in the same order
-    # give the same steps, rate evaluations and bits.
-    evals = [0]
-    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, evals))
+def inlined(f):
+    """Whether the driver runs f written into its own source."""
+    return not isinstance(_stepper(f), partial)
+
+
+def assert_fig5_pins(evals=None):
     p = TrapParams(lam=10.0, de1=7.5, omega=4.0 * math.pi)
     s0 = PhaseState(0.0, 0.5, 0.0)
     sec = sample_stroboscopic(p, s0, 40)
-    assert evals[0] == 26969  # 41 of them evaluate dz/dt at the section points
+    if evals is not None:
+        assert evals[0] == 26969  # 41 of them evaluate dz/dt at the section points
     assert sec.z[-1] == 0.020592784343077236
     assert sec.dz_dt[-1] == -0.9935658489367988
     traj = integrate_adaptive(p, s0, 40 * p.period, sample_dt=p.period)
@@ -100,6 +106,21 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
     # fig5_de1_3.0 parameters; the two-mode oracle runs on complex (a1, a2)
     p3 = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
     assert crosscheck_max_dz(p3, 0.5, 0.0, t_end=10.0).max_abs_dz == 7.731298075699944e-10
+    return p, p3
+
+
+def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
+    # Values recorded from the tuple-generic stepper that the 2-component
+    # kernel replaced: the same floating-point operations in the same order
+    # give the same steps, rate evaluations and bits.  The counting wrappers
+    # run every rate through _drive; without them both rates are inlined.
+    evals = [0]
+    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, evals))
+    monkeypatch.setattr(bjj.twomode, "_make_rate", counting(bjj.twomode._make_rate, [0]))
+    assert_fig5_pins(evals)
+    monkeypatch.undo()
+    p, p3 = assert_fig5_pins()
+    assert inlined(make_rate(p)) and inlined(bjj.twomode._make_rate(p3))
 
 
 S_PIN = PhaseState(0.0, 0.5, 0.3)
@@ -128,6 +149,10 @@ def test_rate_closures_keep_pinned_orbit_bits(monkeypatch, p, sample_dt, evals, 
     t_end = 5.0 if sample_dt is None else 20.0
     traj = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
     assert (count[0], len(traj)) == (evals, rows)
+    assert (traj.z[-1], traj.phi[-1]) == (z, phi)
+    monkeypatch.undo()
+    traj = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
+    assert len(traj) == rows and inlined(make_rate(p))
     assert (traj.z[-1], traj.phi[-1]) == (z, phi)
 
 
@@ -285,6 +310,95 @@ def test_driver_tilt_matches_trap_asymmetry(de0, de1, omega, t0, gaps, tight):
         assert de.hex() == trap_asymmetry(p, t).hex(), t
     if de1 == 0.0:
         assert {de.hex() for _, de in calls} == {de0.hex()}
+
+
+def outcome(step, drive, y, targets, ctl):
+    """Every on_target and on_step row, then the final (t, y) or the type and
+    message of the exception, each as exact text."""
+    rows = []
+    try:
+        end = step(drive, 0.0, y, targets, ctl,
+                   on_target=lambda t, y: rows.append(repr(("target", t, y))),
+                   on_step=lambda t, y: rows.append(repr(("step", t, y))))
+    except Exception as exc:
+        end = (type(exc), str(exc))
+    rows.append(repr(end))
+    return rows
+
+
+@given(
+    kind=st.sampled_from(DampingKind),
+    eta=st.sampled_from([0.0, 0.05, 0.5]),
+    de0=st.floats(-2.0, 2.0),
+    de1=st.sampled_from([0.0, 2.5, 7.5]),
+    z0=st.one_of(st.floats(-0.95, 0.95), st.sampled_from([1.0 - Z_GUARD / 2, 1.0 - 1e-7])),
+    phi0=st.one_of(st.floats(-3.0, 3.0), st.just(math.inf)),
+    tol=st.sampled_from([1e-13, 1e-10, 1e-6]),
+    h_min=st.sampled_from([1e-14, 1e-4]),
+    oracle=st.booleans(),
+    gaps=st.lists(st.floats(0.05, 0.6), min_size=1, max_size=3),
+)
+@example(kind=DampingKind.VELOCITY, eta=0.05, de0=0.0, de1=7.5, z0=1.0 - Z_GUARD / 2,
+         phi0=0.0, tol=1e-10, h_min=1e-14, oracle=False, gaps=[0.5])
+@example(kind=DampingKind.NONE, eta=0.0, de0=0.0, de1=2.5, z0=0.5, phi0=math.inf,
+         tol=1e-10, h_min=1e-14, oracle=False, gaps=[0.5])
+@example(kind=DampingKind.NONE, eta=0.0, de0=0.3, de1=7.5, z0=0.5, phi0=0.3,
+         tol=1e-13, h_min=1e-14, oracle=True, gaps=[0.3, 0.4])
+@settings(max_examples=40)
+def test_inlined_driver_matches_called_driver(kind, eta, de0, de1, z0, phi0, tol, h_min,
+                                              oracle, gaps):
+    # The driver with the rate written into it against _drive calling it:
+    # the same rows, end state, exception and message, as exact text.  The
+    # first step, h_init = 0.2, is far too long at the tight tolerances.
+    p = TrapParams(lam=10.0, de0=de0, de1=de1, omega=4.0 * math.pi, eta=eta, damping=kind)
+    if oracle:
+        f = bjj.twomode._make_rate(p)
+        y = amplitudes_from_phase(z0, phi0) if math.isfinite(phi0) else (1j, complex(0, phi0))
+    else:
+        f = make_rate(p)
+        y = (z0, phi0)
+    ctl = StepControl(abs_tol=tol, rel_tol=tol, h_init=0.2, h_min=h_min, h_max=0.2)
+    targets = np.cumsum(gaps).tolist()
+    drive = (de0, de1, p.omega)
+    assert inlined(f)
+    assert outcome(_stepper(f), drive, y, targets, ctl) == outcome(
+        partial(_drive, f), drive, y, targets, ctl
+    )
+
+
+def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
+    rate = make_rate(TrapParams(lam=10.0))
+
+    def with_default(t, de, z, phi=0.0):
+        return rate(t, de, z, phi)
+
+    def early_return(t, de, z, phi):
+        if z > 0.0:
+            return 0.0, 0.0
+        return z, phi
+
+    for f in (counting(lambda p: rate, [0])(None), lambda t, de, z, phi: (z, phi),
+              with_default, early_return):
+        step = _stepper(f)
+        assert isinstance(step, partial) and step.func is _drive and step.args == (f,)
+    assert inlined(rate) and inlined(oscillator)
+
+
+SITE = "j0, j1 = f(t_half, de_half, m0, m1)"
+
+
+@pytest.mark.parametrize(
+    "replacement",
+    [SITE + "; " + SITE, "j0, j1 = k0, k1", SITE + "; g = f", "j0, j1 = f(t_half, de_half, *y)"],
+    ids=["twelve_sites", "ten_sites", "f_loaded", "call_not_a_site"],
+)
+def test_inliner_insists_on_every_rate_call(monkeypatch, replacement):
+    source = inspect.getsource(_drive)
+    assert source.count(SITE) == 1
+    monkeypatch.setattr(bjj.integrate, "_drive_source", source.replace(SITE, replacement))
+    monkeypatch.setattr(bjj.integrate, "_INLINED", {})
+    with pytest.raises(RuntimeError, match="expected 11"):
+        _stepper(make_rate(TrapParams(lam=10.0)))
 
 
 def test_pure_relative_tolerance_on_a_zero_state():
