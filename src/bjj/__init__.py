@@ -42,12 +42,10 @@ from .model import (
     DampingKind,
     MotionClass,
     PhaseState,
-    PhysicalParams,
     PotentialShape,
     Regime,
     TrapParams,
     classify_regime,
-    derive_dimensionless,
     effective_energy,
     effective_potential,
     hamiltonian,
@@ -91,7 +89,6 @@ __all__ = [
     "DampingKind",
     "MotionClass",
     "PhaseState",
-    "PhysicalParams",
     "PotentialShape",
     "QuadratureError",
     "Regime",
@@ -116,7 +113,6 @@ __all__ = [
     "classify_regime",
     "crosscheck_max_dz",
     "default_control",
-    "derive_dimensionless",
     "detect_frequency_locking",
     "dominant_bin",
     "drive_coefficient",

@@ -7,33 +7,38 @@ accepted state is the Richardson-extrapolated fine solution.  Requested
 output times are hit exactly by clamping the step, never by interpolation,
 which is what makes stroboscopic sections of driven runs trustworthy.
 
-The driver writes its stages out for a state of two components, each a
-float or a Python complex, with a flat rate f(t, de, y0, y1), so the same
-loop integrates the reduced (z, phi) system and the two-mode amplitudes
-(a1, a2).  The driver owns the drive: it evaluates the tilt
+The driver takes a state of n float components and a flat rate
+f(t, de, y0, ..., yn-1).  _drive is written out, and runs as written, for
+two components: the reduced (z, phi) system.  Any other n runs _drive
+widened with ast (_widen): each run of statements that names only index-1
+components is repeated for the indices 2 .. n-1, and each index-0/index-1
+pair in a tuple or a rate call gains the same copies.  So the two-mode
+oracle steps (a1.real, a1.imag, a2.real, a2.imag) with the operations of
+_drive per component and scores each component as a float.  The
+driver owns the drive: it evaluates the tilt
 de(t) = de0 + de1*sin(omega*t) once per distinct stage time and hands it
 to every rate call at that time.  A driven step evaluates it five times
 (the tilt at the step's start is carried over from the end of the step
 before, or evaluated afresh after a landing); an undriven one never does.
 The rates add the tilt first, so passing the sum in keeps every bit.
-Float components are scored as they are, complex ones by their real and
-imaginary parts apart.
 
-Every run goes through _stepper(f), which writes the rate into the driver:
-on the first run of a rate definition in a process it rewrites _drive's
-source so that each of its 11 rate calls becomes the rate's body, with the
-rate's names prefixed and its closing ``return e0, e1`` assigned to the
-call's two targets, and compiles that once per rate code object.  The
-floating-point operations and their order are _drive's, so the bits,
-counts and exceptions are too.  A rate it cannot take (a lambda, one with
-defaults, a wrapper over ``*args`` such as a counting one, a body with
-nested scopes or an early return, no source) is called by _drive as
-before, so one source serves both.
+Every run goes through _stepper(f, n), which writes the rate into the
+driver: on the first run of a rate definition in a process it rewrites
+the source of _drive widened to n so that each of its 11 rate calls
+becomes the rate's body, with the rate's names prefixed and its closing
+``return e0, ..., en-1`` assigned to the call's n targets, and compiles
+that once per rate code object.  The floating-point operations and their
+order are the called driver's, so the bits, counts and exceptions are
+too.  A rate it cannot take (a lambda, one with defaults, a wrapper over
+``*args`` such as a counting one, a body with nested scopes or an early
+return, no source) is called by _drive itself, or by _drive widened to n
+and compiled once per n, so one source serves every path.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import math
 import textwrap
@@ -41,6 +46,7 @@ import tokenize
 from dataclasses import dataclass
 from functools import partial
 from inspect import CO_VARARGS, CO_VARKEYWORDS
+from itertools import groupby
 from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
@@ -60,8 +66,9 @@ __all__ = [
     "section_from_trajectory",
 ]
 
-# Two components, each a float or a Python complex.
-State = tuple[complex, complex]
+# n float components: (z, phi), or the oracle's (a1.real, a1.imag, a2.real,
+# a2.imag).
+State = tuple[float, ...]
 
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.1
@@ -162,6 +169,7 @@ def _drive(
 ) -> tuple[float, State]:
     """Advance through an increasing list of target times, landing exactly.
 
+    y holds two float components (_widened(n) is this driver for n).
     drive is (de0, de1, omega): every rate call gets the tilt
     de0 + de1*sin(omega*t) at its stage time, evaluated once per distinct
     stage time (never when de1 == 0, where every stage gets de0).
@@ -183,8 +191,6 @@ def _drive(
     sin = math.sin
     de = de0 + de1 * sin(omega * t) if driven else de0
     y0, y1 = y
-    # Complex components score their real and imaginary parts apart.
-    parts = isinstance(y0, complex) or isinstance(y1, complex)
 
     for target in targets:
         while t < target:
@@ -251,47 +257,22 @@ def _drive(
                 h = max(h_min, 0.5 * h_try)
                 continue
 
-            # err = |n - b| / (15 (abs_tol + rel_tol max(|y|, |n|))) per part;
-            # a zero difference scores 0 without a division, and a NaN error
-            # sticks as the step's ratio.  Parts are scored in the order
-            # y0.real, y1.real, y0.imag, y1.imag.
+            # err = |n - b| / (15 (abs_tol + rel_tol max(|y|, |n|))) per
+            # component; a zero difference scores 0 without a division, and a
+            # NaN error sticks as the step's ratio.
             e0 = n0 - b0
             e1 = n1 - b1
             ratio = 0.0
-            if parts:
-                diff = abs(e0.real)
-                if diff:
-                    u, v = abs(y0.real), abs(n0.real)
-                    ratio = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                diff = abs(e1.real)
-                if diff:
-                    u, v = abs(y1.real), abs(n1.real)
-                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                    if err > ratio or err != err:
-                        ratio = err
-                diff = abs(e0.imag)
-                if diff:
-                    u, v = abs(y0.imag), abs(n0.imag)
-                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                    if err > ratio or err != err:
-                        ratio = err
-                diff = abs(e1.imag)
-                if diff:
-                    u, v = abs(y1.imag), abs(n1.imag)
-                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                    if err > ratio or err != err:
-                        ratio = err
-            else:
-                diff = abs(e0)
-                if diff:
-                    u, v = abs(y0), abs(n0)
-                    ratio = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                diff = abs(e1)
-                if diff:
-                    u, v = abs(y1), abs(n1)
-                    err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
-                    if err > ratio or err != err:
-                        ratio = err
+            diff = abs(e0)
+            if diff:
+                u, v = abs(y0), abs(n0)
+                ratio = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+            diff = abs(e1)
+            if diff:
+                u, v = abs(y1), abs(n1)
+                err = diff / (15.0 * (abs_tol + rel_tol * (v if v > u else u)))
+                if err > ratio or err != err:
+                    ratio = err
 
             if ratio <= 1.0:
                 y0 = n0 + e0 / 15.0
@@ -331,6 +312,8 @@ def _drive(
 
 #: Rate calls in one step of _drive; the inliner replaces every one of them.
 _RATE_CALLS = 11
+#: _drive's component locals are one of these letters and the index 0 or 1.
+_COMPONENTS = "ykacdbmjne"
 #: Prefix of every name of an inlined rate; no name in _drive starts with it.
 _PREFIX = "_rate_"
 #: Statements a rate body may hold: none binds a name other than through a
@@ -343,29 +326,34 @@ _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorE
 
 # The source of _drive, read by the first _stepper call (import reads no source).
 _drive_source: str | None = None
+# _drive widened to n components and compiled, per n > 2, for the rates the
+# inliner declines (with n = 2 they run through _drive itself).
+_WIDENED: dict[int, Callable[..., tuple[float, State]]] = {}
 # _drive with a rate written into it, per rate code object: (factory, names of
 # the rate's globals), where factory(*free values, *global values) returns the
-# specialised driver; None for a rate that runs through _drive itself.
+# specialised driver; None for a rate that runs through the called driver.
 _INLINED: dict[CodeType, tuple[Callable, tuple[str, ...]] | None] = {}
 
 
-def _stepper(f: RateFn) -> Callable[..., tuple[float, State]]:
-    """_drive with f bound: ``_stepper(f)(drive, t, y, targets, ctl, ...)``.
+def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
+    """The driver of n components with f bound:
+    ``_stepper(f, n)(drive, t, y, targets, ctl, ...)`` with len(y) == n.
 
-    A plain def rate (four positional parameters, no defaults, a body of
-    simple statements ending in its one ``return e0, e1``) is written into
-    _drive's source at each of its rate calls, compiled once per process
-    and rate definition, and bound to this f's closure and globals.  The
-    inlined body runs the same floating-point operations in the same order,
-    so every result and exception is the one _drive gives.  Any other rate
-    (a lambda, a wrapper over ``*args``, one with defaults, nested scopes or
-    an early return, without source, or with an empty closure cell) runs
-    through _drive itself.
+    A plain def rate (n + 2 positional parameters, no defaults, a body of
+    simple statements ending in its one ``return`` of an n-tuple) is
+    written into _drive's source, widened to n components, at each of its
+    rate calls, compiled once per process and rate definition, and bound
+    to this f's closure and globals.  The inlined body runs the same
+    floating-point operations in the same order, so every result and
+    exception is the one the called driver gives.  Any other rate (a
+    lambda, a wrapper over ``*args``, one with defaults, nested scopes or
+    an early return, without source, or with an empty closure cell) is
+    called by _drive widened to n components (_drive itself when n = 2).
     """
     if type(f) is FunctionType and f.__defaults__ is None and f.__kwdefaults__ is None:
         code = f.__code__
         if code not in _INLINED:
-            _INLINED[code] = _inline(f)
+            _INLINED[code] = _inline(f, n)
         entry = _INLINED[code]
         if entry is not None:
             factory, names = entry
@@ -373,12 +361,22 @@ def _stepper(f: RateFn) -> Callable[..., tuple[float, State]]:
             builtin = f.__builtins__
             try:
                 free = [cell.cell_contents for cell in f.__closure__ or ()]
-                glob = [scope[n] if n in scope else builtin[n] for n in names]
+                glob = [scope[name] if name in scope else builtin[name] for name in names]
             except (ValueError, KeyError):  # an empty cell, an unbound global
                 pass
             else:
                 return factory(*free, *glob)
-    return partial(_drive, f)
+    return partial(_called(n), f)
+
+
+def _called(n: int) -> Callable[..., tuple[float, State]]:
+    """The driver of n components that calls its rate: _drive itself when
+    n = 2, else _drive widened to n and compiled once per process."""
+    if n == 2:
+        return _drive
+    if n not in _WIDENED:
+        _WIDENED[n] = _compiled(_widened(n), f"<_drive widened to {n} components>")
+    return _WIDENED[n]
 
 
 def _source(code: CodeType) -> str:
@@ -391,27 +389,122 @@ def _source(code: CodeType) -> str:
     return "".join(inspect.getblock(lines[code.co_firstlineno - 1:]))
 
 
-def _inline(f: FunctionType) -> tuple[Callable, tuple[str, ...]] | None:
-    """Compile _drive with the body of f at every rate call, or None when f
-    is not a rate the inliner takes."""
+def _indices(node: ast.AST) -> set[str]:
+    """The indices, "0" or "1", of the component locals that node names."""
+    return {sub.id[1] for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and len(sub.id) == 2
+            and sub.id[0] in _COMPONENTS and sub.id[1] in "01"}
+
+
+def _renamed(node: ast.AST, i: int) -> ast.AST:
+    """A copy of node with each index-1 component local renamed to index i."""
+    node = copy.deepcopy(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and _indices(sub) == {"1"}:
+            sub.id = sub.id[0] + str(i)
+    return node
+
+
+def _widen(node: ast.AST, n: int) -> ast.AST:
+    """node, widened in place from two components to n.
+
+    In every statement list, a maximal run of statements that name only
+    index-1 component locals is followed whole by its copies for the
+    indices 2 .. n-1, which are not widened again; every other statement
+    is widened inside.  A tuple (index-0 expr, index-1 expr) and a rate
+    call f(t, de, index-0 expr, index-1 expr) gain the copies of their
+    index-1 element.  With n = 2 nothing changes.
+    """
+    for field, value in ast.iter_fields(node):
+        if isinstance(value, ast.AST):
+            _widen(value, n)
+        elif isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+            body = []
+            for run, group in groupby(value, lambda stmt: _indices(stmt) == {"1"}):
+                group = list(group)
+                if run:
+                    body += group + [_renamed(s, i) for i in range(2, n) for s in group]
+                else:
+                    body += [_widen(s, n) for s in group]
+            setattr(node, field, body)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.AST):
+                    _widen(item, n)
+    if isinstance(node, ast.Tuple):
+        elts = node.elts
+    elif _is_rate_call(node, 2):
+        elts = node.args
+    else:
+        return node
+    if len(elts) >= 2 and _indices(elts[-2]) == {"0"} and _indices(elts[-1]) == {"1"}:
+        elts += [_renamed(elts[-1], i) for i in range(2, n)]
+    return node
+
+
+def _is_rate_call(node: ast.AST, n: int) -> bool:
+    """Whether node is a call f(t, de, ...) with n component arguments."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "f" and len(node.args) == n + 2 and not node.keywords)
+
+
+def _is_site(node: ast.AST, n: int) -> bool:
+    """Whether node is a rate site ``X0, ..., Xn-1 = f(t, de, A0, ..., An-1)``."""
+    return (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple) and len(node.targets[0].elts) == n
+            and _is_rate_call(node.value, n))
+
+
+def _widened(n: int) -> ast.FunctionDef:
+    """A fresh AST of _drive widened to n components; RuntimeError unless it
+    has exactly _RATE_CALLS rate sites of n components and loads f nowhere
+    else."""
     global _drive_source
+    if _drive_source is None:
+        _drive_source = _source(_drive.__code__)
+    (drive,) = ast.parse(_drive_source).body
+    _widen(drive, n)
+    sites = sum(_is_site(node, n) for node in ast.walk(drive))
+    loads = sum(isinstance(node, ast.Name) and node.id == "f" for node in ast.walk(drive))
+    if sites != _RATE_CALLS or loads != sites:
+        raise RuntimeError(
+            f"_drive widened to {n} components has {sites} inlinable rate calls, "
+            f"expected {_RATE_CALLS}, and must load f nowhere else"
+        )
+    return drive
+
+
+def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
+    """function compiled in this module's globals, its annotations (which
+    the compiled code would evaluate) dropped."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.FunctionDef):
+            node.returns = None
+    module = ast.fix_missing_locations(ast.Module([function], type_ignores=[]))
+    namespace: dict[str, Callable] = {}
+    exec(compile(module, filename, "exec", dont_inherit=True), globals(), namespace)
+    return namespace[function.name]
+
+
+def _inline(f: FunctionType, n: int) -> tuple[Callable, tuple[str, ...]] | None:
+    """Compile _drive, widened to n components, with the body of f at every
+    rate call, or None when f is not a rate the inliner takes."""
     code = f.__code__
-    if (code.co_name == "<lambda>" or code.co_argcount != 4 or code.co_kwonlyargcount
+    if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
             or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
         return None
     try:
-        if _drive_source is None:
-            _drive_source = _source(_drive.__code__)
         (rate,) = ast.parse(textwrap.dedent(_source(code))).body
-        (drive,) = ast.parse(_drive_source).body
     except (SyntaxError, ValueError):  # no source, or not one definition
         return None
-    params = code.co_varnames[:4]
+    params = code.co_varnames[:n + 2]
     *body, last = rate.body
     if (not isinstance(rate, ast.FunctionDef) or rate.decorator_list
             or [a.arg for a in rate.args.posonlyargs + rate.args.args] != list(params)
             or not isinstance(last, ast.Return) or not isinstance(last.value, ast.Tuple)
-            or len(last.value.elts) != 2):
+            or len(last.value.elts) != n):
         return None
     body.append(last.value)
     stores = set(params)
@@ -429,54 +522,35 @@ def _inline(f: FunctionType) -> tuple[Callable, tuple[str, ...]] | None:
     names = tuple(sorted(loads - stores - set(code.co_freevars)))
     *body, returned = body
 
-    sites = _Sites(params, body, returned)
+    drive = _widened(n)
     del drive.args.args[0]
-    drive.returns = None
-    for a in drive.args.args:
-        a.annotation = None
-    drive = sites.visit(drive)
-    if sites.count != _RATE_CALLS or any(
-        isinstance(n, ast.Name) and n.id == "f" for n in ast.walk(drive)
-    ):
-        raise RuntimeError(
-            f"_drive has {sites.count} inlinable rate calls, expected {_RATE_CALLS}, "
-            "and must load f nowhere else"
-        )
-    outer = ast.parse(
-        "def factory(" + ", ".join(_PREFIX + n for n in code.co_freevars + names) + "): pass"
-    )
-    outer.body[0].body = [drive, ast.Return(ast.Name(drive.name, ast.Load()))]
-    ast.fix_missing_locations(outer)
-    namespace: dict[str, Callable] = {}
-    exec(compile(outer, f"<_drive inlining {f.__qualname__}>", "exec", dont_inherit=True),
-         globals(), namespace)
-    return namespace["factory"], names
+    drive = _Sites(n, params, body, returned).visit(drive)
+    (outer,) = ast.parse(
+        "def factory(" + ", ".join(_PREFIX + name for name in code.co_freevars + names) + "): pass"
+    ).body
+    outer.body = [drive, ast.Return(ast.Name(drive.name, ast.Load()))]
+    return _compiled(outer, f"<_drive inlining {f.__qualname__}>"), names
 
 
 class _Sites(ast.NodeTransformer):
-    """Replaces each ``X, Y = f(a, b, c, d)`` with the rate's parameters
-    assigned a, b, c, d, its body, then ``X = e0`` and ``Y = e1``."""
+    """Replaces each rate site ``X0, ..., Xn-1 = f(a, b, ...)`` with the
+    rate's parameters assigned a, b, ..., its body, then ``X0 = e0`` up to
+    ``Xn-1 = en-1`` for its returned ``e0, ..., en-1``."""
 
-    def __init__(self, params: Sequence[str], body: list[ast.stmt], returned: ast.Tuple):
-        self.params, self.body, self.returned = params, body, returned
-        self.count = 0
+    def __init__(self, n: int, params: Sequence[str], body: list[ast.stmt],
+                 returned: ast.Tuple):
+        self.n, self.params, self.body, self.returned = n, params, body, returned
 
     def visit_Assign(self, node: ast.Assign) -> ast.Assign | list[ast.stmt]:
-        call = node.value
-        target = node.targets[0]
-        if not (len(node.targets) == 1 and isinstance(target, ast.Tuple)
-                and len(target.elts) == 2 and isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Name) and call.func.id == "f"
-                and len(call.args) == 4 and not call.keywords):
+        if not _is_site(node, self.n):
             return node
-        self.count += 1
         out: list[ast.stmt] = [
             ast.Assign(targets=[ast.Name(_PREFIX + p, ast.Store())], value=arg)
-            for p, arg in zip(self.params, call.args)
+            for p, arg in zip(self.params, node.value.args)
         ]
         out += self.body
         out += [ast.Assign(targets=[name], value=e)
-                for name, e in zip(target.elts, self.returned.elts)]
+                for name, e in zip(node.targets[0].elts, self.returned.elts)]
         return out
 
 
@@ -546,13 +620,13 @@ def _sample(
 
     if t_end > t0:
         if sample_dt is None:
-            _stepper(rate)(drive, t0, y0, [t_end], ctl, on_target=record_step,
+            _stepper(rate, len(y0))(drive, t0, y0, [t_end], ctl, on_target=record_step,
                            on_step=record_step)
         else:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
             targets = _sample_targets(t_end, sample_dt)
-            _stepper(rate)(drive, t0, y0, targets, ctl, on_target=record)
+            _stepper(rate, len(y0))(drive, t0, y0, targets, ctl, on_target=record)
     return ts, ys
 
 
@@ -594,7 +668,7 @@ def advance(
     if t_end == s0.t:
         return s0
     drive = (p.de0, p.de1, p.omega)
-    t, y = _stepper(make_rate(p))(drive, s0.t, (s0.z, s0.phi), [t_end], ctl)
+    t, y = _stepper(make_rate(p), 2)(drive, s0.t, (s0.z, s0.phi), [t_end], ctl)
     return PhaseState(t=t, z=y[0], phi=y[1])
 
 

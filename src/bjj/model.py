@@ -34,13 +34,11 @@ __all__ = [
     "Z_GUARD",
     "TOL_SEP",
     "DampingKind",
-    "PhysicalParams",
     "TrapParams",
     "PhaseState",
     "PotentialShape",
     "MotionClass",
     "Regime",
-    "derive_dimensionless",
     "trap_asymmetry",
     "make_rate",
     "hamiltonian",
@@ -60,31 +58,18 @@ class DampingKind(enum.Enum):
     """Where phenomenological dissipation enters the reduced equations.
 
     POPULATION subtracts ``eta*z`` from dz/dt (direct relaxation of the
-    imbalance); VELOCITY feeds ``-eta * dz/dt`` into dphi/dt, which is the
-    placement that produces a plain velocity-damping term in the
-    second-order (Duffing) form of the imbalance equation.
+    imbalance); VELOCITY feeds ``-eta * dz/dt`` into dphi/dt.  Neither gives
+    the plain ``-eta * dz/dt`` of the second-order (Duffing) form of the
+    imbalance equation that the Melnikov analysis assumes.  Differentiating
+    the reduced equations once, POPULATION gives
+    ``-eta*dz/dt + eta*z^2*(dz/dt + eta*z)/(1 - z^2)``, the nearer of the
+    two, and VELOCITY gives ``-eta*w*dz/dt`` with
+    ``w = -sqrt(1 - z^2) cos(phi)``.
     """
 
     NONE = "none"
     POPULATION = "population"
     VELOCITY = "velocity"
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Raw two-well parameters before rescaling.
-
-    e1, e2: zero-point energies of the wells; u1, u2: on-site interaction
-    energies per atom pair; k: tunneling matrix element (> 0); n_total:
-    total atom number.
-    """
-
-    e1: float
-    e2: float
-    u1: float
-    u2: float
-    k: float
-    n_total: float
 
 
 @dataclass(frozen=True)
@@ -155,24 +140,6 @@ class Regime:
     h_eff: float
 
 
-def derive_dimensionless(phys: PhysicalParams) -> tuple[float, float]:
-    """Reduce raw two-well parameters to (lam, de0).
-
-    lam = mean interaction * n_total / (2k); de0 absorbs both the
-    zero-point energy difference and the interaction asymmetry.
-    """
-    if not phys.k > 0.0:
-        raise ValueError(f"tunneling k must be > 0, got {phys.k}")
-    if not phys.n_total > 0.0:
-        raise ValueError(f"n_total must be > 0, got {phys.n_total}")
-    u_mean = 0.5 * (phys.u1 + phys.u2)
-    lam = u_mean * phys.n_total / (2.0 * phys.k)
-    de0 = (phys.e1 - phys.e2) / (2.0 * phys.k) + (
-        (phys.u1 - phys.u2) * phys.n_total / (4.0 * phys.k)
-    )
-    return lam, de0
-
-
 def trap_asymmetry(p: TrapParams, t: float) -> float:
     """Instantaneous tilt de(t) = de0 + de1*sin(omega*t)."""
     if p.de1 == 0.0:
@@ -180,11 +147,12 @@ def trap_asymmetry(p: TrapParams, t: float) -> float:
     return p.de0 + p.de1 * math.sin(p.omega * t)
 
 
-# Rate of a two-component state at time t under the tilt de = de(t),
-# f(t, de, y0, y1) -> (dy0/dt, dy1/dt), with float components here and Python
-# complex ones in the two-mode oracle.  The integration driver evaluates the
-# tilt once per stage time and passes it in; t is kept for error messages.
-RateFn = Callable[[float, float, complex, complex], tuple[complex, complex]]
+# Rate of a state of float components at time t under the tilt de = de(t),
+# f(t, de, y0, ..., yn-1) -> (dy0/dt, ..., dyn-1/dt): (z, phi) here, and the
+# two-mode oracle's (a1.real, a1.imag, a2.real, a2.imag).  The integration
+# driver evaluates the tilt once per stage time and passes it in; t is kept
+# for error messages.
+RateFn = Callable[..., tuple[float, ...]]
 
 
 def make_rate(p: TrapParams) -> RateFn:
@@ -196,8 +164,8 @@ def make_rate(p: TrapParams) -> RateFn:
     in as an argument, so the closure never evaluates the drive; the
     integration driver computes it once per distinct stage time, with the
     same bits as ``trap_asymmetry``.  The components go in flat, so a call
-    builds no state tuple.  The driver's error test scores these float
-    components as they are (the oracle's complex ones per part).
+    builds no state tuple, and the driver's error test scores each float
+    component on its own, as it scores the two-mode oracle's four.
     Raises SingularityError, naming t, when |z| enters the Z_GUARD band
     around 1.
     """

@@ -28,6 +28,11 @@ drive term scales with (lam*h - 1), not (lam*h - 1)^(3/2): the latter
 variant circulates but disagrees with direct quadrature everywhere except
 at lam*h = 2, where the two coincide.
 
+The damping term is the plain -eta*dz/dt of the second-order imbalance
+equation.  The integrator's damping placements add a state-dependent
+correction to it (see DampingKind), so for a damped simulation the curve
+is a first-order estimate in the drive but not exact in the damping.
+
 A consequence of the corrected coefficient: the de1-coefficient vanishes
 at omega = 1 for every valid (lam, h) — in these time units the dangerous
 drive frequency is always the bare tunneling frequency, and the stability
@@ -156,8 +161,10 @@ def epsilon1(f: SeparatrixFrame, p: TrapParams, t: float) -> float:
     eps1 = -eta * dz_s/dt + de(t) * (h - 1.5 * lam * z_s^2).
 
     Drive and damping magnitudes come from p; lam and h from the frame
-    (p.lam is not consulted).  Damping here is the velocity term of the
-    second-order imbalance equation, whatever placement a simulation uses.
+    (p.lam is not consulted).  Damping here is the plain velocity term of
+    the second-order imbalance equation, whatever placement a simulation
+    uses; neither simulated placement produces exactly that term (see
+    DampingKind), and population damping is the nearer of the two.
     """
     z0 = separatrix_orbit(f, t)
     z11 = basis_z11(f, t)

@@ -78,21 +78,17 @@ def amplitudes_from_phase(z0: float, phi0: float) -> tuple[complex, complex]:
 
 
 def _make_rate(p: TrapParams):
-    """Rate f(t, de, a1, a2) of the amplitude pair, two Python complex
-    numbers, under the tilt de that the driver evaluates at time t."""
+    """Rate f(t, de, x1, y1, x2, y2) of the amplitudes a1 = x1 + i*y1 and
+    a2 = x2 + i*y2, four floats, under the tilt de that the driver
+    evaluates at time t."""
     lam = p.lam
-    cplx = complex
 
-    def rate(t, de, a1, a2):
-        x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
+    def rate(t, de, x1, y1, x2, y2):
         half_de = 0.5 * de
         c1 = half_de + lam * (x1 * x1 + y1 * y1)
         c2 = -half_de + lam * (x2 * x2 + y2 * y2)
         # i da/dt = c a - other/2   =>   da/dt = -i c a + i other/2
-        return (
-            cplx(c1 * y1 - 0.5 * y2, -c1 * x1 + 0.5 * x2),
-            cplx(c2 * y2 - 0.5 * y1, -c2 * x2 + 0.5 * x1),
-        )
+        return c1 * y1 - 0.5 * y2, -c1 * x1 + 0.5 * x2, c2 * y2 - 0.5 * y1, -c2 * x2 + 0.5 * x1
 
     return rate
 
@@ -107,15 +103,18 @@ def integrate_twomode(
     """Integrate the amplitude equations with the shared adaptive driver.
 
     Only the conservative system is defined at this level, so p.eta must
-    be zero.  Sampling semantics match integrate_adaptive.
+    be zero.  Sampling semantics match integrate_adaptive.  The driver
+    steps the four floats (a1.real, a1.imag, a2.real, a2.imag), so a
+    StepUnderflowError or BjjError lists the state as those four.
     """
     if p.eta != 0.0:
         raise ValueError("two-mode oracle is conservative; requires eta = 0")
     if ctl is None:
         ctl = default_control(p)
-    y0 = (complex(s0.a1), complex(s0.a2))
+    a1, a2 = complex(s0.a1), complex(s0.a2)
+    y0 = (a1.real, a1.imag, a2.real, a2.imag)
     ts, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
-    amps = np.asarray(ys)
+    amps = np.asarray(ys, dtype=float).view(complex)
     return TwoModeTrajectory(
         params=p, control=ctl, t=np.asarray(ts), a1=amps[:, 0], a2=amps[:, 1]
     )

@@ -738,10 +738,10 @@ def test_python_m_bjj_runs_the_cli():
 def test_import_compiles_no_stepper_and_reads_no_source():
     # the inliner reads _drive's source on the first integration, not at import
     proc = run_python("-c", "import linecache, bjj, bjj.integrate as i; print("
-                      "len(i._INLINED), i._drive_source, "
+                      "len(i._INLINED), len(i._WIDENED), i._drive_source, "
                       "any(k.endswith('integrate.py') for k in linecache.cache))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "None", "False"]
+    assert proc.stdout.split() == ["0", "0", "None", "False"]
 
 
 # --- every invocation ends in exit 0 with finite data, 1 or 2 ----------------

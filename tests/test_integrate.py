@@ -1,5 +1,8 @@
+import ast
+import hashlib
 import inspect
 import math
+import textwrap
 from functools import partial
 
 import numpy as np
@@ -12,9 +15,11 @@ from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
     MAX_TARGETS,
     StepControl,
+    _called,
     _drive,
     _sample_targets,
     _stepper,
+    _widened,
     advance,
     default_control,
     integrate_adaptive,
@@ -88,9 +93,9 @@ def counting(make, evals):
     return make_counted
 
 
-def inlined(f):
-    """Whether the driver runs f written into its own source."""
-    return not isinstance(_stepper(f), partial)
+def inlined(f, n=2):
+    """Whether the driver of n components runs f written into its source."""
+    return not isinstance(_stepper(f, n), partial)
 
 
 def assert_fig5_pins(evals=None):
@@ -103,7 +108,7 @@ def assert_fig5_pins(evals=None):
     assert sec.dz_dt[-1] == -0.9935658489367988
     traj = integrate_adaptive(p, s0, 40 * p.period, sample_dt=p.period)
     assert (traj.z[-1], traj.phi[-1]) == (0.020592784343077236, 1.6824196467883532)
-    # fig5_de1_3.0 parameters; the two-mode oracle runs on complex (a1, a2)
+    # fig5_de1_3.0 parameters; the two-mode oracle runs on four floats
     p3 = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
     assert crosscheck_max_dz(p3, 0.5, 0.0, t_end=10.0).max_abs_dz == 7.731298075699944e-10
     return p, p3
@@ -113,14 +118,15 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
     # Values recorded from the tuple-generic stepper that the 2-component
     # kernel replaced: the same floating-point operations in the same order
     # give the same steps, rate evaluations and bits.  The counting wrappers
-    # run every rate through _drive; without them both rates are inlined.
+    # run every rate through the called driver; without them both rates
+    # are inlined.
     evals = [0]
     monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, evals))
     monkeypatch.setattr(bjj.twomode, "_make_rate", counting(bjj.twomode._make_rate, [0]))
     assert_fig5_pins(evals)
     monkeypatch.undo()
     p, p3 = assert_fig5_pins()
-    assert inlined(make_rate(p)) and inlined(bjj.twomode._make_rate(p3))
+    assert inlined(make_rate(p)) and inlined(bjj.twomode._make_rate(p3), 4)
 
 
 S_PIN = PhaseState(0.0, 0.5, 0.3)
@@ -164,6 +170,43 @@ def test_twomode_keeps_pinned_amplitude_bits():
         0.013766190900418373 + 0.7508490880616501j,
         0.47955608560102075 - 0.4539406347224939j,
     )
+
+
+def rows_digest(traj):
+    """SHA-256 of every row's time and amplitude bits."""
+    parts = [traj.t] + [np.ascontiguousarray(a).view(float) for a in (traj.a1, traj.a2)]
+    return hashlib.sha256(np.concatenate(parts).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "sample_dt, t_end, evals, rows, a1, a2, digest",
+    [
+        (None, 5.0, 13200, 1201,
+         0.013766190905263832 + 0.7508490880614505j, 0.4795560855967738 - 0.4539406347280407j,
+         "2580135158d72db7717a0f2ed6d91ac5216617719feca1dcaafb71c88fe83865"),
+        (0.5, 20.0, 53306, 41,
+         0.4966646176767654 + 0.6548683228176547j, -0.3212266035547778 + 0.47040961623270305j,
+         "1b84b9ecc2b40032a84e71508d1e4e2e651c1e9052e38daaf1ede35308f4ce29"),
+    ],
+    ids=["every_step", "grid"],
+)
+def test_driven_oracle_keeps_pinned_bits(monkeypatch, sample_dt, t_end, evals, rows, a1, a2,
+                                         digest):
+    # Values recorded while the oracle still stepped Python complex (a1, a2)
+    # pairs: its float components must take the same steps to the same bits.
+    # The counting wrapper runs the rate through the widened called driver;
+    # without it the rate is written into the widened driver.
+    p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
+    s0 = TwoModeState(0.0, *amplitudes_from_phase(S_PIN.z, S_PIN.phi))
+    count = [0]
+    monkeypatch.setattr(bjj.twomode, "_make_rate", counting(bjj.twomode._make_rate, count))
+    for counted in (True, False):
+        traj = integrate_twomode(p, s0, t_end, sample_dt=sample_dt)
+        assert (count[0], len(traj)) == (evals, rows)
+        assert (complex(traj.a1[-1]), complex(traj.a2[-1])) == (a1, a2)
+        assert rows_digest(traj) == digest
+        monkeypatch.undo()
+    assert inlined(bjj.twomode._make_rate(p), 4)
 
 
 def test_advance_matches_trajectory_endpoint():
@@ -347,22 +390,27 @@ def outcome(step, drive, y, targets, ctl):
 @settings(max_examples=40)
 def test_inlined_driver_matches_called_driver(kind, eta, de0, de1, z0, phi0, tol, h_min,
                                               oracle, gaps):
-    # The driver with the rate written into it against _drive calling it:
+    # The driver with the rate written into it against the driver calling
+    # it (_drive, or _drive widened to the oracle's four float components):
     # the same rows, end state, exception and message, as exact text.  The
     # first step, h_init = 0.2, is far too long at the tight tolerances.
     p = TrapParams(lam=10.0, de0=de0, de1=de1, omega=4.0 * math.pi, eta=eta, damping=kind)
     if oracle:
         f = bjj.twomode._make_rate(p)
-        y = amplitudes_from_phase(z0, phi0) if math.isfinite(phi0) else (1j, complex(0, phi0))
+        if math.isfinite(phi0):
+            a1, a2 = amplitudes_from_phase(z0, phi0)
+            y = (a1.real, a1.imag, a2.real, a2.imag)
+        else:
+            y = (0.0, 1.0, 0.0, phi0)
     else:
         f = make_rate(p)
         y = (z0, phi0)
     ctl = StepControl(abs_tol=tol, rel_tol=tol, h_init=0.2, h_min=h_min, h_max=0.2)
     targets = np.cumsum(gaps).tolist()
     drive = (de0, de1, p.omega)
-    assert inlined(f)
-    assert outcome(_stepper(f), drive, y, targets, ctl) == outcome(
-        partial(_drive, f), drive, y, targets, ctl
+    assert inlined(f, len(y))
+    assert outcome(_stepper(f, len(y)), drive, y, targets, ctl) == outcome(
+        partial(_called(len(y)), f), drive, y, targets, ctl
     )
 
 
@@ -379,12 +427,48 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
 
     for f in (counting(lambda p: rate, [0])(None), lambda t, de, z, phi: (z, phi),
               with_default, early_return):
-        step = _stepper(f)
+        step = _stepper(f, 2)
         assert isinstance(step, partial) and step.func is _drive and step.args == (f,)
     assert inlined(rate) and inlined(oscillator)
+    # a declined rate of four components runs _drive widened to four
+    oracle = bjj.twomode._make_rate(TrapParams(lam=10.0))
+    wrapped = counting(lambda p: oracle, [0])(None)
+    step = _stepper(wrapped, 4)
+    assert step.func is _called(4) is not _drive and step.args == (wrapped,)
+    assert inlined(oracle, 4)
+
+
+def test_widening_to_two_components_is_the_identity():
+    source = textwrap.dedent(inspect.getsource(_drive))
+    assert ast.dump(_widened(2)) == ast.dump(ast.parse(source).body[0])
+
+
+def test_widening_to_four_components_widens_every_rate_site():
+    drive = _widened(4)
+    calls = [node for node in ast.walk(drive) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "f"]
+    assert len(calls) == 11 and {len(call.args) for call in calls} == {6}
+    text = ast.unparse(drive)
+    assert "y0, y1, y2, y3 = y" in text and "return (t, (y0, y1, y2, y3))" in text
+    # the error score runs over all four components, each once
+    assert [text.count(f"diff = abs(e{i})") for i in range(5)] == [1, 1, 1, 1, 0]
 
 
 SITE = "j0, j1 = f(t_half, de_half, m0, m1)"
+
+
+def rates_with_broken_sites(monkeypatch, replacement):
+    """The reduced rate and the oracle's, each bare and wrapped, with SITE
+    in _drive's source replaced and every compiled driver dropped."""
+    source = inspect.getsource(_drive)
+    assert source.count(SITE) == 1
+    monkeypatch.setattr(bjj.integrate, "_drive_source", source.replace(SITE, replacement))
+    monkeypatch.setattr(bjj.integrate, "_INLINED", {})
+    monkeypatch.setattr(bjj.integrate, "_WIDENED", {})
+    p = TrapParams(lam=10.0)
+    reduced, oracle = make_rate(p), bjj.twomode._make_rate(p)
+    wrap = counting(lambda rate: rate, [0])
+    return (reduced, wrap(reduced)), (oracle, wrap(oracle))
 
 
 @pytest.mark.parametrize(
@@ -393,12 +477,22 @@ SITE = "j0, j1 = f(t_half, de_half, m0, m1)"
     ids=["twelve_sites", "ten_sites", "f_loaded", "call_not_a_site"],
 )
 def test_inliner_insists_on_every_rate_call(monkeypatch, replacement):
-    source = inspect.getsource(_drive)
-    assert source.count(SITE) == 1
-    monkeypatch.setattr(bjj.integrate, "_drive_source", source.replace(SITE, replacement))
-    monkeypatch.setattr(bjj.integrate, "_INLINED", {})
-    with pytest.raises(RuntimeError, match="expected 11"):
-        _stepper(make_rate(TrapParams(lam=10.0)))
+    (reduced, called_reduced), oracles = rates_with_broken_sites(monkeypatch, replacement)
+    # with two components a declined rate runs _drive as written, unparsed
+    assert _stepper(called_reduced, 2).func is _drive
+    for f, n in [(reduced, 2)] + [(f, 4) for f in oracles]:
+        with pytest.raises(RuntimeError, match="expected 11"):
+            _stepper(f, n)
+
+
+def test_widening_insists_on_index_pairs(monkeypatch):
+    # (m0, m0) is a site of two components, but not an index pair to widen
+    reduced, oracles = rates_with_broken_sites(
+        monkeypatch, "j0, j1 = f(t_half, de_half, m0, m0)")
+    assert inlined(reduced[0])
+    for f in oracles:
+        with pytest.raises(RuntimeError, match="4 components has 10 inlinable rate calls"):
+            _stepper(f, 4)
 
 
 def test_pure_relative_tolerance_on_a_zero_state():

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from bjj.errors import SingularityError
 from bjj.model import (
     DampingKind,
-    PhysicalParams,
     TrapParams,
     classify_regime,
-    derive_dimensionless,
     effective_energy,
     effective_potential,
     hamiltonian,
@@ -19,22 +17,6 @@ from bjj.model import (
 from bjj.separatrix import SeparatrixFrame
 
 LAM10 = TrapParams(lam=10.0)
-
-
-def test_derive_dimensionless_symmetric_modes():
-    phys = PhysicalParams(e1=0.0, e2=0.0, u1=1.0, u2=1.0, k=0.05, n_total=1.0)
-    lam, de0 = derive_dimensionless(phys)
-    assert lam == pytest.approx(10.0, abs=0.0)
-    assert de0 == 0.0
-
-
-def test_derive_dimensionless_splits_asymmetry():
-    phys = PhysicalParams(e1=0.3, e2=0.1, u1=1.0, u2=1.0, k=0.05, n_total=1.0)
-    _, de0 = derive_dimensionless(phys)
-    assert de0 == pytest.approx((0.3 - 0.1) / (2 * 0.05))
-    phys = PhysicalParams(e1=0.0, e2=0.0, u1=1.2, u2=0.8, k=0.05, n_total=1.0)
-    _, de0 = derive_dimensionless(phys)
-    assert de0 == pytest.approx((1.2 - 0.8) * 1.0 / (4 * 0.05))
 
 
 def test_trap_asymmetry_peaks_at_quarter_period():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bjj.model import TrapParams, trap_asymmetry
+from bjj.model import DampingKind, TrapParams, hamiltonian, make_rate, trap_asymmetry
 from bjj.separatrix import (
     ASYMPTOTE_OMEGA,
     SeparatrixFrame,
@@ -98,6 +98,40 @@ def test_duffing_residual_trivial_cases():
     # with every parameter zero the linear restoring term remains
     p0 = TrapParams(lam=0.0)
     assert duffing_residual(p0, 0.0, 0.3, 0.1, 2.0) == pytest.approx(2.0 + 0.3)
+
+
+@pytest.mark.parametrize("kind", [DampingKind.POPULATION, DampingKind.VELOCITY])
+def test_damping_placement_enters_the_duffing_form(kind):
+    # Differentiating the reduced equations once gives their second-order
+    # form: duffing_residual's left side at the instantaneous energy H, with
+    # a damping term set by the placement.  Neither placement gives the
+    # plain -eta*dz that duffing_residual (and the Melnikov integral)
+    # assumes, so its residual is the difference:
+    #   population: eta*z^2*(dz + eta*z)/(1 - z^2)
+    #   velocity:   eta*dz*(1 - w),  w = H - lam*z^2/2 - de*z = -sqrt(1-z^2) cos(phi)
+    # d2z comes from the rate's chain rule, so no step size enters.
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(20000):
+        lam, de0, de1, omega, eta, z, phi, t = rng.uniform(
+            [-12.0, -3.0, -3.0, 0.1, 0.0, -0.99, -math.pi, 0.0],
+            [12.0, 3.0, 3.0, 20.0, 0.5, 0.99, math.pi, 10.0]).tolist()
+        p = TrapParams(lam=lam, de0=de0, de1=de1, omega=omega, eta=eta, damping=kind)
+        de = trap_asymmetry(p, t)
+        dz, dphi = make_rate(p)(t, de, z, phi)
+        root = math.sqrt(1.0 - z * z)
+        ddz_dz = z / root * math.sin(phi) - (eta if kind is DampingKind.POPULATION else 0.0)
+        d2z = ddz_dz * dz - root * math.cos(phi) * dphi
+        h = float(hamiltonian(p, z, phi, t))
+        if kind is DampingKind.POPULATION:
+            term = eta * z * z * (dz + eta * z) / (1.0 - z * z)
+        else:
+            term = eta * dz * (1.0 - (h - 0.5 * lam * z * z - de * z))
+        parts = (d2z, (lam * h - 1.0) * z, 0.5 * lam * lam * z**3, 1.5 * de * lam * z * z,
+                 de * de * z, de * h, eta * dz, term)
+        error = abs(duffing_residual(p, h, z, dz, d2z, t) - term)
+        worst = max(worst, error / max(abs(x) for x in parts))
+    assert worst < 1e-14  # a few ulps of the largest term of the sum
 
 
 def test_epsilon1_cases():
