@@ -56,7 +56,7 @@ def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectr
     if t.ndim != 1 or t.shape != x.shape:
         raise ValueError("t and x must be one-dimensional and equally long")
     if len(t) < 16:
-        raise ValueError("need at least 16 samples")
+        raise ValueError(f"need at least 16 samples, got {len(t)}")
     if window not in _WINDOWS:
         raise ValueError(f"'window' must be one of {_WINDOWS}, got {window!r}")
     steps = np.diff(t)

@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .integrate import MAX_TARGETS, StepControl, _check_sample_dt, default_control
 from .model import Z_GUARD, DampingKind, PhaseState, TrapParams
 
-__all__ = ["RunConfig", "parse_kv_text", "parse_config", "merge_sources", "fmt"]
+__all__ = ["RunConfig", "parse_kv_text", "parse_config", "merge_sources"]
 
 
 def fmt(value: object) -> str:

@@ -6,6 +6,14 @@ Split along the CLI's exit-code boundary: ``ConfigError`` is user input
 
 from __future__ import annotations
 
+__all__ = [
+    "BjjError",
+    "ConfigError",
+    "SingularityError",
+    "StepUnderflowError",
+    "QuadratureError",
+]
+
 
 class BjjError(Exception):
     """Base class for all package-specific errors."""

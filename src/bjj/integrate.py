@@ -9,30 +9,31 @@ which is what makes stroboscopic sections of driven runs trustworthy.
 
 The driver takes a state of n float components and a flat rate
 f(t, de, y0, ..., yn-1).  _drive is written out, and runs as written, for
-two components: the reduced (z, phi) system.  Any other n runs _drive
-widened with ast (_widen): each run of statements that names only index-1
-components is repeated for the indices 2 .. n-1, and each index-0/index-1
-pair in a tuple or a rate call gains the same copies.  So the two-mode
-oracle steps (a1.real, a1.imag, a2.real, a2.imag) with the operations of
-_drive per component and scores each component as a float.  The
-driver owns the drive: it evaluates the tilt
-de(t) = de0 + de1*sin(omega*t) once per distinct stage time and hands it
-to every rate call at that time.  A driven step evaluates it five times
-(the tilt at the step's start is carried over from the end of the step
-before, or evaluated afresh after a landing); an undriven one never does.
-The rates add the tilt first, so passing the sum in keeps every bit.
+two components: the reduced (z, phi) system.  The driver owns the drive:
+it evaluates the tilt de(t) = de0 + de1*sin(omega*t) once per distinct
+stage time and hands it to every rate call at that time.  A driven step
+evaluates it five times (the tilt at the step's start is carried over
+from the end of the step before, or evaluated afresh after a landing); an
+undriven one never does.  The rates add the tilt first, so passing the
+sum in keeps every bit.
 
-Every run goes through _stepper(f, n), which writes the rate into the
-driver: on the first run of a rate definition in a process it rewrites
-the source of _drive widened to n so that each of its 11 rate calls
-becomes the rate's body, with the rate's names prefixed and its closing
-``return e0, ..., en-1`` assigned to the call's n targets, and compiles
-that once per rate code object.  The floating-point operations and their
-order are the called driver's, so the bits, counts and exceptions are
-too.  A rate it cannot take (a lambda, one with defaults, a wrapper over
-``*args`` such as a counting one, a body with nested scopes or an early
-return, no source) is called by _drive itself, or by _drive widened to n
-and compiled once per n, so one source serves every path.
+Every run goes through _stepper(f, n).  Each driver but _drive is built by
+one specialiser, _specialised, in one ast pass over _drive's source: it
+widens _drive to n components (each run of statements that names only
+index-1 components is repeated for the indices 2 .. n-1, and each
+index-0/index-1 pair in a tuple or a rate call gains the same copies), so
+the two-mode oracle steps (a1.real, a1.imag, a2.real, a2.imag) with the
+operations of _drive per component and scores each component as a float;
+and, given a rate that _inline has vetted, it writes the rate's body in
+place of each of the 11 rate calls, with the rate's names prefixed and
+its closing ``return e0, ..., en-1`` assigned to the call's n targets.
+Each result is compiled once per process into one cache, keyed by (rate
+code, n), or (None, n) for the called driver.  The floating-point
+operations and their order are the called driver's, so the bits, counts
+and exceptions are too.  A rate it cannot take (a lambda, one with
+defaults, a wrapper over ``*args`` such as a counting one, a body with
+nested scopes or an early return, no source) is called by _drive itself,
+or by _drive widened to n, so one source serves every path.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import copy
 import inspect
 import math
 import textwrap
-import tokenize
 from dataclasses import dataclass
 from functools import partial
 from inspect import CO_VARARGS, CO_VARKEYWORDS
@@ -169,7 +169,7 @@ def _drive(
 ) -> tuple[float, State]:
     """Advance through an increasing list of target times, landing exactly.
 
-    y holds two float components (_widened(n) is this driver for n).
+    y holds two float components (_specialised(n) is this driver for n).
     drive is (de0, de1, omega): every rate call gets the tilt
     de0 + de1*sin(omega*t) at its stage time, evaluated once per distinct
     stage time (never when de1 == 0, where every stage gets de0).
@@ -310,7 +310,7 @@ def _drive(
     return t, (y0, y1)
 
 
-#: Rate calls in one step of _drive; the inliner replaces every one of them.
+#: Rate calls in one step of _drive; the specialiser finds every one of them.
 _RATE_CALLS = 11
 #: _drive's component locals are one of these letters and the index 0 or 1.
 _COMPONENTS = "ykacdbmjne"
@@ -324,15 +324,13 @@ _STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
 _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
              ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
 
-# The source of _drive, read by the first _stepper call (import reads no source).
-_drive_source: str | None = None
-# _drive widened to n components and compiled, per n > 2, for the rates the
-# inliner declines (with n = 2 they run through _drive itself).
-_WIDENED: dict[int, Callable[..., tuple[float, State]]] = {}
-# _drive with a rate written into it, per rate code object: (factory, names of
-# the rate's globals), where factory(*free values, *global values) returns the
-# specialised driver; None for a rate that runs through the called driver.
-_INLINED: dict[CodeType, tuple[Callable, tuple[str, ...]] | None] = {}
+# Every driver compiled in this process, keyed by (rate code, n).  For a rate
+# code: (factory, names of the rate's globals), where factory(*free values,
+# *global values) returns _drive widened to n with the rate written in, or None
+# for a rate that runs through the called driver.  For None (n > 2): the
+# called driver, _drive widened to n.
+_DRIVERS: dict[tuple[CodeType | None, int],
+               Callable | tuple[Callable, tuple[str, ...]] | None] = {}
 
 
 def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
@@ -341,20 +339,20 @@ def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
 
     A plain def rate (n + 2 positional parameters, no defaults, a body of
     simple statements ending in its one ``return`` of an n-tuple) is
-    written into _drive's source, widened to n components, at each of its
-    rate calls, compiled once per process and rate definition, and bound
-    to this f's closure and globals.  The inlined body runs the same
-    floating-point operations in the same order, so every result and
+    written by _specialised into _drive, widened to n components, at each
+    of its rate calls, compiled once per process, rate definition and n,
+    and bound to this f's closure and globals.  The inlined body runs the
+    same floating-point operations in the same order, so every result and
     exception is the one the called driver gives.  Any other rate (a
     lambda, a wrapper over ``*args``, one with defaults, nested scopes or
     an early return, without source, or with an empty closure cell) is
     called by _drive widened to n components (_drive itself when n = 2).
     """
     if type(f) is FunctionType and f.__defaults__ is None and f.__kwdefaults__ is None:
-        code = f.__code__
-        if code not in _INLINED:
-            _INLINED[code] = _inline(f, n)
-        entry = _INLINED[code]
+        key = (f.__code__, n)
+        if key not in _DRIVERS:
+            _DRIVERS[key] = _inline(f, n)
+        entry = _DRIVERS[key]
         if entry is not None:
             factory, names = entry
             scope = f.__globals__
@@ -374,19 +372,18 @@ def _called(n: int) -> Callable[..., tuple[float, State]]:
     n = 2, else _drive widened to n and compiled once per process."""
     if n == 2:
         return _drive
-    if n not in _WIDENED:
-        _WIDENED[n] = _compiled(_widened(n), f"<_drive widened to {n} components>")
-    return _WIDENED[n]
+    key = (None, n)
+    if key not in _DRIVERS:
+        _DRIVERS[key] = _compiled(_specialised(n), f"<_drive widened to {n} components>")
+    return _DRIVERS[key]
 
 
 def _source(code: CodeType) -> str:
-    """The lines of code's definition, "" when its file cannot be read."""
+    """The source of code's definition, "" when it cannot be read."""
     try:
-        with tokenize.open(code.co_filename) as file:
-            lines = file.readlines()
-    except (OSError, SyntaxError):
+        return inspect.getsource(code)
+    except (OSError, TypeError):
         return ""
-    return "".join(inspect.getblock(lines[code.co_firstlineno - 1:]))
 
 
 def _indices(node: ast.AST) -> set[str]:
@@ -405,72 +402,83 @@ def _renamed(node: ast.AST, i: int) -> ast.AST:
     return node
 
 
-def _widen(node: ast.AST, n: int) -> ast.AST:
-    """node, widened in place from two components to n.
+def _f_args(node: ast.AST) -> list[ast.expr]:
+    """The arguments of node when it is a rate call f(...) without keywords,
+    else []."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "f"
+            and not node.keywords):
+        return node.args
+    return []
 
-    In every statement list, a maximal run of statements that name only
-    index-1 component locals is followed whole by its copies for the
-    indices 2 .. n-1, which are not widened again; every other statement
-    is widened inside.  A tuple (index-0 expr, index-1 expr) and a rate
-    call f(t, de, index-0 expr, index-1 expr) gain the copies of their
-    index-1 element.  With n = 2 nothing changes.
+
+def _specialised(
+    n: int, rate: tuple[Sequence[str], list[ast.stmt], ast.Tuple] | None = None
+) -> ast.FunctionDef:
+    """A fresh AST of _drive widened to n components, with rate's body
+    written in at each rate site when rate = (params, body, returned).
+
+    One pass widens and writes in.  In every statement list, a maximal run
+    of statements that name only index-1 component locals is followed
+    whole by its copies for the indices 2 .. n-1, which are not widened
+    again; every other statement is widened inside.  A tuple or a rate
+    call whose last two elements are an index-0 and an index-1 expression
+    gains the copies of the latter.  With n = 2 nothing is widened.  A rate
+    site is a statement ``X0, ..., Xn-1 = f(a, b, A0, ..., An-1)``; with a
+    rate it becomes the params assigned a, b, A0, ..., the body, then
+    ``X0 = e0`` up to ``Xn-1 = en-1`` for the returned ``e0, ..., en-1``, and
+    the parameter f is dropped.  RuntimeError unless there are exactly
+    _RATE_CALLS sites and f is loaded nowhere else.
     """
-    for field, value in ast.iter_fields(node):
-        if isinstance(value, ast.AST):
-            _widen(value, n)
-        elif isinstance(value, list) and value and isinstance(value[0], ast.stmt):
-            body = []
-            for run, group in groupby(value, lambda stmt: _indices(stmt) == {"1"}):
-                group = list(group)
-                if run:
-                    body += group + [_renamed(s, i) for i in range(2, n) for s in group]
-                else:
-                    body += [_widen(s, n) for s in group]
-            setattr(node, field, body)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.AST):
-                    _widen(item, n)
-    if isinstance(node, ast.Tuple):
-        elts = node.elts
-    elif _is_rate_call(node, 2):
-        elts = node.args
-    else:
-        return node
-    if len(elts) >= 2 and _indices(elts[-2]) == {"0"} and _indices(elts[-1]) == {"1"}:
-        elts += [_renamed(elts[-1], i) for i in range(2, n)]
-    return node
+    (drive,) = ast.parse(_source(_drive.__code__)).body
+    sites = 0
 
+    def widen(node: ast.AST) -> None:
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                body: list[ast.stmt] = []
+                for run, group in groupby(value, lambda stmt: _indices(stmt) == {"1"}):
+                    group = list(group)
+                    if run:
+                        body += group + [_renamed(s, i) for i in range(2, n) for s in group]
+                        continue
+                    for stmt in group:
+                        widen(stmt)
+                        body += write_in(stmt)
+                setattr(node, field, body)
+            else:
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, ast.AST):
+                        widen(item)
+        elts = node.elts if isinstance(node, ast.Tuple) else _f_args(node)
+        if len(elts) >= 2 and _indices(elts[-2]) == {"0"} and _indices(elts[-1]) == {"1"}:
+            elts += [_renamed(elts[-1], i) for i in range(2, n)]
 
-def _is_rate_call(node: ast.AST, n: int) -> bool:
-    """Whether node is a call f(t, de, ...) with n component arguments."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "f" and len(node.args) == n + 2 and not node.keywords)
+    def write_in(stmt: ast.stmt) -> list[ast.stmt]:
+        """[stmt], or the rate written in for it when stmt is a rate site."""
+        nonlocal sites
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Tuple) and len(stmt.targets[0].elts) == n
+                and len(_f_args(stmt.value)) == n + 2):
+            return [stmt]
+        sites += 1
+        if rate is None:
+            return [stmt]
+        params, body, returned = rate
+        return ([ast.Assign(targets=[ast.Name(_PREFIX + p, ast.Store())], value=arg)
+                 for p, arg in zip(params, stmt.value.args)]
+                + body
+                + [ast.Assign(targets=[name], value=e)
+                   for name, e in zip(stmt.targets[0].elts, returned.elts)])
 
-
-def _is_site(node: ast.AST, n: int) -> bool:
-    """Whether node is a rate site ``X0, ..., Xn-1 = f(t, de, A0, ..., An-1)``."""
-    return (isinstance(node, ast.Assign) and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Tuple) and len(node.targets[0].elts) == n
-            and _is_rate_call(node.value, n))
-
-
-def _widened(n: int) -> ast.FunctionDef:
-    """A fresh AST of _drive widened to n components; RuntimeError unless it
-    has exactly _RATE_CALLS rate sites of n components and loads f nowhere
-    else."""
-    global _drive_source
-    if _drive_source is None:
-        _drive_source = _source(_drive.__code__)
-    (drive,) = ast.parse(_drive_source).body
-    _widen(drive, n)
-    sites = sum(_is_site(node, n) for node in ast.walk(drive))
+    widen(drive)
     loads = sum(isinstance(node, ast.Name) and node.id == "f" for node in ast.walk(drive))
-    if sites != _RATE_CALLS or loads != sites:
+    if sites != _RATE_CALLS or loads != (sites if rate is None else 0):
         raise RuntimeError(
             f"_drive widened to {n} components has {sites} inlinable rate calls, "
             f"expected {_RATE_CALLS}, and must load f nowhere else"
         )
+    if rate is not None:
+        del drive.args.args[0]
     return drive
 
 
@@ -490,7 +498,7 @@ def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
 
 def _inline(f: FunctionType, n: int) -> tuple[Callable, tuple[str, ...]] | None:
     """Compile _drive, widened to n components, with the body of f at every
-    rate call, or None when f is not a rate the inliner takes."""
+    rate site, or None when f is not a rate the inliner takes."""
     code = f.__code__
     if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
             or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
@@ -506,10 +514,9 @@ def _inline(f: FunctionType, n: int) -> tuple[Callable, tuple[str, ...]] | None:
             or not isinstance(last, ast.Return) or not isinstance(last.value, ast.Tuple)
             or len(last.value.elts) != n):
         return None
-    body.append(last.value)
     stores = set(params)
     loads = set()
-    for node in body:
+    for node in body + [last.value]:
         for sub in ast.walk(node):
             if (isinstance(sub, ast.stmt) and not isinstance(sub, _STATEMENTS)
                     or isinstance(sub, _DECLINED)):
@@ -520,38 +527,13 @@ def _inline(f: FunctionType, n: int) -> tuple[Callable, tuple[str, ...]] | None:
     if stores != set(code.co_varnames) or not set(code.co_freevars) <= loads:
         return None  # the source on disk is not the code that runs
     names = tuple(sorted(loads - stores - set(code.co_freevars)))
-    *body, returned = body
 
-    drive = _widened(n)
-    del drive.args.args[0]
-    drive = _Sites(n, params, body, returned).visit(drive)
+    drive = _specialised(n, (params, body, last.value))
     (outer,) = ast.parse(
         "def factory(" + ", ".join(_PREFIX + name for name in code.co_freevars + names) + "): pass"
     ).body
     outer.body = [drive, ast.Return(ast.Name(drive.name, ast.Load()))]
     return _compiled(outer, f"<_drive inlining {f.__qualname__}>"), names
-
-
-class _Sites(ast.NodeTransformer):
-    """Replaces each rate site ``X0, ..., Xn-1 = f(a, b, ...)`` with the
-    rate's parameters assigned a, b, ..., its body, then ``X0 = e0`` up to
-    ``Xn-1 = en-1`` for its returned ``e0, ..., en-1``."""
-
-    def __init__(self, n: int, params: Sequence[str], body: list[ast.stmt],
-                 returned: ast.Tuple):
-        self.n, self.params, self.body, self.returned = n, params, body, returned
-
-    def visit_Assign(self, node: ast.Assign) -> ast.Assign | list[ast.stmt]:
-        if not _is_site(node, self.n):
-            return node
-        out: list[ast.stmt] = [
-            ast.Assign(targets=[ast.Name(_PREFIX + p, ast.Store())], value=arg)
-            for p, arg in zip(self.params, node.value.args)
-        ]
-        out += self.body
-        out += [ast.Assign(targets=[name], value=e)
-                for name, e in zip(node.targets[0].elts, self.returned.elts)]
-        return out
 
 
 def _check_sample_dt(sample_dt: float, t_end: float = 0.0) -> float:

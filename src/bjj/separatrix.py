@@ -52,7 +52,6 @@ from .integrate import MAX_TARGETS
 from .model import TrapParams, trap_asymmetry
 
 __all__ = [
-    "ASYMPTOTE_OMEGA",
     "SeparatrixFrame",
     "StabilityCurve",
     "separatrix_orbit",

@@ -513,6 +513,14 @@ def test_spectrum_header_and_discard(tmp_path):
     assert float(body[1].split(",")[0]) == 0.0
 
 
+@pytest.mark.parametrize("t_end, count", [("0.2", 3), ("1", 11)])
+def test_spectrum_rejects_fewer_than_16_samples(tmp_path, capsys, t_end, count):
+    # the spectrum's own rule, with discard at 0: exit 1, no output
+    code, text = run_cli(["spectrum", "--t-end", t_end, "--sample-dt", "0.1"], tmp_path)
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error: need at least 16 samples, got {count}\n"
+
+
 def test_stability_curve_emits_asymptote_row(tmp_path):
     code, text = run_cli(
         ["stability-curve", "--lambda", "4", "--energy", "0.5", "--eta", "0.3",
@@ -723,6 +731,33 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
+PUBLIC_API = {
+    "AttractorReport", "BjjError", "ConfigError", "CrosscheckReport", "DampingKind",
+    "MotionClass", "PhaseState", "PotentialShape", "QuadratureError", "Regime", "RunConfig",
+    "SectionPoints", "SeparatrixFrame", "SingularityError", "Spectrum", "StabilityCurve",
+    "StepControl", "StepUnderflowError", "TOL_SEP", "Trajectory", "TrapParams",
+    "TwoModeState", "TwoModeTrajectory", "Z_GUARD", "__version__", "advance",
+    "amplitudes_from_phase", "basis_z11", "basis_z12", "classify_regime", "crosscheck_max_dz",
+    "default_control", "detect_frequency_locking", "dominant_bin", "drive_coefficient",
+    "duffing_residual", "effective_energy", "effective_potential", "epsilon1",
+    "frame_from_initial", "hamiltonian", "integrate_adaptive", "integrate_twomode",
+    "lyapunov_estimate", "make_rate", "melnikov_closed", "melnikov_numeric", "merge_sources",
+    "parse_config", "parse_kv_text", "power_spectrum", "project_trajectory",
+    "running_stability_integral", "sample_stroboscopic", "section_from_trajectory",
+    "separatrix_accel", "separatrix_orbit", "separatrix_velocity", "stability_curve",
+    "time_average_z", "trap_asymmetry",
+}
+
+
+def test_public_api_keeps_its_61_names():
+    # each module declares its names once; the package re-exports them
+    assert len(bjj.__all__) == len(PUBLIC_API) == 61
+    assert set(bjj.__all__) == PUBLIC_API
+    namespace: dict = {}
+    exec("from bjj import *", namespace)
+    assert PUBLIC_API <= namespace.keys() and "annotations" not in namespace
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     proc = run_python("-c", "import sys, bjj; print('scipy.integrate' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -738,10 +773,10 @@ def test_python_m_bjj_runs_the_cli():
 def test_import_compiles_no_stepper_and_reads_no_source():
     # the inliner reads _drive's source on the first integration, not at import
     proc = run_python("-c", "import linecache, bjj, bjj.integrate as i; print("
-                      "len(i._INLINED), len(i._WIDENED), i._drive_source, "
+                      "len(i._DRIVERS), "
                       "any(k.endswith('integrate.py') for k in linecache.cache))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "None", "False"]
+    assert proc.stdout.split() == ["0", "False"]
 
 
 # --- every invocation ends in exit 0 with finite data, 1 or 2 ----------------

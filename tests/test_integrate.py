@@ -18,8 +18,8 @@ from bjj.integrate import (
     _called,
     _drive,
     _sample_targets,
+    _specialised,
     _stepper,
-    _widened,
     advance,
     default_control,
     integrate_adaptive,
@@ -438,13 +438,27 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
     assert inlined(oracle, 4)
 
 
+def test_driver_cache_is_keyed_by_rate_and_width():
+    # a request at the wrong n declines the rate at that n only
+    def four(t, de, x1, y1, x2, y2):
+        return y1, -x1, y2, -x2
+
+    def two(t, de, x, v):
+        return v, -x
+
+    assert not inlined(four, 2) and inlined(four, 4)
+    assert not inlined(two, 4) and inlined(two, 2)
+    assert {(four.__code__, 2), (four.__code__, 4), (two.__code__, 4), (two.__code__, 2),
+            (None, 4)} <= bjj.integrate._DRIVERS.keys()
+
+
 def test_widening_to_two_components_is_the_identity():
     source = textwrap.dedent(inspect.getsource(_drive))
-    assert ast.dump(_widened(2)) == ast.dump(ast.parse(source).body[0])
+    assert ast.dump(_specialised(2)) == ast.dump(ast.parse(source).body[0])
 
 
 def test_widening_to_four_components_widens_every_rate_site():
-    drive = _widened(4)
+    drive = _specialised(4)
     calls = [node for node in ast.walk(drive) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "f"]
     assert len(calls) == 11 and {len(call.args) for call in calls} == {6}
@@ -459,12 +473,14 @@ SITE = "j0, j1 = f(t_half, de_half, m0, m1)"
 
 def rates_with_broken_sites(monkeypatch, replacement):
     """The reduced rate and the oracle's, each bare and wrapped, with SITE
-    in _drive's source replaced and every compiled driver dropped."""
+    in the source that the reader gives for _drive replaced and every
+    compiled driver dropped."""
     source = inspect.getsource(_drive)
     assert source.count(SITE) == 1
-    monkeypatch.setattr(bjj.integrate, "_drive_source", source.replace(SITE, replacement))
-    monkeypatch.setattr(bjj.integrate, "_INLINED", {})
-    monkeypatch.setattr(bjj.integrate, "_WIDENED", {})
+    broken, read = source.replace(SITE, replacement), bjj.integrate._source
+    monkeypatch.setattr(bjj.integrate, "_source",
+                        lambda code: broken if code is _drive.__code__ else read(code))
+    monkeypatch.setattr(bjj.integrate, "_DRIVERS", {})
     p = TrapParams(lam=10.0)
     reduced, oracle = make_rate(p), bjj.twomode._make_rate(p)
     wrap = counting(lambda rate: rate, [0])
