@@ -382,7 +382,7 @@ def _source(code: CodeType) -> str:
     """The source of code's definition, "" when it cannot be read."""
     try:
         return inspect.getsource(code)
-    except (OSError, TypeError):
+    except OSError:
         return ""
 
 
