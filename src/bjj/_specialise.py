@@ -1,0 +1,464 @@
+"""The ast machinery behind bjj.integrate's drivers, imported on the first
+run rather than with bjj.
+
+Every run goes through _stepper(f, n).  Each driver but _drive is built by
+one specialiser, _specialised, in one ast pass over _drive's source, which
+is read once per process and parsed for each build: it widens _drive to n
+components (each run of statements that names only index-1 components is
+repeated for the indices 2 .. n-1, and each index-0/index-1 pair in a
+tuple or a rate call gains the same copies), so the two-mode oracle steps
+(a1.real, a1.imag, a2.real, a2.imag) with the operations of _drive per
+component and scores each component as a float; and, given a rate that
+_inline has vetted, it writes the rate's body in place of each of the 11
+rate calls, with the rate's names prefixed, a parameter whose argument is
+a bare name read as that name, and the returned values landing in the
+call's n targets.  Each result is compiled once per process into one
+cache, keyed by (rate code, n), or (None, n) for the called driver.  The
+floating-point operations and their order are the called driver's, so the
+bits, counts and exceptions are too.  A rate it cannot take (a lambda, one
+with defaults, a wrapper over ``*args`` such as a counting one, a body
+with nested scopes or an early return, no source) is called by _drive
+itself, or by _drive widened to n, so one source serves every path.
+
+One rate source gives two bodies: the scalar one written into the driver,
+and a lane rate (_lanes) built from the same vetted body, which runs the
+same operations over numpy columns with math's sin, cos and sqrt bound to
+numpy's.  Trajectory.dz_dt comes from one lane call over all rows; a rate
+without a lane body (a declined one, or one that calls anything else) is
+called once per row.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import math
+import pickle
+import textwrap
+from functools import cache, partial
+from inspect import CO_VARARGS, CO_VARKEYWORDS
+from itertools import groupby
+from types import CodeType, FunctionType
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
+
+from . import integrate
+from .integrate import State, _drive
+from .model import RateFn
+
+#: Rate calls in one step of _drive; the specialiser finds every one of them.
+_RATE_CALLS = 11
+#: _drive's component locals are one of these letters and the index 0 or 1.
+_COMPONENTS = "ykacdbmjne"
+#: Prefix of every name of an inlined rate; no name in _drive starts with it.
+_PREFIX = "_rate_"
+#: Statements a rate body may hold: none binds a name other than through a
+#: Name node, opens a scope, returns early or leaves a loop.
+_STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
+#: Expressions it may not hold: each opens a scope, suspends the frame or
+#: (starred) may change the arity of the return.
+_DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+             ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
+
+# Every driver compiled in this process, keyed by (rate code, n).  For a rate
+# code: an _Inlined, or None for a rate that runs through the called driver.
+# For None (n > 2): the called driver, _drive widened to n.  Under (None, 0):
+# _drive's source, read once (parsing it again costs less than copying the
+# parsed tree).
+_DRIVERS: dict[tuple[CodeType | None, int], _Inlined | Callable | str | None] = {}
+
+#: What the lane rate runs for each of these math functions: numpy's ufunc,
+#: which rounds like it (tests/test_integrate.py probes both).
+_UFUNCS = ((math.sin, np.sin), (math.cos, np.cos), (math.sqrt, np.sqrt))
+
+
+class _Inlined(NamedTuple):
+    """A vetted rate.  driver is _drive widened to n with the rate written
+    in, taking first the values of the rate's free variables and then of
+    its globals named by names, so that the rate's constants are locals;
+    lanes() builds, on its first call, the rate's lane body as (a function
+    taking the same values first, indices of the values it loads), or None
+    when the body has no lane form."""
+
+    driver: Callable
+    names: tuple[str, ...]
+    lanes: Callable[[], tuple[Callable, tuple[int, ...]] | None]
+
+
+def _bound(f: RateFn, n: int) -> tuple[_Inlined, list[object]] | None:
+    """(f's cache entry, the values its factories take) when f is a rate of
+    n components that the inliner takes, else None."""
+    if type(f) is not FunctionType or f.__defaults__ is not None or f.__kwdefaults__ is not None:
+        return None
+    key = (f.__code__, n)
+    if key not in _DRIVERS:
+        _DRIVERS[key] = _inline(f, n)
+    entry = _DRIVERS[key]
+    if entry is None:
+        return None
+    scope = f.__globals__
+    builtin = f.__builtins__
+    try:
+        free = [cell.cell_contents for cell in f.__closure__ or ()]
+        glob = [scope[name] if name in scope else builtin[name] for name in entry.names]
+    except (ValueError, KeyError):  # an empty cell, an unbound global
+        return None
+    return entry, free + glob
+
+
+def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
+    """The driver of n components with f bound:
+    ``_stepper(f, n)(drive, t, y, targets, ctl, ...)`` with len(y) == n.
+
+    A plain def rate (n + 2 positional parameters, no defaults, a body of
+    simple statements ending in its one ``return`` of an n-tuple) is
+    written by _specialised into _drive, widened to n components, at each
+    of its rate calls, compiled once per process, rate definition and n,
+    and bound to this f's closure and globals.  The inlined body runs the
+    same floating-point operations in the same order, so every result and
+    exception is the one the called driver gives.  Any other rate (a
+    lambda, a wrapper over ``*args``, one with defaults, nested scopes or
+    an early return, without source, or with an empty closure cell) is
+    called by _drive widened to n components (_drive itself when n = 2).
+    """
+    bound = _bound(f, n)
+    if bound is not None:
+        entry, values = bound
+        return partial(entry.driver, *values)
+    return partial(_called(n), f)
+
+
+def _lanes(f: RateFn, n: int) -> Callable[..., tuple] | None:
+    """f over numpy columns, or None when f has no lane body.
+
+    ``_lanes(f, n)(t, de, y0, ..., yn-1)`` returns ``(flagged, dy0, ...,
+    dyn-1)``: the rate's body run once over the columns, with every
+    ``if test: raise ...`` statement replaced by flagging the rows where
+    the test holds.  A row that is neither flagged nor non-finite has the
+    bits of the scalar rate, since the operations are the same and each
+    math function is the numpy ufunc that rounds like it.  None unless f is
+    a rate the inliner takes, its body (raises aside) uses only + - * /,
+    calls and scalar branch tests, and every value it loads from its
+    closure or globals is a number, a bool or one of math's sin, cos and
+    sqrt.  The lane body is compiled once per process and rate definition.
+    """
+    bound = _bound(f, n)
+    if bound is None:
+        return None
+    entry, values = bound
+    lanes = entry.lanes()
+    if lanes is None:
+        return None
+    lanes, loaded = lanes
+    values = [next((ufunc for fn, ufunc in _UFUNCS if value is fn), value) for value in values]
+    if not all(type(values[i]) in (float, int, bool)
+               or any(values[i] is ufunc for _, ufunc in _UFUNCS) for i in loaded):
+        return None
+    return partial(lanes, *values)
+
+
+def _called(n: int) -> Callable[..., tuple[float, State]]:
+    """The driver of n components that calls its rate: _drive itself when
+    n = 2, else _drive widened to n and compiled once per process."""
+    if n == 2:
+        return _drive
+    key = (None, n)
+    if key not in _DRIVERS:
+        _DRIVERS[key] = _compiled(_specialised(n), f"<_drive widened to {n} components>")
+    return _DRIVERS[key]
+
+
+def _source(code: CodeType) -> str:
+    """The source of code's definition, "" when it cannot be read."""
+    try:
+        return inspect.getsource(code)
+    except OSError:
+        return ""
+
+
+def _indices(node: ast.AST) -> set[str]:
+    """The indices, "0" or "1", of the component locals that node names."""
+    return {sub.id[1] for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and len(sub.id) == 2
+            and sub.id[0] in _COMPONENTS and sub.id[1] in "01"}
+
+
+def _copy(nodes: object) -> object:
+    """A deep copy of nodes, made at C speed."""
+    return pickle.loads(pickle.dumps(nodes, pickle.HIGHEST_PROTOCOL))
+
+
+def _renamed(node: ast.AST, i: int) -> ast.AST:
+    """A copy of node with each index-1 component local renamed to index i."""
+    node = _copy(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and _indices(sub) == {"1"}:
+            sub.id = sub.id[0] + str(i)
+    return node
+
+
+def _f_args(node: ast.AST) -> list[ast.expr]:
+    """The arguments of node when it is a rate call f(...) without keywords,
+    else []."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "f"
+            and not node.keywords):
+        return node.args
+    return []
+
+
+def _stored(nodes: list[ast.AST]) -> set[str]:
+    """The names that nodes bind."""
+    return {sub.id for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)}
+
+
+def _renaming(nodes: list[ast.AST], names: dict[str, str]) -> list[ast.AST]:
+    """A copy of nodes with each name that names maps renamed."""
+    nodes = _copy(nodes)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id in names:
+                sub.id = names[sub.id]
+    return nodes
+
+
+def _specialised(
+    n: int, rate: tuple[Sequence[str], list[ast.stmt], ast.Tuple] | None = None
+) -> ast.FunctionDef:
+    """A fresh AST of _drive widened to n components, with rate's body
+    written in at each rate site when rate = (params, body, returned).
+
+    One pass widens and writes in.  In every statement list, a maximal run
+    of statements that name only index-1 component locals is followed
+    whole by its copies for the indices 2 .. n-1, which are not widened
+    again; every other statement is widened inside.  A tuple or a rate
+    call whose last two elements are an index-0 and an index-1 expression
+    gains the copies of the latter.  With n = 2 nothing is widened.  A rate
+    site is a statement ``X0, ..., Xn-1 = f(a, b, A0, ..., An-1)``; with a
+    rate it becomes the body, preceded by each parameter assigned its
+    argument and followed by ``Xi = ei`` for each returned ``ei``, and the
+    parameter f is dropped.  Copy-free, a parameter that the body never
+    binds and whose argument is a bare name other than the targets is that
+    name, and a returned local that is not a parameter is its target Xi
+    when Xi is not a bare-name argument; no float operation changes.
+    RuntimeError unless there are exactly _RATE_CALLS sites and f is loaded
+    nowhere else.
+    """
+    key = (None, 0)
+    if key not in _DRIVERS:
+        _DRIVERS[key] = _source(_drive.__code__)
+    (drive,) = ast.parse(_DRIVERS[key]).body
+    sites = 0
+    if rate is not None:
+        params = [_PREFIX + p for p in rate[0]]
+        stored = _stored(rate[1])
+
+    def widen(node: ast.AST) -> None:
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                body: list[ast.stmt] = []
+                for run, group in groupby(value, lambda s: n > 2 and _indices(s) == {"1"}):
+                    group = list(group)
+                    if run:
+                        body += group + [_renamed(s, i) for i in range(2, n) for s in group]
+                        continue
+                    for stmt in group:
+                        widen(stmt)
+                        body += write_in(stmt)
+                setattr(node, field, body)
+            else:
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, ast.AST):
+                        widen(item)
+        elts = node.elts if isinstance(node, ast.Tuple) else _f_args(node)
+        if (n > 2 and len(elts) >= 2 and _indices(elts[-2]) == {"0"}
+                and _indices(elts[-1]) == {"1"}):
+            elts += [_renamed(elts[-1], i) for i in range(2, n)]
+
+    def write_in(stmt: ast.stmt) -> list[ast.stmt]:
+        """[stmt], or the rate written in for it when stmt is a rate site."""
+        nonlocal sites
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Tuple) and len(stmt.targets[0].elts) == n
+                and len(_f_args(stmt.value)) == n + 2):
+            return [stmt]
+        sites += 1
+        if rate is None:
+            return [stmt]
+        _, body, returned = rate
+        targets = stmt.targets[0].elts
+        target_ids = {getattr(x, "id", None) for x in targets}
+        args = stmt.value.args
+        bare = {arg.id for arg in args if isinstance(arg, ast.Name)}
+        names: dict[str, str] = {}
+        head = []
+        for p, arg in zip(params, args):
+            if isinstance(arg, ast.Name) and arg.id not in target_ids and p not in stored:
+                names[p] = arg.id
+            else:
+                head.append(ast.Assign(targets=[ast.Name(p, ast.Store())], value=arg))
+        for x, e in zip(targets, returned.elts):
+            if (isinstance(x, ast.Name) and x.id not in bare and isinstance(e, ast.Name)
+                    and e.id in stored and e.id not in params and e.id not in names):
+                names[e.id] = x.id
+        *body, returned = _renaming(body + [returned], names)
+        return head + body + [ast.Assign(targets=[x], value=e)
+                              for x, e in zip(targets, returned.elts)
+                              if not (isinstance(e, ast.Name) and e.id == getattr(x, "id", None))]
+
+    widen(drive)
+    loads = sum(isinstance(node, ast.Name) and node.id == "f" for node in ast.walk(drive))
+    if sites != _RATE_CALLS or loads != (sites if rate is None else 0):
+        raise RuntimeError(
+            f"_drive widened to {n} components has {sites} inlinable rate calls, "
+            f"expected {_RATE_CALLS}, and must load f nowhere else"
+        )
+    if rate is not None:
+        del drive.args.args[0]
+    return drive
+
+
+def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
+    """function compiled in bjj.integrate's globals, which _drive's body
+    uses, its annotations (which the compiled code would evaluate) dropped."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.FunctionDef):
+            node.returns = None
+    module = ast.fix_missing_locations(ast.Module([function], type_ignores=[]))
+    namespace: dict[str, Callable] = {}
+    exec(compile(module, filename, "exec", dont_inherit=True), vars(integrate), namespace)
+    return namespace[function.name]
+
+
+def _inline(f: FunctionType, n: int) -> _Inlined | None:
+    """Compile _drive, widened to n components, with the body of f at every
+    rate site, or None when f is not a rate the inliner takes."""
+    code = f.__code__
+    if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
+            or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
+        return None
+    try:
+        (rate,) = ast.parse(textwrap.dedent(_source(code))).body
+    except (SyntaxError, ValueError):  # no source, or not one definition
+        return None
+    params = code.co_varnames[:n + 2]
+    *body, last = rate.body
+    if (not isinstance(rate, ast.FunctionDef) or rate.decorator_list
+            or [a.arg for a in rate.args.posonlyargs + rate.args.args] != list(params)
+            or not isinstance(last, ast.Return) or not isinstance(last.value, ast.Tuple)
+            or len(last.value.elts) != n):
+        return None
+    stores = set(params)
+    loads = set()
+    for node in body + [last.value]:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.stmt) and not isinstance(sub, _STATEMENTS)
+                    or isinstance(sub, _DECLINED)):
+                return None
+            if isinstance(sub, ast.Name):
+                (loads if isinstance(sub.ctx, ast.Load) else stores).add(sub.id)
+                sub.id = _PREFIX + sub.id
+    if stores != set(code.co_varnames) or not set(code.co_freevars) <= loads:
+        return None  # the source on disk is not the code that runs
+    names = tuple(sorted(loads - stores - set(code.co_freevars)))
+    args = [ast.arg(_PREFIX + name) for name in code.co_freevars + names]
+    vetted = (params, body, last.value)
+    drive = _specialised(n, vetted)
+    drive.args.args[:0] = args
+    driver = _compiled(drive, f"<_drive inlining {f.__qualname__}>")
+    return _Inlined(driver, names, cache(partial(_lane_body, vetted, args, f.__qualname__)))
+
+
+#: Operators a lane body may apply: numpy's elementwise ones round like
+#: Python's float ones.  (Not **: numpy's power differs from Python's.)
+_LANE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd)
+#: Comparisons a lane flag may make, elementwise.
+_LANE_COMPARE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+def _columnar(node: ast.expr) -> bool:
+    """Whether node runs elementwise over numpy columns with the bits it
+    gives on floats: names, numbers, + - * / and calls of names."""
+    if isinstance(node, ast.Name):
+        return True
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _LANE_OPS) and _columnar(node.left) and _columnar(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, _LANE_OPS) and _columnar(node.operand)
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and not node.keywords
+                and all(_columnar(arg) for arg in node.args))
+    return False
+
+
+def _mask(test: ast.expr) -> ast.expr | None:
+    """test over numpy columns as a boolean array (``or`` as ``|``, ``and``
+    as ``&``), or None when its leaves are not single comparisons."""
+    if isinstance(test, ast.BoolOp):
+        masks = [_mask(value) for value in test.values]
+        if None in masks:
+            return None
+        op = ast.BitOr() if isinstance(test.op, ast.Or) else ast.BitAnd()
+        mask = masks[0]
+        for other in masks[1:]:
+            mask = ast.BinOp(mask, op, other)
+        return mask
+    if (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], _LANE_COMPARE)
+            and _columnar(test.left) and _columnar(test.comparators[0])):
+        return test
+    return None
+
+
+def _lane_body(
+    vetted: tuple[Sequence[str], list[ast.stmt], ast.Tuple], args: list[ast.arg], qualname: str
+) -> tuple[Callable, tuple[int, ...]] | None:
+    """The lane form of a vetted rate body: (lanes, indices of the args it
+    loads), ``lanes(*args, t, de, y0, ..., yn-1) -> (flagged, dy0, ...,
+    dyn-1)``, or None when the body has no lane form (see _lanes)."""
+    params, body, returned = _copy(vetted)
+    params = [_PREFIX + p for p in params]
+    local = set(params) | _stored(body)
+
+    def lane(stmt: ast.stmt) -> ast.stmt | None:
+        if (isinstance(stmt, ast.If) and not stmt.orelse and len(stmt.body) == 1
+                and isinstance(stmt.body[0], ast.Raise)):
+            mask = _mask(stmt.test)
+            if mask is None:
+                return None
+            flagged = ast.BinOp(ast.Name("flagged", ast.Load()), ast.BitOr(), mask)
+            return ast.Assign(targets=[ast.Name("flagged", ast.Store())], value=flagged)
+        if isinstance(stmt, ast.If):  # a branch on closure constants only
+            if _stored([stmt.test]) or {sub.id for sub in ast.walk(stmt.test)
+                                        if isinstance(sub, ast.Name)} & local:
+                return None
+            stmt.body = [lane(s) for s in stmt.body]
+            stmt.orelse = [lane(s) for s in stmt.orelse]
+            return None if None in stmt.body + stmt.orelse else stmt
+        if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
+            # x = x op v: an in-place op would write into a column x aliases
+            load = ast.Name(stmt.target.id, ast.Load())
+            stmt = ast.Assign(targets=[stmt.target], value=ast.BinOp(load, stmt.op, stmt.value))
+        if isinstance(stmt, ast.Assign):
+            ok = (len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name)
+                  and _columnar(stmt.value))
+        else:  # pass, or a docstring
+            ok = isinstance(stmt, ast.Pass) or (isinstance(stmt, ast.Expr)
+                                                and isinstance(stmt.value, ast.Constant))
+        return stmt if ok else None
+
+    statements = [lane(stmt) for stmt in body]
+    if None in statements or not all(_columnar(e) for e in returned.elts):
+        return None
+    args = [arg.arg for arg in args]
+    (lanes,) = ast.parse("def lanes(" + ", ".join(args + params) + "): flagged = False").body
+    lanes.body += statements + [ast.Return(ast.Tuple(
+        [ast.Name("flagged", ast.Load())] + returned.elts, ast.Load()))]
+    loads = {sub.id for sub in ast.walk(lanes) if isinstance(sub, ast.Name)} - local
+    return _compiled(lanes, f"<lanes of {qualname}>"), tuple(
+        i for i, name in enumerate(args) if name in loads)

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 _WINDOWS = ("rect", "hann")
+#: Fewest samples power_spectrum takes.
+_MIN_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectr
     x = np.asarray(x, dtype=float)
     if t.ndim != 1 or t.shape != x.shape:
         raise ValueError("t and x must be one-dimensional and equally long")
-    if len(t) < 16:
-        raise ValueError(f"need at least 16 samples, got {len(t)}")
+    if len(t) < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {len(t)}")
     if window not in _WINDOWS:
         raise ValueError(f"'window' must be one of {_WINDOWS}, got {window!r}")
     steps = np.diff(t)

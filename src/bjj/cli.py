@@ -201,6 +201,13 @@ def _cmd_spectrum(cfg: RunConfig) -> str:
     )
     t_start = cfg.discard * cfg.period
     keep = traj.t >= t_start - 1e-9 * cfg.sample_dt
+    count = int(np.count_nonzero(keep))
+    if count < analysis._MIN_SAMPLES:
+        raise ConfigError(
+            f"need at least {analysis._MIN_SAMPLES} samples, got {count}: the horizon "
+            "('t_end' or 'n_periods') less the 'discard' periods, over 'sample_dt', "
+            "sets the count"
+        )
     spec = analysis.power_spectrum(traj.t[keep], traj.z[keep], window=cfg.window)
     return _csv_text(cfg, "freq,power", spec.freqs, spec.power)
 

@@ -17,37 +17,17 @@ from the end of the step before, or evaluated afresh after a landing); an
 undriven one never does.  The rates add the tilt first, so passing the
 sum in keeps every bit.
 
-Every run goes through _stepper(f, n).  Each driver but _drive is built by
-one specialiser, _specialised, in one ast pass over _drive's source: it
-widens _drive to n components (each run of statements that names only
-index-1 components is repeated for the indices 2 .. n-1, and each
-index-0/index-1 pair in a tuple or a rate call gains the same copies), so
-the two-mode oracle steps (a1.real, a1.imag, a2.real, a2.imag) with the
-operations of _drive per component and scores each component as a float;
-and, given a rate that _inline has vetted, it writes the rate's body in
-place of each of the 11 rate calls, with the rate's names prefixed and
-its closing ``return e0, ..., en-1`` assigned to the call's n targets.
-Each result is compiled once per process into one cache, keyed by (rate
-code, n), or (None, n) for the called driver.  The floating-point
-operations and their order are the called driver's, so the bits, counts
-and exceptions are too.  A rate it cannot take (a lambda, one with
-defaults, a wrapper over ``*args`` such as a counting one, a body with
-nested scopes or an early return, no source) is called by _drive itself,
-or by _drive widened to n, so one source serves every path.
+Every run goes through bjj._specialise._stepper(f, n), which writes the
+rate into the driver's source, and Trajectory.dz_dt comes from the rate's
+lane form, bjj._specialise._lanes.  That module, the ast machinery behind
+both, is imported on the first run, not with this one.
 """
 
 from __future__ import annotations
 
-import ast
-import copy
-import inspect
 import math
-import textwrap
 from dataclasses import dataclass
-from functools import partial
-from inspect import CO_VARARGS, CO_VARKEYWORDS
-from itertools import groupby
-from types import CodeType, FunctionType
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -126,8 +106,10 @@ def default_control(p: TrapParams) -> StepControl:
 class Trajectory:
     """Sampled solution of the reduced equations.
 
-    dz_dt holds the actual flow derivative (damping included), evaluated
-    analytically from the rate function at each sample.
+    dz_dt holds the actual flow derivative (damping included): the first
+    component of the rate at every row, from one call of the lane rate
+    that make_rate's source also gives over all rows, or, for a rate
+    without one, from one rate call per row.  Both give the rate's bits.
     """
 
     params: TrapParams
@@ -310,232 +292,6 @@ def _drive(
     return t, (y0, y1)
 
 
-#: Rate calls in one step of _drive; the specialiser finds every one of them.
-_RATE_CALLS = 11
-#: _drive's component locals are one of these letters and the index 0 or 1.
-_COMPONENTS = "ykacdbmjne"
-#: Prefix of every name of an inlined rate; no name in _drive starts with it.
-_PREFIX = "_rate_"
-#: Statements a rate body may hold: none binds a name other than through a
-#: Name node, opens a scope, returns early or leaves a loop.
-_STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
-#: Expressions it may not hold: each opens a scope, suspends the frame or
-#: (starred) may change the arity of the return.
-_DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-             ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
-
-# Every driver compiled in this process, keyed by (rate code, n).  For a rate
-# code: (factory, names of the rate's globals), where factory(*free values,
-# *global values) returns _drive widened to n with the rate written in, or None
-# for a rate that runs through the called driver.  For None (n > 2): the
-# called driver, _drive widened to n.
-_DRIVERS: dict[tuple[CodeType | None, int],
-               Callable | tuple[Callable, tuple[str, ...]] | None] = {}
-
-
-def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
-    """The driver of n components with f bound:
-    ``_stepper(f, n)(drive, t, y, targets, ctl, ...)`` with len(y) == n.
-
-    A plain def rate (n + 2 positional parameters, no defaults, a body of
-    simple statements ending in its one ``return`` of an n-tuple) is
-    written by _specialised into _drive, widened to n components, at each
-    of its rate calls, compiled once per process, rate definition and n,
-    and bound to this f's closure and globals.  The inlined body runs the
-    same floating-point operations in the same order, so every result and
-    exception is the one the called driver gives.  Any other rate (a
-    lambda, a wrapper over ``*args``, one with defaults, nested scopes or
-    an early return, without source, or with an empty closure cell) is
-    called by _drive widened to n components (_drive itself when n = 2).
-    """
-    if type(f) is FunctionType and f.__defaults__ is None and f.__kwdefaults__ is None:
-        key = (f.__code__, n)
-        if key not in _DRIVERS:
-            _DRIVERS[key] = _inline(f, n)
-        entry = _DRIVERS[key]
-        if entry is not None:
-            factory, names = entry
-            scope = f.__globals__
-            builtin = f.__builtins__
-            try:
-                free = [cell.cell_contents for cell in f.__closure__ or ()]
-                glob = [scope[name] if name in scope else builtin[name] for name in names]
-            except (ValueError, KeyError):  # an empty cell, an unbound global
-                pass
-            else:
-                return factory(*free, *glob)
-    return partial(_called(n), f)
-
-
-def _called(n: int) -> Callable[..., tuple[float, State]]:
-    """The driver of n components that calls its rate: _drive itself when
-    n = 2, else _drive widened to n and compiled once per process."""
-    if n == 2:
-        return _drive
-    key = (None, n)
-    if key not in _DRIVERS:
-        _DRIVERS[key] = _compiled(_specialised(n), f"<_drive widened to {n} components>")
-    return _DRIVERS[key]
-
-
-def _source(code: CodeType) -> str:
-    """The source of code's definition, "" when it cannot be read."""
-    try:
-        return inspect.getsource(code)
-    except OSError:
-        return ""
-
-
-def _indices(node: ast.AST) -> set[str]:
-    """The indices, "0" or "1", of the component locals that node names."""
-    return {sub.id[1] for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and len(sub.id) == 2
-            and sub.id[0] in _COMPONENTS and sub.id[1] in "01"}
-
-
-def _renamed(node: ast.AST, i: int) -> ast.AST:
-    """A copy of node with each index-1 component local renamed to index i."""
-    node = copy.deepcopy(node)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and _indices(sub) == {"1"}:
-            sub.id = sub.id[0] + str(i)
-    return node
-
-
-def _f_args(node: ast.AST) -> list[ast.expr]:
-    """The arguments of node when it is a rate call f(...) without keywords,
-    else []."""
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "f"
-            and not node.keywords):
-        return node.args
-    return []
-
-
-def _specialised(
-    n: int, rate: tuple[Sequence[str], list[ast.stmt], ast.Tuple] | None = None
-) -> ast.FunctionDef:
-    """A fresh AST of _drive widened to n components, with rate's body
-    written in at each rate site when rate = (params, body, returned).
-
-    One pass widens and writes in.  In every statement list, a maximal run
-    of statements that name only index-1 component locals is followed
-    whole by its copies for the indices 2 .. n-1, which are not widened
-    again; every other statement is widened inside.  A tuple or a rate
-    call whose last two elements are an index-0 and an index-1 expression
-    gains the copies of the latter.  With n = 2 nothing is widened.  A rate
-    site is a statement ``X0, ..., Xn-1 = f(a, b, A0, ..., An-1)``; with a
-    rate it becomes the params assigned a, b, A0, ..., the body, then
-    ``X0 = e0`` up to ``Xn-1 = en-1`` for the returned ``e0, ..., en-1``, and
-    the parameter f is dropped.  RuntimeError unless there are exactly
-    _RATE_CALLS sites and f is loaded nowhere else.
-    """
-    (drive,) = ast.parse(_source(_drive.__code__)).body
-    sites = 0
-
-    def widen(node: ast.AST) -> None:
-        for field, value in ast.iter_fields(node):
-            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
-                body: list[ast.stmt] = []
-                for run, group in groupby(value, lambda stmt: _indices(stmt) == {"1"}):
-                    group = list(group)
-                    if run:
-                        body += group + [_renamed(s, i) for i in range(2, n) for s in group]
-                        continue
-                    for stmt in group:
-                        widen(stmt)
-                        body += write_in(stmt)
-                setattr(node, field, body)
-            else:
-                for item in value if isinstance(value, list) else [value]:
-                    if isinstance(item, ast.AST):
-                        widen(item)
-        elts = node.elts if isinstance(node, ast.Tuple) else _f_args(node)
-        if len(elts) >= 2 and _indices(elts[-2]) == {"0"} and _indices(elts[-1]) == {"1"}:
-            elts += [_renamed(elts[-1], i) for i in range(2, n)]
-
-    def write_in(stmt: ast.stmt) -> list[ast.stmt]:
-        """[stmt], or the rate written in for it when stmt is a rate site."""
-        nonlocal sites
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Tuple) and len(stmt.targets[0].elts) == n
-                and len(_f_args(stmt.value)) == n + 2):
-            return [stmt]
-        sites += 1
-        if rate is None:
-            return [stmt]
-        params, body, returned = rate
-        return ([ast.Assign(targets=[ast.Name(_PREFIX + p, ast.Store())], value=arg)
-                 for p, arg in zip(params, stmt.value.args)]
-                + body
-                + [ast.Assign(targets=[name], value=e)
-                   for name, e in zip(stmt.targets[0].elts, returned.elts)])
-
-    widen(drive)
-    loads = sum(isinstance(node, ast.Name) and node.id == "f" for node in ast.walk(drive))
-    if sites != _RATE_CALLS or loads != (sites if rate is None else 0):
-        raise RuntimeError(
-            f"_drive widened to {n} components has {sites} inlinable rate calls, "
-            f"expected {_RATE_CALLS}, and must load f nowhere else"
-        )
-    if rate is not None:
-        del drive.args.args[0]
-    return drive
-
-
-def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
-    """function compiled in this module's globals, its annotations (which
-    the compiled code would evaluate) dropped."""
-    for node in ast.walk(function):
-        if isinstance(node, ast.arg):
-            node.annotation = None
-        elif isinstance(node, ast.FunctionDef):
-            node.returns = None
-    module = ast.fix_missing_locations(ast.Module([function], type_ignores=[]))
-    namespace: dict[str, Callable] = {}
-    exec(compile(module, filename, "exec", dont_inherit=True), globals(), namespace)
-    return namespace[function.name]
-
-
-def _inline(f: FunctionType, n: int) -> tuple[Callable, tuple[str, ...]] | None:
-    """Compile _drive, widened to n components, with the body of f at every
-    rate site, or None when f is not a rate the inliner takes."""
-    code = f.__code__
-    if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
-            or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
-        return None
-    try:
-        (rate,) = ast.parse(textwrap.dedent(_source(code))).body
-    except (SyntaxError, ValueError):  # no source, or not one definition
-        return None
-    params = code.co_varnames[:n + 2]
-    *body, last = rate.body
-    if (not isinstance(rate, ast.FunctionDef) or rate.decorator_list
-            or [a.arg for a in rate.args.posonlyargs + rate.args.args] != list(params)
-            or not isinstance(last, ast.Return) or not isinstance(last.value, ast.Tuple)
-            or len(last.value.elts) != n):
-        return None
-    stores = set(params)
-    loads = set()
-    for node in body + [last.value]:
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.stmt) and not isinstance(sub, _STATEMENTS)
-                    or isinstance(sub, _DECLINED)):
-                return None
-            if isinstance(sub, ast.Name):
-                (loads if isinstance(sub.ctx, ast.Load) else stores).add(sub.id)
-                sub.id = _PREFIX + sub.id
-    if stores != set(code.co_varnames) or not set(code.co_freevars) <= loads:
-        return None  # the source on disk is not the code that runs
-    names = tuple(sorted(loads - stores - set(code.co_freevars)))
-
-    drive = _specialised(n, (params, body, last.value))
-    (outer,) = ast.parse(
-        "def factory(" + ", ".join(_PREFIX + name for name in code.co_freevars + names) + "): pass"
-    ).body
-    outer.body = [drive, ast.Return(ast.Name(drive.name, ast.Load()))]
-    return _compiled(outer, f"<_drive inlining {f.__qualname__}>"), names
-
-
 def _check_sample_dt(sample_dt: float, t_end: float = 0.0) -> float:
     """The sample count t_end/sample_dt (plus 1e-9), once 'sample_dt' is > 0
     and the count finite."""
@@ -558,7 +314,7 @@ def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
             f"'sample_dt'={sample_dt!r} asks for {n} samples up to t_end={t_end!r}, "
             f"more than {MAX_TARGETS}"
         )
-    targets = [k * sample_dt for k in range(1, n + 1)]
+    targets = (np.arange(1, n + 1) * sample_dt).tolist()  # k * sample_dt, as floats
     if targets and targets[-1] > t_end:
         targets[-1] = t_end
     elif not targets or t_end - targets[-1] > 1e-9 * sample_dt:
@@ -574,9 +330,9 @@ def _sample(
     t_end: float,
     ctl: StepControl,
     sample_dt: float | None,
-) -> tuple[list[float], list[State]]:
-    """Recorded (times, states) of one run from (t0, y0) to t_end under the
-    drive (de0, de1, omega).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recorded times and states, an array of rows of len(y0) floats, of
+    one run from (t0, y0) to t_end under the drive (de0, de1, omega).
 
     The initial state is the first row.  With sample_dt unset every
     accepted step is recorded, up to MAX_TARGETS rows; otherwise only the
@@ -585,31 +341,36 @@ def _sample(
     """
     if t_end < t0:
         raise ValueError(f"t_end={t_end} precedes initial time {t0}")
-    ts = [t0]
-    ys = [y0]
+    from ._specialise import _stepper
 
-    def record(t: float, y: State) -> None:
-        ts.append(t)
-        ys.append(y)
+    if t_end > t0 and sample_dt is None:
+        ts = [t0]
+        ys = [y0]
 
-    def record_step(t: float, y: State) -> None:
-        if len(ts) >= MAX_TARGETS:
-            raise BjjError(
-                f"every-step recording stopped at t={t!r} after {len(ts)} rows; "
-                "set sample_dt to record a grid"
-            )
-        record(t, y)
+        def record_step(t: float, y: State) -> None:
+            if len(ts) >= MAX_TARGETS:
+                raise BjjError(
+                    f"every-step recording stopped at t={t!r} after {len(ts)} rows; "
+                    "set sample_dt to record a grid"
+                )
+            ts.append(t)
+            ys.append(y)
 
-    if t_end > t0:
-        if sample_dt is None:
-            _stepper(rate, len(y0))(drive, t0, y0, [t_end], ctl, on_target=record_step,
-                           on_step=record_step)
-        else:
+        _stepper(rate, len(y0))(drive, t0, y0, [t_end], ctl, on_target=record_step,
+                                on_step=record_step)
+    else:
+        # Each landing goes in through the dict's own C-level __setitem__,
+        # keyed by its time: the targets strictly increase from above t0.
+        rows = {t0: y0}
+        if t_end > t0:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
             targets = _sample_targets(t_end, sample_dt)
-            _stepper(rate, len(y0))(drive, t0, y0, targets, ctl, on_target=record)
-    return ts, ys
+            _stepper(rate, len(y0))(drive, t0, y0, targets, ctl, on_target=rows.__setitem__)
+        ts, ys = rows.keys(), rows.values()
+    n = len(y0)
+    return (np.fromiter(ts, float, len(ts)),
+            np.fromiter(chain.from_iterable(ys), float, n * len(ys)).reshape(-1, n))
 
 
 def _trajectory(
@@ -620,23 +381,43 @@ def _trajectory(
     sample_dt: float | None,
 ) -> Trajectory:
     """Body of integrate_adaptive, shared with sample_stroboscopic so that
-    one public entry point never runs inside another."""
+    one public entry point never runs inside another.
+
+    dz_dt is the lane rate's over all rows.  When a rate has no lane body,
+    or a row is flagged (inside the guard band) or has a non-finite dz/dt,
+    the rate is called row by row instead: the first such row raises the
+    rate's own error (SingularityError in the band), or a BjjError naming
+    t and the state.
+    """
     if ctl is None:
         ctl = default_control(p)
     rate = make_rate(p)
     drive = (p.de0, p.de1, p.omega)
-    ts, ys = _sample(rate, drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
-    zphi = np.asarray(ys)
-    return Trajectory(
-        params=p,
-        control=ctl,
-        t=np.asarray(ts),
-        z=zphi[:, 0],
-        phi=zphi[:, 1],
-        dz_dt=np.asarray(
-            [rate(t, trap_asymmetry(p, t), z, phi)[0] for t, (z, phi) in zip(ts, ys)]
-        ),
-    )
+    from ._specialise import _lanes
+
+    t, zphi = _sample(rate, drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
+    z, phi = zphi[:, 0], zphi[:, 1]
+    lanes = _lanes(rate, 2)
+    if lanes is not None:
+        with np.errstate(all="ignore"):
+            flagged, dz_dt, _ = lanes(t, trap_asymmetry(p, t), z, phi)
+        if np.any(flagged) or not np.all(np.isfinite(dz_dt)):
+            lanes = None
+    if lanes is None:
+        dz_dt = []
+        for row_t, (row_z, row_phi) in zip(t.tolist(), zphi.tolist()):
+            try:
+                dz = rate(row_t, trap_asymmetry(p, row_t), row_z, row_phi)[0]
+            except ValueError as exc:
+                raise BjjError(
+                    f"rate failed at t={row_t!r}, state={(row_z, row_phi)!r}: {exc}"
+                ) from None
+            if not math.isfinite(dz):
+                raise BjjError(f"dz/dt is not finite at t={row_t!r}, "
+                               f"state={(row_z, row_phi)!r}")
+            dz_dt.append(dz)
+        dz_dt = np.asarray(dz_dt)
+    return Trajectory(params=p, control=ctl, t=t, z=z, phi=phi, dz_dt=dz_dt)
 
 
 def advance(
@@ -649,6 +430,8 @@ def advance(
         raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
     if t_end == s0.t:
         return s0
+    from ._specialise import _stepper
+
     drive = (p.de0, p.de1, p.omega)
     t, y = _stepper(make_rate(p), 2)(drive, s0.t, (s0.z, s0.phi), [t_end], ctl)
     return PhaseState(t=t, z=y[0], phi=y[1])

@@ -141,10 +141,12 @@ class Regime:
 
 
 def trap_asymmetry(p: TrapParams, t: float) -> float:
-    """Instantaneous tilt de(t) = de0 + de1*sin(omega*t)."""
+    """Instantaneous tilt de(t) = de0 + de1*sin(omega*t); at every time of
+    an array t with numpy's sin, which rounds like math's."""
     if p.de1 == 0.0:
         return p.de0
-    return p.de0 + p.de1 * math.sin(p.omega * t)
+    sin = np.sin if isinstance(t, np.ndarray) else math.sin
+    return p.de0 + p.de1 * sin(p.omega * t)
 
 
 # Rate of a state of float components at time t under the tilt de = de(t),
@@ -159,8 +161,10 @@ def make_rate(p: TrapParams) -> RateFn:
     """Bind parameters into a fast rate function ``f(t, de, z, phi)``.
 
     This closure is the single source of the equations of motion: the
-    integrators call it, and ``make_rate(p)(t, trap_asymmetry(p, t), z, phi)``
-    is the rate ``(dz/dt, dphi/dt)`` at a single state.  The tilt ``de`` comes
+    integration driver runs its body written in (bjj.integrate), the
+    dz_dt column of a trajectory runs the same body over numpy columns,
+    and ``make_rate(p)(t, trap_asymmetry(p, t), z, phi)`` is the rate
+    ``(dz/dt, dphi/dt)`` at a single state.  The tilt ``de`` comes
     in as an argument, so the closure never evaluates the drive; the
     integration driver computes it once per distinct stage time, with the
     same bits as ``trap_asymmetry``.  The components go in flat, so a call

@@ -113,11 +113,9 @@ def integrate_twomode(
         ctl = default_control(p)
     a1, a2 = complex(s0.a1), complex(s0.a2)
     y0 = (a1.real, a1.imag, a2.real, a2.imag)
-    ts, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
-    amps = np.asarray(ys, dtype=float).view(complex)
-    return TwoModeTrajectory(
-        params=p, control=ctl, t=np.asarray(ts), a1=amps[:, 0], a2=amps[:, 1]
-    )
+    t, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
+    amps = ys.view(complex)
+    return TwoModeTrajectory(params=p, control=ctl, t=t, a1=amps[:, 0], a2=amps[:, 1])
 
 
 def project_trajectory(traj: TwoModeTrajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -513,12 +513,21 @@ def test_spectrum_header_and_discard(tmp_path):
     assert float(body[1].split(",")[0]) == 0.0
 
 
-@pytest.mark.parametrize("t_end, count", [("0.2", 3), ("1", 11)])
-def test_spectrum_rejects_fewer_than_16_samples(tmp_path, capsys, t_end, count):
-    # the spectrum's own rule, with discard at 0: exit 1, no output
-    code, text = run_cli(["spectrum", "--t-end", t_end, "--sample-dt", "0.1"], tmp_path)
+@pytest.mark.parametrize(
+    "args, count",
+    [(["--t-end", "0.2", "--sample-dt", "0.1"], 3), (["--t-end", "1", "--sample-dt", "0.1"], 11),
+     (["--preset", "fig7_left", "--n-periods", "2", "--discard", "2"], 1)],
+    ids=["0.2-3", "1-11", "discard-1"],
+)
+def test_spectrum_rejects_fewer_than_16_samples(tmp_path, capsys, args, count):
+    # the spectrum's own rule: exit 1, no output, and the keys that set the
+    # count named
+    code, text = run_cli(["spectrum", *args], tmp_path)
     assert (code, text) == (1, "")
-    assert capsys.readouterr().err == f"error: need at least 16 samples, got {count}\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: need at least 16 samples, got {count}: ")
+    for key in ("'t_end'", "'n_periods'", "'sample_dt'", "'discard'"):
+        assert key in err
 
 
 def test_stability_curve_emits_asymptote_row(tmp_path):
@@ -771,12 +780,16 @@ def test_python_m_bjj_runs_the_cli():
 
 
 def test_import_compiles_no_stepper_and_reads_no_source():
-    # the inliner reads _drive's source on the first integration, not at import
-    proc = run_python("-c", "import linecache, bjj, bjj.integrate as i; print("
-                      "len(i._DRIVERS), "
+    # the inliner is imported, and reads _drive's source, on the first
+    # integration, not with bjj
+    proc = run_python("-c", "import linecache, sys, bjj; print("
+                      "'bjj._specialise' in sys.modules, "
                       "any(k.endswith('integrate.py') for k in linecache.cache))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["False", "False"]
+    proc = run_python("-c", "import bjj, bjj._specialise as s; print(len(s._DRIVERS))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 # --- every invocation ends in exit 0 with finite data, 1 or 2 ----------------

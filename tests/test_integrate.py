@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bjj._specialise
 import bjj.integrate
 import bjj.twomode
+from bjj._specialise import _called, _lanes, _specialised, _stepper
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
     MAX_TARGETS,
     StepControl,
-    _called,
     _drive,
     _sample_targets,
-    _specialised,
-    _stepper,
     advance,
     default_control,
     integrate_adaptive,
@@ -95,7 +94,7 @@ def counting(make, evals):
 
 def inlined(f, n=2):
     """Whether the driver of n components runs f written into its source."""
-    return not isinstance(_stepper(f, n), partial)
+    return _stepper(f, n).func is not _called(n)
 
 
 def assert_fig5_pins(evals=None):
@@ -131,8 +130,7 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
 
 S_PIN = PhaseState(0.0, 0.5, 0.3)
 
-
-@pytest.mark.parametrize(
+S_PIN_CASES = pytest.mark.parametrize(
     "p, sample_dt, evals, rows, z, phi",
     [
         # undriven: every stage gets de0 and no sin is evaluated
@@ -147,6 +145,9 @@ S_PIN = PhaseState(0.0, 0.5, 0.3)
     ],
     ids=["undriven", "population_damped", "velocity_damped", "every_step"],
 )
+
+
+@S_PIN_CASES
 def test_rate_closures_keep_pinned_orbit_bits(monkeypatch, p, sample_dt, evals, rows, z, phi):
     # Values recorded before the driver was written out stage by stage; the
     # count includes one dz/dt evaluation per recorded row.
@@ -160,6 +161,86 @@ def test_rate_closures_keep_pinned_orbit_bits(monkeypatch, p, sample_dt, evals, 
     traj = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
     assert len(traj) == rows and inlined(make_rate(p))
     assert (traj.z[-1], traj.phi[-1]) == (z, phi)
+
+
+@S_PIN_CASES
+def test_lane_dz_dt_keeps_the_per_row_bits(monkeypatch, p, sample_dt, evals, rows, z, phi):
+    # dz_dt from one lane call over all rows against the per-row reference
+    # path, which a wrapped rate takes: the same bits in every row.
+    t_end = 5.0 if sample_dt is None else 20.0
+    assert _lanes(make_rate(p), 2) is not None
+    lanes = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
+    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, [0]))
+    assert _lanes(bjj.integrate.make_rate(p), 2) is None
+    per_row = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
+    assert len(lanes) == len(per_row) == rows
+    for a, b in [(lanes.t, per_row.t), (lanes.z, per_row.z), (lanes.phi, per_row.phi),
+                 (lanes.dz_dt, per_row.dz_dt)]:
+        assert a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
+
+
+@given(
+    kind=st.sampled_from(DampingKind),
+    eta=st.sampled_from([0.0, 0.05, 0.7]),
+    lam=st.floats(-20.0, 20.0),
+    rows=st.lists(
+        st.tuples(st.floats(0.0, 1e4), st.floats(-10.0, 10.0),
+                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(-1e5, 1e5)),
+        min_size=1, max_size=40),
+)
+@example(kind=DampingKind.VELOCITY, eta=0.05, lam=10.0,
+         rows=[(0.0, 0.0, 1.0 - Z_GUARD / 2, 0.3), (1.0, 2.0, -0.5, -1e5), (2.0, -0.0, 0.0, 0.0)])
+@settings(max_examples=60)
+def test_lane_rate_matches_the_scalar_rate_bit_for_bit(kind, eta, lam, rows):
+    # The lane rate generated from make_rate's own body against the rate
+    # itself, row by row: the same bits for both components, and a flag on
+    # exactly the rows where the rate raises SingularityError.
+    p = TrapParams(lam=lam, eta=eta, damping=kind)
+    rate = make_rate(p)
+    t, de, z, phi = (np.array(column) for column in zip(*rows))
+    with np.errstate(all="ignore"):
+        flagged, dz, dphi = _lanes(rate, 2)(t, de, z, phi)
+    for i, row in enumerate(rows):
+        try:
+            expected = rate(*row)
+        except SingularityError:
+            assert flagged[i]
+            continue
+        assert not flagged[i]
+        assert (dz[i].hex(), dphi[i].hex()) == tuple(x.hex() for x in expected)
+
+
+def test_numpy_rounds_sin_cos_sqrt_like_math():
+    # The lane rate and the tilt column run numpy's sin, cos and sqrt where
+    # the driver runs math's; both must give the same bits on the arguments
+    # the equations see: phases and drive phases up to 1e5 in size, and
+    # 1 - z^2 in [0, 1].  A numpy build that rounds differently fails here
+    # first, not through the output pins.
+    rng = np.random.default_rng(20260)
+    n = 200_000
+    angles = np.concatenate([rng.uniform(-4.0, 4.0, n // 2), rng.uniform(-1e5, 1e5, n // 2)])
+    squares = 1.0 - rng.uniform(-1.0, 1.0, n) ** 2
+    for ufunc, fn, xs in [(np.sin, math.sin, angles), (np.cos, math.cos, angles),
+                          (np.sqrt, math.sqrt, squares)]:
+        expected = np.array([fn(x) for x in xs.tolist()])
+        differ = np.flatnonzero(ufunc(xs).view(np.int64) != expected.view(np.int64))
+        assert differ.size == 0, (
+            f"numpy.{ufunc.__name__} differs from math.{fn.__name__} on {differ.size} of {n} "
+            f"draws, first at x={xs[differ[0]]!r}"
+        )
+
+
+def test_dz_dt_rows_outside_the_flow_raise_naming_t():
+    # a row in the guard band raises the rate's own SingularityError; a row
+    # whose dz/dt is not finite raises a BjjError naming t and the state
+    p = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi)
+    with pytest.raises(SingularityError, match=r"at t=0\.0 \(z=0\.9999999999999"):
+        integrate_adaptive(p, PhaseState(0.0, 1.0 - 1e-13, 0.3), 0.0)
+    for phi, reason in [(math.inf, "math domain error"), (math.nan, "not finite")]:
+        with pytest.raises(BjjError, match=rf"t=0\.0, state=\(0\.5, {phi}\).*") as info:
+            integrate_adaptive(p, PhaseState(0.0, 0.5, phi), 0.0)
+        assert type(info.value) is BjjError and reason in str(info.value)
 
 
 def test_twomode_keeps_pinned_amplitude_bits():
@@ -449,7 +530,7 @@ def test_driver_cache_is_keyed_by_rate_and_width():
     assert not inlined(four, 2) and inlined(four, 4)
     assert not inlined(two, 4) and inlined(two, 2)
     assert {(four.__code__, 2), (four.__code__, 4), (two.__code__, 4), (two.__code__, 2),
-            (None, 4)} <= bjj.integrate._DRIVERS.keys()
+            (None, 4)} <= bjj._specialise._DRIVERS.keys()
 
 
 def test_widening_to_two_components_is_the_identity():
@@ -477,10 +558,10 @@ def rates_with_broken_sites(monkeypatch, replacement):
     compiled driver dropped."""
     source = inspect.getsource(_drive)
     assert source.count(SITE) == 1
-    broken, read = source.replace(SITE, replacement), bjj.integrate._source
-    monkeypatch.setattr(bjj.integrate, "_source",
+    broken, read = source.replace(SITE, replacement), bjj._specialise._source
+    monkeypatch.setattr(bjj._specialise, "_source",
                         lambda code: broken if code is _drive.__code__ else read(code))
-    monkeypatch.setattr(bjj.integrate, "_DRIVERS", {})
+    monkeypatch.setattr(bjj._specialise, "_DRIVERS", {})
     p = TrapParams(lam=10.0)
     reduced, oracle = make_rate(p), bjj.twomode._make_rate(p)
     wrap = counting(lambda rate: rate, [0])
@@ -499,6 +580,46 @@ def test_inliner_insists_on_every_rate_call(monkeypatch, replacement):
     for f, n in [(reduced, 2)] + [(f, 4) for f in oracles]:
         with pytest.raises(RuntimeError, match="expected 11"):
             _stepper(f, n)
+
+
+def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch):
+    # The j site rewritten so that its targets are also its bare-name
+    # arguments, with the same operations: the driver with the rate
+    # written in must keep the called driver's bits.  There a parameter is
+    # assigned its argument and a returned name assigned to its target;
+    # renaming either (for the oscillator, both) would read a target the
+    # site has already overwritten.
+    p = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi, eta=0.05)
+    p3 = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
+    a1, a2 = amplitudes_from_phase(S_PIN.z, S_PIN.phi)
+    cases = [(make_rate(p), (p.de0, p.de1, p.omega), (S_PIN.z, S_PIN.phi)),
+             (oscillator, NO_DRIVE, (1.0, 0.0)),
+             (bjj.twomode._make_rate(p3), (0.0, 3.0, p3.omega),
+              (a1.real, a1.imag, a2.real, a2.imag))]
+    # h_min bounds the steps even of a driver the rewrite broke
+    ctl = StepControl(abs_tol=1e-10, rel_tol=1e-10, h_init=0.2, h_min=1e-4, h_max=0.2)
+    targets = [0.5, 1.0, 2.5]
+    called = [outcome(partial(_called(len(y)), f), drive, y, targets, ctl) for f, drive, y in cases]
+    compiled = {}
+    compile_ = bjj._specialise._compiled
+
+    def spy(function, filename):
+        done = compile_(function, filename)
+        compiled[filename] = ast.unparse(function)
+        return done
+
+    monkeypatch.setattr(bjj._specialise, "_compiled", spy)
+    monkeypatch.setattr(bjj._specialise, "_DRIVERS", {})
+    # at the real sites every bare-name parameter and returned local is renamed
+    reduced = "<_drive inlining make_rate.<locals>.rate>"
+    assert inlined(make_rate(p))
+    assert "_rate_t =" not in compiled[reduced] and "_rate_de =" not in compiled[reduced]
+    assert "_rate_dz" not in compiled[reduced] and "_rate_dphi" not in compiled[reduced]
+    rates_with_broken_sites(monkeypatch, "j0, j1 = m0, m1; j0, j1 = f(t_half, de_half, j0, j1)")
+    for (f, drive, y), expected in zip(cases, called):
+        assert inlined(f, len(y))
+        assert outcome(_stepper(f, len(y)), drive, y, targets, ctl) == expected
+    assert "_rate_z = j0" in compiled[reduced] and "j0 = _rate_dz" in compiled[reduced]
 
 
 def test_widening_insists_on_index_pairs(monkeypatch):
