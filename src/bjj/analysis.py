@@ -133,22 +133,22 @@ class AttractorReport:
 
 
 def _diameter(pts: np.ndarray) -> float:
-    """Exact max pairwise distance (convex hull + brute force on the hull)."""
-    if len(pts) < 2:
-        return 0.0
-    try:
-        from scipy.spatial import ConvexHull
-
-        hull_pts = pts[ConvexHull(pts).vertices]
-    except Exception:  # collinear/degenerate clouds
-        hull_pts = pts
-        if len(hull_pts) > 2000:
-            keep = np.unique(
-                np.concatenate(
-                    [pts[:, 0].argsort()[[0, -1]], pts[:, 1].argsort()[[0, -1]]]
-                )
-            )
-            hull_pts = pts[keep]
+    """Exact max pairwise distance: brute force over the vertices of the
+    convex hull (Andrew's monotone chain, collinear and repeated points
+    dropped); a distance never depends on which end it is taken from."""
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    hull = []
+    for chain_pts in (ordered, ordered[::-1]):  # lower chain, then upper
+        chain = []
+        for x, y in chain_pts:
+            while len(chain) > 1:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):  # a left turn
+                    break
+                chain.pop()
+            chain.append((x, y))
+        hull += chain[:-1]  # each chain's last point starts the other
+    hull_pts = np.array(hull)
     d2 = 0.0
     for i in range(len(hull_pts) - 1):
         diff = hull_pts[i + 1 :] - hull_pts[i]
@@ -179,12 +179,18 @@ def detect_frequency_locking(
     p whose residue classes all sit within cluster_tol of their centroids
     is reported as a locked cycle of that order.  Failing that, a point
     cloud whose diameter exceeds chaos_spread_min is chaotic; anything
-    else (quasiperiodic loops, undamped islands) is undecided.
+    else (quasiperiodic loops, undamped islands) is undecided.  A section
+    with a non-finite point is rejected before any clustering.
     """
     _check_locking(cluster_tol, max_order)
     if discard_periods < 0:
         raise ValueError(f"'discard_periods' must be >= 0, got {discard_periods!r}")
     pts = np.column_stack([section.z, section.dz_dt])
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise ValueError(
+            f"section has {len(bad)} non-finite points, the first at index {bad[0]}"
+        )
     if len(pts) <= discard_periods + 10 * max_order:
         raise ValueError(
             f"need more than discard_periods + 10*max_order = "

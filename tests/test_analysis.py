@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bjj.analysis import (
+    _diameter,
     detect_frequency_locking,
     dominant_bin,
     lyapunov_estimate,
@@ -180,6 +182,59 @@ def test_locking_self_consistent_on_second_half():
     assert first.order == second.order == 2
     for a, b in zip(first.cluster_centers, second.cluster_centers):
         assert np.hypot(a[0] - b[0], a[1] - b[1]) < 1e-3
+
+
+def test_non_finite_section_is_rejected_before_clustering():
+    z = np.full(200, 0.25)
+    z[5:] = math.nan
+    with pytest.raises(ValueError, match="195 non-finite points, the first at index 5"):
+        detect_frequency_locking(make_section(z, -z), max_order=4, discard_periods=50)
+    dz = np.zeros(200)
+    dz[170] = math.inf
+    with pytest.raises(ValueError, match="1 non-finite points, the first at index 170"):
+        detect_frequency_locking(make_section(np.zeros(200), dz), max_order=4, discard_periods=50)
+
+
+def brute_diameter(pts):
+    """sqrt of the largest dx*dx + dy*dy over every pair of points."""
+    d2 = 0.0
+    for i in range(len(pts) - 1):
+        dx = pts[i + 1 :, 0] - pts[i, 0]
+        dy = pts[i + 1 :, 1] - pts[i, 1]
+        d2 = max(d2, float(np.max(dx * dx + dy * dy)))
+    return math.sqrt(d2)
+
+
+CLOUDS = ("normal", "flat", "collinear", "rounded", "clusters", "pair", "equal")
+
+
+def cloud(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(2 if kind == "pair" else n, 2))
+    if kind == "flat":
+        pts[:, 1] *= 1e-9
+    elif kind == "collinear":
+        # integer steps along an integer direction, scaled by a power of 2:
+        # every product is exact, so the points are exactly collinear
+        u, v, c, d = rng.integers(-3, 4, size=4)
+        t = rng.integers(-1000, 1000, size=n) * 2.0**-10
+        pts = np.column_stack([u * t + c, v * t + d])
+    elif kind == "rounded":
+        pts = np.round(pts, 2)
+    elif kind == "clusters":
+        centers = rng.normal(size=(int(rng.integers(1, 13)), 2))
+        pts = centers[rng.integers(0, len(centers), size=n)] + 1e-5 * pts
+    elif kind == "equal":
+        pts[:] = pts[0]
+    return pts
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(CLOUDS), st.integers(2, 150), st.integers(0, 2**32 - 1))
+@example("equal", 150, 0)  # test_fixed_point_locks_at_order_one_with_no_transient's cloud
+def test_diameter_is_the_exact_pairwise_maximum(kind, n, seed):
+    pts = cloud(kind, n, seed)
+    assert _diameter(pts).hex() == brute_diameter(pts).hex()
 
 
 def test_insufficient_points_raise():

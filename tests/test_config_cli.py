@@ -773,6 +773,18 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_section_analysis_leaves_scipy_spatial_unloaded():
+    # the section spread comes from analysis' own hull; scipy serves only
+    # the Melnikov quadrature
+    proc = run_python("-c", "import math, sys, bjj; "
+                      "p = bjj.TrapParams(lam=10.0, de1=3.0, omega=4 * math.pi, eta=0.01); "
+                      "sec = bjj.sample_stroboscopic(p, bjj.PhaseState(0.0, 0.5, 0.0), 60); "
+                      "bjj.detect_frequency_locking(sec, max_order=4, discard_periods=10); "
+                      "print('scipy.spatial' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_python_m_bjj_runs_the_cli():
     proc = run_python("-m", "bjj", "--help")
     assert proc.returncode == 0, proc.stderr

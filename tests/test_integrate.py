@@ -13,6 +13,7 @@ import bjj._specialise
 import bjj.integrate
 import bjj.twomode
 from bjj._specialise import _called, _lanes, _specialised, _stepper
+from bjj.analysis import lyapunov_estimate
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
     MAX_TARGETS,
@@ -126,6 +127,26 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
     monkeypatch.undo()
     p, p3 = assert_fig5_pins()
     assert inlined(make_rate(p)) and inlined(bjj.twomode._make_rate(p3), 4)
+
+
+@pytest.mark.parametrize(
+    "damping, evals, exponent",
+    [(DampingKind.POPULATION, 11638, 0.6627512562639908),
+     (DampingKind.VELOCITY, 11660, 0.6712351707350194)],
+    ids=["population", "velocity"],
+)
+def test_damped_lyapunov_keeps_pinned_bits(monkeypatch, damping, evals, exponent):
+    # fig8 parameters; the reference and the clone each step the damped
+    # rate, through the called driver under the counting wrapper and through
+    # the inlined one without it
+    p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi, eta=0.01, damping=damping)
+    count = [0]
+    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, count))
+    assert lyapunov_estimate(p, 0.5, 0.0, horizon=5.0) == exponent
+    assert count[0] == evals
+    monkeypatch.undo()
+    assert inlined(make_rate(p))
+    assert lyapunov_estimate(p, 0.5, 0.0, horizon=5.0) == exponent
 
 
 S_PIN = PhaseState(0.0, 0.5, 0.3)
