@@ -502,6 +502,22 @@ def test_melnikov_zero_drive_zero_damping(tmp_path):
     assert doc["asymptote_omega"] == 1
 
 
+@pytest.mark.parametrize("xi_max", ["1e6", "1e308"])
+def test_melnikov_wide_window_finds_the_closed_form(xi_max, tmp_path):
+    code, text = run_cli(["melnikov", "--preset", "fig3_eta0.1", "--xi-max", xi_max], tmp_path)
+    assert code == 0
+    doc = json.loads(text)
+    assert abs(doc["melnikov_numeric"] - doc["melnikov_closed"]) <= 1e-9
+
+
+def test_melnikov_quadrature_failure_exits_2(capsys):
+    # 20000 pieces cannot resolve this drive across the orbit: exit 2 in
+    # well under a second, not a value taken from aliased samples
+    argv = ["melnikov", "--lambda", "1", "--energy", "1.1", "--de1", "1", "--omega", "3000"]
+    assert main(argv) == 2
+    assert "did not converge in 20000 pieces" in capsys.readouterr().err
+
+
 def test_spectrum_header_and_discard(tmp_path):
     code, text = run_cli(
         ["spectrum", "--preset", "fig7_left", "--n-periods", "40", "--discard", "8"],
@@ -773,9 +789,20 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_melnikov_work_loads_no_scipy():
+    # the quadrature is the package's own; scipy is a test dependency only
+    proc = run_python("-c", "import os, sys, bjj; from bjj import cli; "
+                      "f = bjj.SeparatrixFrame(lam=4.0, h=0.5); "
+                      "bjj.melnikov_numeric(f, bjj.TrapParams(lam=4.0, de1=0.3, omega=2.5)); "
+                      "assert cli.main(['melnikov', '--lambda', '4', '--energy', '0.5', "
+                      "'--eta', '0.1', '--out', os.devnull]) == 0; "
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_section_analysis_leaves_scipy_spatial_unloaded():
-    # the section spread comes from analysis' own hull; scipy serves only
-    # the Melnikov quadrature
+    # the section spread comes from analysis' own hull
     proc = run_python("-c", "import math, sys, bjj; "
                       "p = bjj.TrapParams(lam=10.0, de1=3.0, omega=4 * math.pi, eta=0.01); "
                       "sec = bjj.sample_stroboscopic(p, bjj.PhaseState(0.0, 0.5, 0.0), 60); "

@@ -1,9 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
+from bjj.errors import QuadratureError
 from bjj.model import DampingKind, TrapParams, hamiltonian, make_rate, trap_asymmetry
 from bjj.separatrix import (
     ASYMPTOTE_OMEGA,
@@ -172,17 +175,66 @@ PIN_PARAMS = [
 
 
 @pytest.mark.parametrize(
-    "f, p, want",
+    "f, p, want, quadpack",
     zip(PIN_FRAMES, PIN_PARAMS, [
+        (0.044240927323488104, 1.6057697525075268e-13),
+        (-0.00027068892494474985, 8.106155629340393e-13),
+        (-0.29315406346675654, 9.63278598861242e-14),
+    ], [
         (0.04424092732348809, 1.6060594115186724e-13),
         (-0.0002706889249447857, 8.105173793971964e-13),
         (-0.2931540634667563, 9.652843151385355e-14),
     ]),
     ids=["fig3", "fig5_offset", "negative_lam"],
 )
-def test_melnikov_numeric_keeps_pinned_bits(f, p, want):
-    # recorded while the integrand still ran in numpy-scalar arithmetic
-    assert melnikov_numeric(f, p) == want
+def test_melnikov_numeric_keeps_pinned_bits(f, p, want, quadpack):
+    # want: the numpy Gauss-Kronrod quadrature's (value, abserr); quadpack:
+    # what scipy.integrate.quad returned for the same window before it
+    value, abserr = melnikov_numeric(f, p)
+    assert (value, abserr) == want
+    assert abs(value - quadpack[0]) <= 1e-14
+
+
+@given(
+    frames(),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0),
+    st.floats(-1.5, 1.5),
+    st.floats(0.2, 8.0 * math.pi),
+)
+@settings(max_examples=40)
+def test_melnikov_numeric_matches_quadpack(f, eta, de1, de0, omega):
+    # QUADPACK on the same integrand, called a float at a time, with the
+    # same window and tolerances
+    p = TrapParams(lam=f.lam, de0=de0, de1=de1, omega=omega, eta=eta)
+    t_lo, t_hi = (-40.0 - f.c0) / f.kappa, (40.0 - f.c0) / f.kappa
+    reference, _ = quad(_integrand(f, p), t_lo, t_hi, epsabs=1e-12, epsrel=1e-11, limit=20000)
+    assert abs(melnikov_numeric(f, p)[0] - reference) <= 1e-10
+
+
+@pytest.mark.parametrize("xi_max", [1e6, 1e308])
+def test_wide_windows_keep_the_orbit_peak(xi_max):
+    # the window is cut at |xi| = 745, where the integrand has underflowed
+    # to 0, and split at the peak; explicit bounds are cut the same way
+    f = SeparatrixFrame(lam=4.0, h=0.9, c0=0.3)
+    p = TrapParams(lam=4.0, de1=0.4, omega=2.0, eta=0.1)
+    value, abserr = melnikov_numeric(f, p, xi_max=xi_max)
+    assert value == pytest.approx(melnikov_closed(f, p), abs=1e-9)
+    assert running_stability_integral(f, p, -math.inf, math.inf) == (value, abserr)
+
+
+def test_quadrature_failure_raises_naming_the_window():
+    # a drive too fast for 20000 pieces to resolve on a wide orbit
+    f = SeparatrixFrame(lam=1.0, h=1.1)  # kappa = 0.316
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match=r"over \[-126\.49\d*, 126\.49\d*\] did not converge"):
+        melnikov_numeric(f, TrapParams(lam=1.0, de1=1.0, omega=3000.0, eta=0.1))
+    assert time.perf_counter() - start < 10.0
+    # finite parameters whose tilt overflows to inf
+    with pytest.raises(QuadratureError, match=r"not finite on \[-40\.0, 40\.0\]"):
+        melnikov_numeric(UNIT, TrapParams(lam=2.0, de0=1e308, de1=1e308, omega=1.0))
+    with pytest.raises(ValueError, match="t_hi must be >= t_lo"):
+        running_stability_integral(UNIT, QUIET, 0.0, math.nan)
 
 
 @pytest.mark.parametrize("f", PIN_FRAMES)
