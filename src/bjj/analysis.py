@@ -158,11 +158,13 @@ def _diameter(pts: np.ndarray) -> float:
     return math.sqrt(d2)
 
 
-def _check_locking(cluster_tol: float, max_order: int) -> None:
+def _check_locking(cluster_tol: float, max_order: int, chaos_spread_min: float) -> None:
     if not cluster_tol > 0.0:
         raise ValueError(f"'cluster_tol' must be > 0, got {cluster_tol!r}")
     if max_order < 1:
         raise ValueError(f"'max_order' must be >= 1, got {max_order!r}")
+    if not chaos_spread_min > 0.0:
+        raise ValueError(f"'chaos_spread_min' must be > 0, got {chaos_spread_min!r}")
 
 
 def detect_frequency_locking(
@@ -182,7 +184,7 @@ def detect_frequency_locking(
     else (quasiperiodic loops, undamped islands) is undecided.  A section
     with a non-finite point is rejected before any clustering.
     """
-    _check_locking(cluster_tol, max_order)
+    _check_locking(cluster_tol, max_order, chaos_spread_min)
     if discard_periods < 0:
         raise ValueError(f"'discard_periods' must be >= 0, got {discard_periods!r}")
     pts = np.column_stack([section.z, section.dz_dt])

@@ -221,19 +221,16 @@ class RunConfig:
             raise bad("n_periods", f"must be >= 1, got {self.n_periods}")
         if self.discard < 0:
             raise bad("discard", f"must be >= 0, got {self.discard}")
-        if not self.chaos_spread_min > 0.0:
-            raise bad("chaos_spread_min", "must be > 0")
-        if not self.xi_max > 0.0:
-            raise bad("xi_max", f"must be > 0, got {fmt(self.xi_max)}")
         if not self.z_min < self.z_max:
             raise bad("z_min", "need z_min < z_max")
         if not 2 <= self.n_z <= MAX_TARGETS:
             raise bad("n_z", f"must lie in [2, {MAX_TARGETS}], got {self.n_z}")
         try:
             _ = (self.trap, self.control())
-            analysis._check_locking(self.cluster_tol, self.max_order)
+            analysis._check_locking(self.cluster_tol, self.max_order, self.chaos_spread_min)
             analysis._check_lyapunov(self.horizon, self.renorm_interval, self.d0)
             separatrix._check_grid(self.omega_min, self.omega_max, self.n_points)
+            separatrix._check_xi_max(self.xi_max)
             horizon = 0.0  # without one, only the sign of sample_dt is checked
             if self.t_end is not None or self.n_periods is not None:
                 try:

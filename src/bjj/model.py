@@ -62,9 +62,14 @@ class DampingKind(enum.Enum):
     the plain ``-eta * dz/dt`` of the second-order (Duffing) form of the
     imbalance equation that the Melnikov analysis assumes.  Differentiating
     the reduced equations once, POPULATION gives
-    ``-eta*dz/dt + eta*z^2*(dz/dt + eta*z)/(1 - z^2)``, the nearer of the
-    two, and VELOCITY gives ``-eta*w*dz/dt`` with
-    ``w = -sqrt(1 - z^2) cos(phi)``.
+    ``-eta*dz/dt + eta*z^2*(dz/dt + eta*z)/(1 - z^2)`` and VELOCITY gives
+    ``-eta*w*dz/dt`` with ``w = -sqrt(1 - z^2) cos(phi)``.  POPULATION is
+    the nearer of the two to the plain term of the paper's Duffing-route
+    Melnikov formula (acceptance checks c04 and c10).  The junction's own
+    energy balance over one pass along its separatrix (h = 1) orders them
+    the other way: VELOCITY changes the energy by exactly the plain term's
+    8*eta*kappa^3/(3*lam^2), POPULATION by -4.42 (lam = 4) and -3.45
+    (lam = 10) times that, the opposite sign.
     """
 
     NONE = "none"

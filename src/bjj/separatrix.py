@@ -37,9 +37,13 @@ correction to it (see DampingKind), so for a damped simulation the curve
 is a first-order estimate in the drive but not exact in the damping.
 
 A consequence of the corrected coefficient: the de1-coefficient vanishes
-at omega = 1 for every valid (lam, h) — in these time units the dangerous
-drive frequency is always the bare tunneling frequency, and the stability
-curve has a vertical asymptote there.
+at omega = 1 for every valid (lam, h), and the stability curve has a
+vertical asymptote there.  That zero belongs to this Duffing-route
+formula's bracket only, which acceptance checks c04 and c10 test.  The
+junction's own energy change over one pass along its separatrix (h = 1)
+is the Poisson bracket -int dz_s/dt * de(t) dt, which has no zero at
+omega = 1: a simulated pass at lam = 4, de1 = 1e-8 changes the energy
+by 1.10e-8 there.
 """
 
 from __future__ import annotations
@@ -60,8 +64,6 @@ __all__ = [
     "separatrix_orbit",
     "separatrix_velocity",
     "separatrix_accel",
-    "basis_z11",
-    "basis_z12",
     "epsilon1",
     "melnikov_numeric",
     "melnikov_closed",
@@ -75,8 +77,8 @@ __all__ = [
 
 #: Drive frequency where the de1 coefficient's bracket vanishes.  Solving
 #: lam*(kappa^2 + omega^2)/|lam|^3 = h/|lam| gives omega^2 = lam*h - kappa^2
-#: = 1 identically: the resonance sits at the bare tunneling frequency for
-#: every valid frame.
+#: = 1 identically, for every valid frame.  The junction's own energy
+#: balance has no zero there (see the module docstring).
 ASYMPTOTE_OMEGA = 1.0
 
 
@@ -124,37 +126,18 @@ def separatrix_orbit(f: SeparatrixFrame, t: float) -> float:
 
 
 def separatrix_velocity(f: SeparatrixFrame, t: float) -> float:
-    """Analytic dz_s/dt = -A kappa sech(xi) tanh(xi)."""
+    """Analytic dz_s/dt = -(2 kappa^2/|lam|) sech(xi) tanh(xi), which is also
+    z11, the bounded solution of the variational equation along the
+    separatrix."""
+    c11 = -(2.0 * f.kappa * f.kappa / abs(f.lam))
     xi = f.xi(t)
-    return -f.amplitude * f.kappa * _sech(xi) * np.tanh(xi)
+    return c11 * _sech(xi) * np.tanh(xi)
 
 
 def separatrix_accel(f: SeparatrixFrame, t: float) -> float:
     """Analytic d^2 z_s/dt^2 = A kappa^2 (sech(xi) - 2 sech(xi)^3)."""
     s = _sech(f.xi(t))
     return f.amplitude * f.kappa**2 * (s - 2.0 * s**3)
-
-
-def basis_z11(f: SeparatrixFrame, t: float) -> float:
-    """Bounded solution of the variational equation along the separatrix.
-
-    Equals dz_s/dt: z11 = -(2 kappa^2/|lam|) sech(xi) tanh(xi).
-    """
-    return separatrix_velocity(f, t)
-
-
-def basis_z12(f: SeparatrixFrame, t: float) -> float:
-    """Unbounded companion solution, normalized to unit Wronskian with z11.
-
-    z12 = -(|lam| / (16 kappa^3)) sech(xi)^2
-          * (cosh(3 xi) - 9 cosh(xi) + 12 xi sinh(xi))
-
-    Grows ~ e^{|xi|} far from the loop; z11*dz12/dt - z12*dz11/dt = 1.
-    """
-    xi = f.xi(t)
-    s = _sech(xi)
-    g = np.cosh(3.0 * xi) - 9.0 * np.cosh(xi) + 12.0 * xi * np.sinh(xi)
-    return -(abs(f.lam) / (16.0 * f.kappa**3)) * s * s * g
 
 
 def epsilon1(f: SeparatrixFrame, p: TrapParams, t: float) -> float:
@@ -166,39 +149,19 @@ def epsilon1(f: SeparatrixFrame, p: TrapParams, t: float) -> float:
     (p.lam is not consulted).  Damping here is the plain velocity term of
     the second-order imbalance equation, whatever placement a simulation
     uses; neither simulated placement produces exactly that term (see
-    DampingKind), and population damping is the nearer of the two.
+    DampingKind).  This is the paper's Duffing-route perturbation; it does
+    not give the junction's own energy change over a separatrix pass.
     """
     z0 = separatrix_orbit(f, t)
-    z11 = basis_z11(f, t)
+    z11 = separatrix_velocity(f, t)
     de = trap_asymmetry(p, t)
     return -p.eta * z11 + de * (f.h - 1.5 * f.lam * z0 * z0)
 
 
 def _integrand(f: SeparatrixFrame, p: TrapParams):
-    lam = f.lam
-    h = f.h
-    kappa = f.kappa
-    c0 = f.c0
-    amp = f.amplitude
-    c11 = -(2.0 * kappa * kappa / abs(lam))
-    eta = p.eta
-    de0 = p.de0
-    de1 = p.de1
-    omega = p.omega
-    tanh = np.tanh
-    sin = np.sin
-
-    def g(t):
-        # elementwise: a float t gives a numpy scalar, an array t an array
-        xi = c0 + kappa * t
-        s = _sech(xi)
-        z0 = amp * s
-        z11 = c11 * s * tanh(xi)
-        de = de0 + de1 * sin(omega * t)
-        eps = -eta * z11 + de * (h - 1.5 * lam * z0 * z0)
-        return z11 * eps
-
-    return g
+    """The Melnikov integrand z11 * eps1 at a float t, or elementwise on an
+    array t."""
+    return lambda t: separatrix_velocity(f, t) * epsilon1(f, p, t)
 
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] and the 10-point Gauss rule
@@ -278,6 +241,11 @@ def _xi_edges(lo: float, hi: float) -> np.ndarray:
     return np.concatenate([sides[0], *(s[1:] for s in sides[1:])])
 
 
+def _check_xi_max(xi_max: float) -> None:
+    if not xi_max > 0.0:
+        raise ValueError(f"'xi_max' must be > 0, got {xi_max!r}")
+
+
 def melnikov_numeric(
     f: SeparatrixFrame,
     p: TrapParams,
@@ -290,6 +258,7 @@ def melnikov_numeric(
     a tail below 1e-12 of the coefficients.  A wider window ends at
     |xi| = 745, past which the integrand is 0.
     """
+    _check_xi_max(xi_max)
     t_lo = (-xi_max - f.c0) / f.kappa
     t_hi = (xi_max - f.c0) / f.kappa
     return running_stability_integral(f, p, t_lo, t_hi, epsabs)
@@ -392,14 +361,18 @@ def drive_coefficient(f: SeparatrixFrame, omega: float) -> float:
     return common * bracket
 
 
+def _damping_loss(f: SeparatrixFrame, eta: float) -> float:
+    # eta * int z11^2 dt, the damping term of the Melnikov function negated
+    return 8.0 * eta * f.kappa**3 / (3.0 * f.lam**2)
+
+
 def melnikov_closed(f: SeparatrixFrame, p: TrapParams) -> float:
     """Closed form of the Melnikov integral (see module docstring).
 
     Independent of de0 -- the static tilt integrates against the odd z11
     and drops out exactly.
     """
-    kappa = f.kappa
-    damp = -8.0 * p.eta * kappa**3 / (3.0 * f.lam**2)
+    damp = -_damping_loss(f, p.eta)
     if p.de1 == 0.0:
         return damp
     return damp + p.de1 * drive_coefficient(f, p.omega)
@@ -474,7 +447,7 @@ def stability_curve(
     _check_grid(omega_min, omega_max, n_points)
 
     grid = np.linspace(omega_min, omega_max, n_points)
-    damp = 8.0 * eta * f.kappa**3 / (3.0 * f.lam**2)
+    damp = _damping_loss(f, eta)
     crit = np.empty_like(grid)
     for i, w in enumerate(grid):
         if damp == 0.0:

@@ -118,6 +118,11 @@ def _stability_curve(**kw):
     return bjj.stability_curve(bjj.SeparatrixFrame(lam=4.0, h=0.5), 0.3, **kw)
 
 
+def _melnikov(**kw):
+    return bjj.melnikov_numeric(bjj.SeparatrixFrame(lam=4.0, h=0.5), bjj.TrapParams(lam=4.0),
+                                **kw)
+
+
 def _sampled(t_end=1.0, **kw):
     return bjj.integrate_adaptive(bjj.TrapParams(lam=10.0), bjj.PhaseState(0.0, 0.5, 0.0),
                                   t_end, **kw)
@@ -134,6 +139,11 @@ RANGE_RULES = [
     ("renorm_interval", {"horizon": 1.1, "renorm_interval": 0.1}, _lyapunov, bjj.analysis),
     ("cluster_tol", {"cluster_tol": 0.0}, _locking, None),
     ("max_order", {"max_order": 0}, _locking, None),
+    ("chaos_spread_min", {"chaos_spread_min": 0.0}, _locking, None),
+    ("chaos_spread_min", {"chaos_spread_min": math.nan}, _locking, None),
+    ("xi_max", {"xi_max": 0.0}, _melnikov, None),
+    ("xi_max", {"xi_max": -1.0}, _melnikov, None),
+    ("xi_max", {"xi_max": math.nan}, _melnikov, None),
     ("omega_min", {"omega_min": 0.0}, _stability_curve, None),
     ("omega_max", {"omega_max": 0.4}, _stability_curve, None),
     ("n_points", {"n_points": 1}, _stability_curve, None),
@@ -468,15 +478,24 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         # restarted advance calls: the tilt is recomputed after every landing
         (["lyapunov", "--preset", "fig5_de1_7.5", "--horizon", "5"],
          "a85e20d3286b2430c6d09f2cb7cbd7f12019463ebb89b365eb2d5af2c4206183"),
+        # the quadrature and the closed form, with and without c0 and drive
+        (["melnikov", "--preset", "fig3_eta0.1"],
+         "ee1c262d114b872d75f55fd0a27b81f69458280d49b4dbf27c17edb9dcca535e"),
+        (["stability-curve", "--preset", "fig3_eta0.1"],
+         "7bdb4c8c26fb2c41b04a39e759d23b21effab62ce30b5918c104a770ccd08ea1"),
+        (["melnikov", "--lambda", "4", "--energy", "0.9", "--c0", "0.3", "--eta", "0.1",
+          "--de1", "0.4", "--omega", "2"],
+         "e7f467f17f12061b8331f79cee4cf914c89484ff0910389e3c3a102fc7079335"),
     ],
     ids=["poincare", "simulate", "crosscheck", "attractor_damped", "simulate_undriven",
-         "lyapunov"],
+         "lyapunov", "melnikov", "stability_curve", "melnikov_driven"],
 )
 def test_cli_outputs_keep_pinned_bytes(tmp_path, args, digest):
     # SHA-256 of outputs recorded before the driver was written out stage
-    # by stage (the first three) and before the driver took over the tilt
-    # (the last three); a stepper change that moves one bit of an orbit
-    # shows here.
+    # by stage (the first three), before the driver took over the tilt (the
+    # next three) and before the Melnikov integrand was built from the
+    # named z11 and eps1 (the last three); a stepper or quadrature change
+    # that moves one bit shows here.
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -762,7 +781,7 @@ PUBLIC_API = {
     "SectionPoints", "SeparatrixFrame", "SingularityError", "Spectrum", "StabilityCurve",
     "StepControl", "StepUnderflowError", "TOL_SEP", "Trajectory", "TrapParams",
     "TwoModeState", "TwoModeTrajectory", "Z_GUARD", "__version__", "advance",
-    "amplitudes_from_phase", "basis_z11", "basis_z12", "classify_regime", "crosscheck_max_dz",
+    "amplitudes_from_phase", "classify_regime", "crosscheck_max_dz",
     "default_control", "detect_frequency_locking", "dominant_bin", "drive_coefficient",
     "duffing_residual", "effective_energy", "effective_potential", "epsilon1",
     "frame_from_initial", "hamiltonian", "integrate_adaptive", "integrate_twomode",
@@ -774,9 +793,9 @@ PUBLIC_API = {
 }
 
 
-def test_public_api_keeps_its_61_names():
+def test_public_api_keeps_its_59_names():
     # each module declares its names once; the package re-exports them
-    assert len(bjj.__all__) == len(PUBLIC_API) == 61
+    assert len(bjj.__all__) == len(PUBLIC_API) == 59
     assert set(bjj.__all__) == PUBLIC_API
     namespace: dict = {}
     exec("from bjj import *", namespace)

@@ -252,6 +252,24 @@ def test_numpy_rounds_sin_cos_sqrt_like_math():
         )
 
 
+def test_numpy_exp_tanh_keep_the_melnikov_pin_bits():
+    # The Melnikov integrand runs numpy's exp (in sech) and tanh, whose SIMD
+    # kernels differ from math's on some inputs; the quadrature's bit pins
+    # were taken where these digests hold.  A numpy that dispatches other
+    # kernels fails here by name, not through those pins.
+    xi = np.linspace(-40.0, 40.0, 200_000)
+    for name, values, digest in [
+        ("exp(-|xi|)", np.exp(-np.abs(xi)),
+         "b43f0d6a212aee7a096c0c3006677eb4a6089d469e4095f0cf3932ef59539ab7"),
+        ("tanh(xi)", np.tanh(xi),
+         "dd3a622330f7e665f309d2181b11981a26c8fe21107853e8d46398fd0df18a56"),
+    ]:
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (
+            f"numpy's {name} on 200000 points of [-40, 40] has other bits than where "
+            "the Melnikov pins were recorded"
+        )
+
+
 def test_dz_dt_rows_outside_the_flow_raise_naming_t():
     # a row in the guard band raises the rate's own SingularityError; a row
     # whose dz/dt is not finite raises a BjjError naming t and the state
