@@ -12,7 +12,6 @@ metadata echo of a run is itself a valid config file reproducing the run.
 from __future__ import annotations
 
 import argparse
-import bisect
 import math
 import sys
 from pathlib import Path
@@ -271,8 +270,7 @@ def _cmd_stability_curve(cfg: RunConfig) -> str:
         for w, d, b in zip(curve.omega, curve.de1_critical, curve.branch)
         if math.isfinite(d)
     ]
-    for a in curve.asymptotes:
-        rows.append((float(a), math.inf, bisect.bisect_left(list(curve.asymptotes), a)))
+    rows.extend((float(a), math.inf, i) for i, a in enumerate(curve.asymptotes))
     rows.sort(key=lambda r: (r[0], 0 if math.isinf(r[1]) else 1))
     return _csv_text(cfg, "omega,de1_critical,branch", *zip(*rows))
 

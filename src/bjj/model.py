@@ -57,8 +57,9 @@ TOL_SEP = 1e-9
 class DampingKind(enum.Enum):
     """Where phenomenological dissipation enters the reduced equations.
 
-    POPULATION subtracts ``eta*z`` from dz/dt (direct relaxation of the
-    imbalance); VELOCITY feeds ``-eta * dz/dt`` into dphi/dt.  Neither gives
+    eta > 0 turns damping on; this only chooses where it acts.  POPULATION
+    subtracts ``eta*z`` from dz/dt (direct relaxation of the imbalance);
+    VELOCITY feeds ``-eta * dz/dt`` into dphi/dt.  Neither gives
     the plain ``-eta * dz/dt`` of the second-order (Duffing) form of the
     imbalance equation that the Melnikov analysis assumes.  Differentiating
     the reduced equations once, POPULATION gives
@@ -72,7 +73,6 @@ class DampingKind(enum.Enum):
     (lam = 10) times that, the opposite sign.
     """
 
-    NONE = "none"
     POPULATION = "population"
     VELOCITY = "velocity"
 
@@ -85,8 +85,8 @@ class TrapParams:
     de0:    static tilt between the wells.
     de1:    amplitude of the sinusoidal tilt modulation.
     omega:  modulation angular frequency (time measured in tunneling units).
-    eta:    damping coefficient (>= 0).
-    damping: placement of the damping term, see DampingKind.
+    eta:    damping coefficient (>= 0); eta > 0 turns damping on.
+    damping: where the damping term acts, see DampingKind.
     """
 
     lam: float
@@ -109,10 +109,6 @@ class TrapParams:
     def period(self) -> float:
         """Drive period 2*pi/omega."""
         return 2.0 * math.pi / self.omega
-
-    @property
-    def damped(self) -> bool:
-        return self.eta > 0.0 and self.damping is not DampingKind.NONE
 
 
 @dataclass(frozen=True)
@@ -175,12 +171,12 @@ def make_rate(p: TrapParams) -> RateFn:
     same bits as ``trap_asymmetry``.  The components go in flat, so a call
     builds no state tuple, and the driver's error test scores each float
     component on its own, as it scores the two-mode oracle's four.
-    Raises SingularityError, naming t, when |z| enters the Z_GUARD band
-    around 1.
+    eta > 0 adds the damping term where p.damping places it.  Raises
+    SingularityError, naming t, when |z| enters the Z_GUARD band around 1.
     """
     lam = p.lam
     eta = p.eta
-    damped = p.damped
+    damped = eta > 0.0
     velocity = p.damping is DampingKind.VELOCITY
     sin = math.sin
     cos = math.cos
@@ -220,20 +216,17 @@ def effective_energy(h: float) -> float:
     return 0.5 * (1.0 - h * h)
 
 
-def effective_potential(
-    p: TrapParams, h: float, z: float, de: float | None = None
-) -> float:
+def effective_potential(p: TrapParams, h: float, z: float) -> float:
     """Quartic potential governing the imbalance as a fictitious particle.
 
     V(z) = z^2 (1 - lam*h + lam^2 z^2 / 4) / 2
            + de*lam*z^3/2 + de^2 z^2/2 - de*h*z
 
-    ``de`` is the instantaneous tilt; defaults to the static part p.de0.
-    The identity (dz/dt)^2/2 + V(z) = (1 - h^2)/2 holds on trajectories of
-    the undamped system with constant tilt.
+    with ``de`` the static tilt p.de0.  The identity
+    (dz/dt)^2/2 + V(z) = (1 - h^2)/2 holds on trajectories with constant
+    tilt and no damping (eta = 0).
     """
-    if de is None:
-        de = p.de0
+    de = p.de0
     lam = p.lam
     z2 = z * z
     symmetric = 0.5 * z2 * (1.0 - lam * h + 0.25 * lam * lam * z2)

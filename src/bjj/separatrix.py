@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import BjjError, QuadratureError
 from .integrate import MAX_TARGETS
 from .model import TrapParams, trap_asymmetry
 
@@ -204,7 +204,8 @@ _K21_W = np.array([
 _XI_EDGE = 745.0
 #: Widest piece, in xi, of the partition the quadrature starts from.
 _XI_PIECE = 40.0
-#: Relative tolerance and the most pieces of the adaptive quadrature.
+#: Absolute and relative tolerances and the most pieces of the adaptive quadrature.
+_EPSABS = 1e-12
 _EPSREL = 1e-11
 _LIMIT = 20000
 
@@ -250,7 +251,6 @@ def melnikov_numeric(
     f: SeparatrixFrame,
     p: TrapParams,
     xi_max: float = 40.0,
-    epsabs: float = 1e-12,
 ) -> tuple[float, float]:
     """Melnikov integral by adaptive quadrature; returns (value, abs error).
 
@@ -261,7 +261,7 @@ def melnikov_numeric(
     _check_xi_max(xi_max)
     t_lo = (-xi_max - f.c0) / f.kappa
     t_hi = (xi_max - f.c0) / f.kappa
-    return running_stability_integral(f, p, t_lo, t_hi, epsabs)
+    return running_stability_integral(f, p, t_lo, t_hi)
 
 
 def running_stability_integral(
@@ -269,7 +269,6 @@ def running_stability_integral(
     p: TrapParams,
     t_lo: float,
     t_hi: float,
-    epsabs: float = 1e-12,
 ) -> tuple[float, float]:
     """Partial accumulation of the Melnikov integrand over [t_lo, t_hi].
 
@@ -277,7 +276,7 @@ def running_stability_integral(
     quadrature in numpy.  The window is cut to |xi| <= 745 and split at
     the orbit's peak into pieces at most 40 wide in xi.  Each round bisects
     the pieces whose errors can shrink most, as few as can bring the summed
-    error within max(epsabs, 1e-11*|value|), and evaluates the new pieces in
+    error within max(1e-12, 1e-11*|value|), and evaluates the new pieces in
     one call.  Raises QuadratureError when the integrand is not finite, or
     when the quadrature stops short of that tolerance (at 20000 pieces, or
     when rounding fills it) with an error worse than max(1e-10, 1e-8*|value|).
@@ -310,7 +309,7 @@ def running_stability_integral(
         floors = np.concatenate([floors, new_floors])
         # fsum: the totals do not depend on the order of the pieces
         value, abserr = math.fsum(values), math.fsum(errors)
-        tol = max(epsabs, _EPSREL * abs(value))
+        tol = max(_EPSABS, _EPSREL * abs(value))
         if abserr <= tol:
             return value, abserr
         # Bisection shrinks only the part of an error above its rounding
@@ -343,22 +342,32 @@ def drive_coefficient(f: SeparatrixFrame, omega: float) -> float:
 
     Vanishes at the cosine zeros (set by c0) and at omega = 1, the root of
     the bracket lam*(omega^2 - 1)/|lam|^3 common to all valid frames.
+    Past the float range of the bracket, where sech has underflowed, it is
+    the signed zero the product takes below that range; otherwise an
+    overflowing bracket raises BjjError, naming omega.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     kappa = f.kappa
     a = abs(f.lam)
-    common = (
-        math.pi
-        * omega
-        * math.cos(omega * f.c0 / kappa)
-        * _sech(math.pi * omega / (2.0 * kappa))
-    )
-    bracket = (
-        2.0 * f.lam * kappa**2 * (1.0 + omega**2 / kappa**2) / a**3
-        - 2.0 * f.h / a
-    )
-    return common * bracket
+    cos = math.cos(omega * f.c0 / kappa)
+    sech = _sech(math.pi * omega / (2.0 * kappa))
+    try:
+        bracket = (
+            2.0 * f.lam * kappa**2 * (1.0 + omega**2 / kappa**2) / a**3
+            - 2.0 * f.h / a
+        )
+    except OverflowError:  # omega**2 or |lam|**3 is past the float range
+        if not (sech == 0.0 and omega > 1.0):
+            raise BjjError(
+                f"drive coefficient overflows at omega={omega!r} (lam={f.lam!r})"
+            ) from None
+        bracket = math.inf
+    if sech == 0.0 and math.isinf(bracket):
+        # 0 * inf would be NaN; where the bracket is still finite it has
+        # lam's sign for omega > 1, and the product is the cosine's zero
+        return math.copysign(0.0, cos) * math.copysign(1.0, f.lam)
+    return math.pi * omega * cos * sech * bracket
 
 
 def _damping_loss(f: SeparatrixFrame, eta: float) -> float:
@@ -402,17 +411,26 @@ def _asymptotes_in(f: SeparatrixFrame, omega_min: float, omega_max: float) -> li
     if omega_min <= ASYMPTOTE_OMEGA <= omega_max:
         marks.append(ASYMPTOTE_OMEGA)
     if f.c0 != 0.0:
+        # the cosine zeros (0.5 + k) * pi * scale lie at k in [lo, hi]
         scale = f.kappa / abs(f.c0)
-        k = 0
-        while True:
+        lo = omega_min / (math.pi * scale) - 0.5
+        hi = omega_max / (math.pi * scale) - 0.5
+        if not hi - max(lo, 0.0) + 2.0 <= MAX_TARGETS:
+            raise ValueError(
+                f"'omega_max'={omega_max!r} with 'c0'={f.c0!r} gives more than "
+                f"{MAX_TARGETS} asymptotes"
+            )
+        for k in range(max(math.ceil(lo) - 1, 0), math.floor(hi) + 2):
             w = (0.5 + k) * math.pi * scale
             if w > omega_max:
                 break
-            if w >= omega_min and not any(
-                abs(w - m) <= 1e-12 * max(1.0, w) for m in marks
-            ):
+            if w < omega_min:
+                continue
+            # omega = 1, if in range, is the first mark and the zeros ascend,
+            # so no other mark lies nearer than the first and the last
+            near = 1e-12 * max(1.0, w)
+            if not marks or (abs(w - marks[0]) > near and abs(w - marks[-1]) > near):
                 marks.append(w)
-            k += 1
     marks.sort()
     return marks
 
@@ -447,6 +465,7 @@ def stability_curve(
     _check_grid(omega_min, omega_max, n_points)
 
     grid = np.linspace(omega_min, omega_max, n_points)
+    marks = _asymptotes_in(f, float(grid[0]), float(grid[-1]))
     damp = _damping_loss(f, eta)
     crit = np.empty_like(grid)
     for i, w in enumerate(grid):
@@ -459,7 +478,6 @@ def stability_curve(
         else:
             crit[i] = damp / g
 
-    marks = _asymptotes_in(f, float(grid[0]), float(grid[-1]))
     branch = np.fromiter(
         (bisect.bisect_left(marks, float(w)) for w in grid),
         dtype=int,

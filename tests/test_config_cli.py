@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -486,9 +487,14 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         (["melnikov", "--lambda", "4", "--energy", "0.9", "--c0", "0.3", "--eta", "0.1",
           "--de1", "0.4", "--omega", "2"],
          "e7f467f17f12061b8331f79cee4cf914c89484ff0910389e3c3a102fc7079335"),
+        # c0 != 0: cosine-zero asymptote rows between the grid rows
+        (["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1", "--c0", "0.3",
+          "--omega-max", "50"],
+         "06c1e87468d6356869ce15f3e1087738fd5c0f7654a3569c3f04738375ea1ae3"),
     ],
     ids=["poincare", "simulate", "crosscheck", "attractor_damped", "simulate_undriven",
-         "lyapunov", "melnikov", "stability_curve", "melnikov_driven"],
+         "lyapunov", "melnikov", "stability_curve", "melnikov_driven",
+         "stability_curve_c0"],
 )
 def test_cli_outputs_keep_pinned_bytes(tmp_path, args, digest):
     # SHA-256 of outputs recorded before the driver was written out stage
@@ -527,6 +533,61 @@ def test_melnikov_wide_window_finds_the_closed_form(xi_max, tmp_path):
     assert code == 0
     doc = json.loads(text)
     assert abs(doc["melnikov_numeric"] - doc["melnikov_closed"]) <= 1e-9
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_damping_none_is_refused(via, tmp_path, capsys):
+    # eta > 0 is the only damping switch: damping picks one of two placements
+    if via == "flag":
+        argv = ["simulate", "--t-end", "1", "--eta", "0.1", "--damping", "none"]
+    else:
+        cfg_file = tmp_path / "none.cfg"
+        cfg_file.write_text("eta = 0.1\ndamping = none\n")
+        argv = ["simulate", "--t-end", "1", "--config", str(cfg_file)]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert "'none'" in err
+    assert re.search(r"population'?, '?velocity\b", err), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["melnikov", "--lambda", "4", "--energy", "0.9", "--omega", "1e200", "--eta", "0.1"],
+     ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1",
+      "--omega-max", "1e200", "--n-points", "3"]],
+    ids=["melnikov", "stability_curve"],
+)
+def test_drive_past_the_overflow_exits_0(argv, tmp_path):
+    # omega**2 overflows there; the drive coefficient is a zero, not a traceback
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    if argv[0] == "melnikov":
+        assert json.loads(text)["drive_coefficient"] == 0
+    else:
+        rows = [l for l in text.splitlines() if not l.startswith("#")]
+        assert rows == ["omega,de1_critical,branch", "0.5,-0.53188650033248919,0", "1,inf,0"]
+
+
+def test_stability_curve_with_many_cosine_zeros(tmp_path, capsys):
+    # 59,223 asymptote rows within an alarm; past MAX_TARGETS of them
+    # the curve is refused, naming the keys that set the count
+    argv = ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1",
+            "--c0", "0.3", "--n-points", "3", "--omega-max"]
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, text = run_cli([*argv, "1e6"], tmp_path)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    poles = [r for r in rows if r[1] == "inf"]
+    assert len(poles) == 59223 and len(rows) == len(poles) + 1  # one finite grid row
+    assert [int(r[2]) for r in poles] == list(range(len(poles)))
+    assert run_cli([*argv, "1e12"], tmp_path, "big")[0] == 1
+    assert "'omega_max'" in capsys.readouterr().err
 
 
 def test_melnikov_quadrature_failure_exits_2(capsys):

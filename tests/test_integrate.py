@@ -503,9 +503,9 @@ def outcome(step, drive, y, targets, ctl):
 )
 @example(kind=DampingKind.VELOCITY, eta=0.05, de0=0.0, de1=7.5, z0=1.0 - Z_GUARD / 2,
          phi0=0.0, tol=1e-10, h_min=1e-14, oracle=False, gaps=[0.5])
-@example(kind=DampingKind.NONE, eta=0.0, de0=0.0, de1=2.5, z0=0.5, phi0=math.inf,
+@example(kind=DampingKind.POPULATION, eta=0.0, de0=0.0, de1=2.5, z0=0.5, phi0=math.inf,
          tol=1e-10, h_min=1e-14, oracle=False, gaps=[0.5])
-@example(kind=DampingKind.NONE, eta=0.0, de0=0.3, de1=7.5, z0=0.5, phi0=0.3,
+@example(kind=DampingKind.POPULATION, eta=0.0, de0=0.3, de1=7.5, z0=0.5, phi0=0.3,
          tol=1e-13, h_min=1e-14, oracle=True, gaps=[0.3, 0.4])
 @settings(max_examples=40)
 def test_inlined_driver_matches_called_driver(kind, eta, de0, de1, z0, phi0, tol, h_min,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from bjj.errors import QuadratureError
+from bjj.errors import BjjError, QuadratureError
 from bjj.model import DampingKind, TrapParams, hamiltonian, make_rate, trap_asymmetry
 from bjj.separatrix import (
     ASYMPTOTE_OMEGA,
@@ -287,6 +287,26 @@ def test_drive_coefficient_changes_sign_at_unit_frequency():
         assert drive_coefficient(f, 0.9) * drive_coefficient(f, 1.1) < 0.0
 
 
+@pytest.mark.parametrize("lam, h, c0", [(4.0, 0.9, 0.0), (4.0, 0.9, 0.3), (-4.0, -0.9, 0.3),
+                                         (-7.0, -1.1, 1.1)])
+def test_drive_coefficient_past_the_overflow_is_a_signed_zero(lam, h, c0):
+    # sech(pi*omega/(2*kappa)) has underflowed long before omega**2 overflows
+    # (about 1.34e154), and the bracket turns inf from about 4e153 at lam = 4: the
+    # coefficient stays the zero it is below that, with the cosine's sign
+    # times lam's, where the product used to be NaN or raise OverflowError
+    f = SeparatrixFrame(lam=lam, h=h, c0=c0)
+    for omega in (1e150, 1e154, 1e200, 1e308):
+        g = drive_coefficient(f, omega)
+        sign = math.copysign(1.0, math.cos(omega * c0 / f.kappa)) * math.copysign(1.0, lam)
+        assert g == 0.0 and math.copysign(1.0, g) == sign, omega
+
+
+def test_drive_coefficient_overflow_with_live_sech_raises_naming_omega():
+    # |lam|**3 overflows while sech(pi*omega/(2*kappa)) is near 1
+    with pytest.raises(BjjError, match="omega=6.283185307179586"):
+        drive_coefficient(SeparatrixFrame(lam=1e200, h=1.0), 2.0 * math.pi)
+
+
 def test_quadrature_changes_sign_across_asymptote():
     f = SeparatrixFrame(lam=4.0, h=0.5)
     lo, _ = melnikov_numeric(f, TrapParams(lam=4.0, de1=1.0, omega=0.8))
@@ -321,6 +341,23 @@ def test_stability_curve_single_asymptote_without_phase_offset():
     assert curve.asymptotes == (1.0,)
     assert set(np.unique(curve.branch)) == {0, 1}
     assert np.all(np.diff(curve.branch) >= 0)
+
+
+def test_cosine_zero_asymptotes_listed_in_linear_time_and_capped():
+    f = SeparatrixFrame(lam=4.0, h=0.9, c0=0.3)
+    start = time.perf_counter()
+    wide = stability_curve(f, eta=0.1, omega_max=1e6, n_points=3).asymptotes
+    assert time.perf_counter() - start < 5.0
+    spacing = math.pi * f.kappa / 0.3
+    assert len(wide) == 2 + math.floor(1e6 / spacing - 0.5)  # omega = 1 and k = 0, 1, ...
+    assert wide[:2] == (1.0, 0.5 * math.pi * (f.kappa / 0.3))
+    assert all(a < b for a, b in zip(wide, wide[1:]))
+    # a window far up the axis starts at its own first zero
+    lo, hi = 5e5, 5e5 + 200.0
+    window = stability_curve(f, eta=0.1, omega_min=lo, omega_max=hi, n_points=3).asymptotes
+    assert window == tuple(w for w in wide if lo <= w <= hi) and len(window) == 12
+    with pytest.raises(ValueError, match="'omega_max'.*'c0'"):
+        stability_curve(f, eta=0.1, omega_max=1e12, n_points=3)
 
 
 def test_curve_density_grows_with_phase_offset():
