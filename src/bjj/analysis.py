@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import MAX_TARGETS, SectionPoints, StepControl, advance, default_control
+from .integrate import MAX_TARGETS, StepControl, Trajectory, advance, default_control
 from .model import PhaseState, TrapParams
 
 __all__ = [
@@ -41,7 +41,6 @@ class Spectrum:
 
     freqs: np.ndarray
     power: np.ndarray
-    window: str
     dt: float
     n_samples: int
 
@@ -79,7 +78,6 @@ def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectr
     return Spectrum(
         freqs=np.fft.rfftfreq(n, d=dt),
         power=power,
-        window=window,
         dt=dt,
         n_samples=n,
     )
@@ -168,13 +166,14 @@ def _check_locking(cluster_tol: float, max_order: int, chaos_spread_min: float) 
 
 
 def detect_frequency_locking(
-    section: SectionPoints,
+    section: Trajectory,
     cluster_tol: float = 1e-3,
     max_order: int = 12,
     discard_periods: int = 2000,
     chaos_spread_min: float = 0.2,
 ) -> AttractorReport:
-    """Classify the asymptotic behaviour of a stroboscopic section.
+    """Classify the asymptotic behaviour of a stroboscopic section, a
+    trajectory on the drive-period grid (sample_stroboscopic).
 
     After dropping the first discard_periods points, the retained points
     are grouped by section index mod p for p = 1..max_order; the smallest

@@ -190,7 +190,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
 def _cmd_poincare(cfg: RunConfig) -> str:
     """stroboscopic section at the drive period (n,z,dzdt)"""
     sec = sample_stroboscopic(cfg.trap, cfg.state0, cfg.n_periods, ctl=cfg.control())
-    return _csv_text(cfg, "n,z,dzdt", sec.n, sec.z, sec.dz_dt)
+    return _csv_text(cfg, "n,z,dzdt", range(len(sec)), sec.z, sec.dz_dt)
 
 
 def _cmd_spectrum(cfg: RunConfig) -> str:
@@ -230,7 +230,7 @@ def _cmd_attractor(cfg: RunConfig) -> str:
         "mean_z": rep.mean_z,
         "transient_periods": rep.transient_periods,
         "spread": rep.spread,
-        "n_sections": len(sec.n),
+        "n_sections": len(sec),
         "centers": centers,
     }
     return _json_text(payload, cfg)

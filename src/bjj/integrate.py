@@ -38,7 +38,6 @@ from .model import PhaseState, RateFn, TrapParams, make_rate, trap_asymmetry
 __all__ = [
     "StepControl",
     "Trajectory",
-    "SectionPoints",
     "default_control",
     "advance",
     "integrate_adaptive",
@@ -106,14 +105,13 @@ def default_control(p: TrapParams) -> StepControl:
 class Trajectory:
     """Sampled solution of the reduced equations.
 
-    dz_dt holds the actual flow derivative (damping included): the first
+    A stroboscopic section is one too: sample_stroboscopic lands row k at
+    t = k * period, so the row index is the section index.  dz_dt holds the actual flow derivative (damping included): the first
     component of the rate at every row, from one call of the lane rate
     that make_rate's source also gives over all rows, or, for a rate
     without one, from one rate call per row.  Both give the rate's bits.
     """
 
-    params: TrapParams
-    control: StepControl
     t: np.ndarray
     z: np.ndarray
     phi: np.ndarray
@@ -121,22 +119,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-@dataclass(frozen=True)
-class SectionPoints:
-    """Stroboscopic section: one (z, dz/dt) point per drive period."""
-
-    params: TrapParams
-    control: StepControl
-    period: float
-    n: np.ndarray
-    t: np.ndarray
-    z: np.ndarray
-    dz_dt: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.n)
 
 
 def _drive(
@@ -417,7 +399,7 @@ def _trajectory(
                                f"state={(row_z, row_phi)!r}")
             dz_dt.append(dz)
         dz_dt = np.asarray(dz_dt)
-    return Trajectory(params=p, control=ctl, t=t, z=z, phi=phi, dz_dt=dz_dt)
+    return Trajectory(t=t, z=z, phi=phi, dz_dt=dz_dt)
 
 
 def advance(
@@ -459,26 +441,25 @@ def sample_stroboscopic(
     s0: PhaseState,
     n_periods: int,
     ctl: StepControl | None = None,
-) -> SectionPoints:
-    """Stroboscopic phase-space section sampled at t = n * (2*pi/omega).
+) -> Trajectory:
+    """Stroboscopic phase-space section sampled at t = k * (2*pi/omega).
 
-    Emits n_periods + 1 points (the initial state is point n=0).  The
-    landing times are exact multiples of the period by construction.
+    The trajectory on the period grid: n_periods + 1 rows, row k at
+    t = k * period exactly (landed by construction), the initial state
+    being row 0.
     """
     if p.de1 == 0.0:
         raise ValueError("stroboscopic sections need a modulated trap (de1 != 0)")
     if not 1 <= n_periods <= MAX_TARGETS:
         raise ValueError(f"'n_periods' must lie in [1, {MAX_TARGETS}], got {n_periods}")
-    period = p.period
-    traj = _trajectory(p, s0, n_periods * period, ctl, sample_dt=period)
-    return section_from_trajectory(traj, period)
+    return _trajectory(p, s0, n_periods * p.period, ctl, sample_dt=p.period)
 
 
-def section_from_trajectory(traj: Trajectory, period: float) -> SectionPoints:
-    """Extract the stroboscopic section from an evenly sampled trajectory.
+def section_from_trajectory(traj: Trajectory, period: float) -> Trajectory:
+    """The rows of an evenly sampled trajectory at t = k * period.
 
     The trajectory's sample step must divide the period; sample times are
-    checked against n*period to within 1e-9*period.  Useful when one run
+    checked against k*period to within 1e-9*period.  Useful when one run
     feeds both a section and time-series diagnostics.
     """
     if len(traj) < 2:
@@ -489,17 +470,8 @@ def section_from_trajectory(traj: Trajectory, period: float) -> SectionPoints:
         raise ValueError(
             f"sample step {dt!r} does not divide the period {period!r}"
         )
-    idx = np.arange(0, len(traj), stride)
-    t_sec = traj.t[idx]
-    n = np.arange(len(idx))
-    if np.max(np.abs(t_sec - n * period)) > 1e-9 * period:
+    t = traj.t[::stride]
+    if np.max(np.abs(t - np.arange(len(t)) * period)) > 1e-9 * period:
         raise ValueError("trajectory samples do not land on period multiples")
-    return SectionPoints(
-        params=traj.params,
-        control=traj.control,
-        period=period,
-        n=n,
-        t=t_sec,
-        z=traj.z[idx],
-        dz_dt=traj.dz_dt[idx],
-    )
+    return Trajectory(t=t, z=traj.z[::stride], phi=traj.phi[::stride],
+                      dz_dt=traj.dz_dt[::stride])

@@ -398,8 +398,6 @@ class StabilityCurve:
     convention, the physical threshold is its magnitude.
     """
 
-    frame: SeparatrixFrame
-    eta: float
     omega: np.ndarray
     de1_critical: np.ndarray
     branch: np.ndarray
@@ -484,12 +482,7 @@ def stability_curve(
         count=len(grid),
     )
     return StabilityCurve(
-        frame=f,
-        eta=eta,
-        omega=grid,
-        de1_critical=crit,
-        branch=branch,
-        asymptotes=tuple(marks),
+        omega=grid, de1_critical=crit, branch=branch, asymptotes=tuple(marks)
     )
 
 

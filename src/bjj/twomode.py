@@ -49,8 +49,6 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class TwoModeTrajectory:
-    params: TrapParams
-    control: StepControl
     t: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
@@ -115,7 +113,7 @@ def integrate_twomode(
     y0 = (a1.real, a1.imag, a2.real, a2.imag)
     t, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
     amps = ys.view(complex)
-    return TwoModeTrajectory(params=p, control=ctl, t=t, a1=amps[:, 0], a2=amps[:, 1])
+    return TwoModeTrajectory(t=t, a1=amps[:, 0], a2=amps[:, 1])
 
 
 def project_trajectory(traj: TwoModeTrajectory) -> tuple[np.ndarray, np.ndarray]:

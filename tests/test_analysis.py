@@ -12,24 +12,15 @@ from bjj.analysis import (
     power_spectrum,
     time_average_z,
 )
-from bjj.integrate import SectionPoints, default_control
+from bjj.integrate import Trajectory
 from bjj.model import TrapParams
 
 
 def make_section(z, dz):
     z = np.asarray(z, dtype=float)
     dz = np.asarray(dz, dtype=float)
-    p = TrapParams(lam=10.0, de1=1.0, omega=2.0 * math.pi)
-    n = np.arange(len(z))
-    return SectionPoints(
-        params=p,
-        control=default_control(p),
-        period=p.period,
-        n=n,
-        t=n * p.period,
-        z=z,
-        dz_dt=dz,
-    )
+    period = TrapParams(lam=10.0, de1=1.0, omega=2.0 * math.pi).period
+    return Trajectory(t=np.arange(len(z)) * period, z=z, phi=np.zeros_like(z), dz_dt=dz)
 
 
 # --- spectra ---------------------------------------------------------------

@@ -107,11 +107,9 @@ def _lyapunov(**kw):
 
 
 def _locking(**kw):
-    p = bjj.TrapParams(lam=10.0, de1=1.0)
-    n = np.arange(500)
     zeros = np.zeros(500)
-    sec = bjj.SectionPoints(params=p, control=default_control(p), period=p.period, n=n,
-                            t=n * p.period, z=zeros, dz_dt=zeros)
+    sec = bjj.Trajectory(t=np.arange(500) * bjj.TrapParams(lam=10.0, de1=1.0).period,
+                         z=zeros, phi=zeros, dz_dt=zeros)
     return bjj.detect_frequency_locking(sec, **{"discard_periods": 10, **kw})
 
 
@@ -839,7 +837,7 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 PUBLIC_API = {
     "AttractorReport", "BjjError", "ConfigError", "CrosscheckReport", "DampingKind",
     "MotionClass", "PhaseState", "PotentialShape", "QuadratureError", "Regime", "RunConfig",
-    "SectionPoints", "SeparatrixFrame", "SingularityError", "Spectrum", "StabilityCurve",
+    "SeparatrixFrame", "SingularityError", "Spectrum", "StabilityCurve",
     "StepControl", "StepUnderflowError", "TOL_SEP", "Trajectory", "TrapParams",
     "TwoModeState", "TwoModeTrajectory", "Z_GUARD", "__version__", "advance",
     "amplitudes_from_phase", "classify_regime", "crosscheck_max_dz",
@@ -854,9 +852,9 @@ PUBLIC_API = {
 }
 
 
-def test_public_api_keeps_its_59_names():
+def test_public_api_keeps_its_58_names():
     # each module declares its names once; the package re-exports them
-    assert len(bjj.__all__) == len(PUBLIC_API) == 59
+    assert len(bjj.__all__) == len(PUBLIC_API) == 58
     assert set(bjj.__all__) == PUBLIC_API
     namespace: dict = {}
     exec("from bjj import *", namespace)

@@ -18,6 +18,7 @@ from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
     MAX_TARGETS,
     StepControl,
+    Trajectory,
     _drive,
     _sample_targets,
     advance,
@@ -364,7 +365,7 @@ def test_dz_dt_matches_rate_at_samples():
 def test_stroboscopic_lands_exactly_on_periods():
     p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
     sec = sample_stroboscopic(p, PhaseState(0.0, 0.5, 0.0), 16)
-    assert len(sec.n) == 17
+    assert len(sec) == 17
     assert np.array_equal(sec.t, np.array([k * p.period for k in range(17)]))
 
 
@@ -379,8 +380,11 @@ def test_section_from_trajectory_matches_direct_sampling():
     traj = integrate_adaptive(p, s0, 40 * p.period, sample_dt=p.period / 8.0)
     sec_a = section_from_trajectory(traj, p.period)
     sec_b = sample_stroboscopic(p, s0, 40)
-    assert len(sec_a.n) == len(sec_b.n) == 41
+    assert len(sec_a) == len(sec_b) == 41
+    assert isinstance(sec_a, Trajectory) and isinstance(sec_b, Trajectory)
+    assert np.array_equal(sec_a.t, traj.t[::8]) and np.array_equal(sec_a.phi, traj.phi[::8])
     assert np.max(np.abs(sec_a.z - sec_b.z)) < 1e-8
+    assert np.max(np.abs(sec_a.phi - sec_b.phi)) < 1e-7
     assert np.max(np.abs(sec_a.dz_dt - sec_b.dz_dt)) < 1e-7
 
 

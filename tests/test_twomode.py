@@ -19,9 +19,7 @@ from bjj.twomode import (
 
 def project(a1, a2):
     """(z, phi) of one amplitude pair, through a one-row trajectory."""
-    one = TwoModeTrajectory(
-        TrapParams(lam=0.0), None, np.zeros(1), np.array([a1]), np.array([a2])
-    )
+    one = TwoModeTrajectory(np.zeros(1), np.array([a1]), np.array([a2]))
     z, phi = project_trajectory(one)
     return float(z[0]), float(phi[0])
 
