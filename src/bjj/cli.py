@@ -134,10 +134,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         sources.append(parse_config(args.config))
     sources.append(_flag_overrides(args))
     merged = merge_sources(*sources)
-    cfg = RunConfig.from_values(merged)
+    integrates = args.command in _INTEGRATES
+    cfg = RunConfig.from_values(merged, integrates)
     _apply_profile(cfg, args.command, explicit=set(merged))
-    cfg.validate()
+    cfg.validate(integrates)
     return cfg
+
+
+#: The subcommands that integrate, and so take a step policy.
+_INTEGRATES = {"simulate", "poincare", "spectrum", "attractor", "crosscheck", "lyapunov"}
 
 
 def _apply_profile(cfg: RunConfig, command: str, explicit: set[str]) -> None:
@@ -278,7 +283,12 @@ def _cmd_stability_curve(cfg: RunConfig) -> str:
 def _cmd_potential(cfg: RunConfig) -> str:
     """effective potential scan V(z) at fixed junction energy (CSV)"""
     z = np.linspace(cfg.z_min, cfg.z_max, cfg.n_z)
-    v = effective_potential(cfg.trap, cfg.energy, z)
+    with np.errstate(all="ignore"):
+        v = effective_potential(cfg.trap, cfg.energy, z)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        raise BjjError(f"V overflows at z={float(z[bad[0]])!r} (lambda={cfg.lam!r}, "
+                       f"energy={cfg.energy!r}, de0={cfg.de0!r})")
     return _csv_text(cfg, "z,V", z, v)
 
 

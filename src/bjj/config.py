@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 from . import analysis, separatrix
 from .errors import ConfigError
-from .integrate import MAX_TARGETS, StepControl, _check_sample_dt, default_control
+from .integrate import MAX_TARGETS, StepControl, _check_sample_dt, _default_h_max
 from .model import Z_GUARD, DampingKind, PhaseState, TrapParams
 
 __all__ = ["RunConfig", "parse_kv_text", "parse_config", "merge_sources"]
@@ -188,7 +188,7 @@ class RunConfig:
     n_z: int = _key(401, _parse_int, "potential scan grid size")
 
     @classmethod
-    def from_values(cls, values: dict[str, object]) -> "RunConfig":
+    def from_values(cls, values: dict[str, object], integrates: bool = True) -> "RunConfig":
         unknown = [f"'{key}'" for key in values if key not in _KEYS]
         if unknown:
             raise ConfigError(f"unknown keys: {', '.join(unknown)}")
@@ -198,13 +198,18 @@ class RunConfig:
                 cfg.omega = float(value) * math.pi
             else:
                 setattr(cfg, _FIELDS[key], value)
-        cfg.validate()
+        cfg.validate(integrates)
         return cfg
 
-    def validate(self) -> None:
+    def validate(self, integrates: bool = True) -> None:
         """Check the keys no other code owns, then call the checks of the code
         that uses the rest (trap, control, sampling, analysis, separatrix);
-        each names its key."""
+        each names its key.
+
+        integrates=False, for a command that never integrates, holds h_max
+        (set, or derived from the drive) to h_max > 0 alone, not to
+        h_min <= h_max: such a command runs at any drive, and its echo replays.
+        """
 
         def bad(key: str, why: str) -> ConfigError:
             return ConfigError(f"out-of-range value for '{key}': {why}")
@@ -226,7 +231,11 @@ class RunConfig:
         if not 2 <= self.n_z <= MAX_TARGETS:
             raise bad("n_z", f"must lie in [2, {MAX_TARGETS}], got {self.n_z}")
         try:
-            _ = (self.trap, self.control())
+            _ = self.trap
+            h_max = self._h_max()
+            self._control(h_max if integrates else self.h_min)
+            if not h_max > 0.0:
+                raise bad("h_max", f"must be > 0, got {fmt(h_max)}")
             analysis._check_locking(self.cluster_tol, self.max_order, self.chaos_spread_min)
             analysis._check_lyapunov(self.horizon, self.renorm_interval, self.d0)
             separatrix._check_grid(self.omega_min, self.omega_max, self.n_points)
@@ -268,9 +277,12 @@ class RunConfig:
     def control(self) -> StepControl:
         """Step policy from the config's step keys; an unset h_max takes
         default_control's value for this trap."""
-        h_max = self.h_max
-        if h_max is None:
-            h_max = default_control(self.trap).h_max
+        return self._control(self._h_max())
+
+    def _h_max(self) -> float:
+        return self.h_max if self.h_max is not None else _default_h_max(self.trap)
+
+    def _control(self, h_max: float) -> StepControl:
         return StepControl(
             abs_tol=self.abs_tol,
             rel_tol=self.rel_tol,
@@ -301,7 +313,7 @@ class RunConfig:
         for key, name in _FIELDS.items():
             value = getattr(self, name)
             if key == "h_max" and value is None:
-                value = self.control().h_max
+                value = self._h_max()
             if value is not None:
                 out.append((key, value))
         return out

@@ -93,12 +93,14 @@ class StepControl:
             raise ValueError(f"'safety' must lie in (0, 1), got {self.safety!r}")
 
 
+def _default_h_max(p: TrapParams) -> float:
+    return min(0.05, p.period / 50.0) if p.de1 != 0.0 else 0.05
+
+
 def default_control(p: TrapParams) -> StepControl:
     """Default policy for a given drive: h_max resolves fifty steps per
     drive period when the trap is modulated, 0.05 otherwise."""
-    if p.de1 != 0.0:
-        return StepControl(h_max=min(0.05, p.period / 50.0))
-    return StepControl()
+    return StepControl(h_max=_default_h_max(p))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import BjjError, SingularityError
 
 __all__ = [
     "Z_GUARD",
@@ -242,9 +242,12 @@ def classify_regime(p: TrapParams, z0: float, phi0: float) -> Regime:
     fictitious-particle energy split the plane into Rabi-like oscillation
     (h_eff > 0, symmetric sweep), self-trapped motion (h_eff < 0, the
     particle is confined to one well) and the separatrix band between.
+    Raises BjjError when that energy overflows.
     """
     h = hamiltonian(p, z0, phi0, t=0.0)
     h_eff = effective_energy(h)
+    if not math.isfinite(h_eff):
+        raise BjjError(f"the fictitious-particle energy (1 - h^2)/2 overflows at h={float(h)!r}")
     shape = (
         PotentialShape.DOUBLE_WELL
         if 1.0 - p.lam * h < 0.0

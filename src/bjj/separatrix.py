@@ -344,14 +344,24 @@ def drive_coefficient(f: SeparatrixFrame, omega: float) -> float:
     the bracket lam*(omega^2 - 1)/|lam|^3 common to all valid frames.
     Past the float range of the bracket, where sech has underflowed, it is
     the signed zero the product takes below that range; otherwise an
-    overflowing bracket raises BjjError, naming omega.
+    overflowing bracket raises BjjError, naming omega.  Past the float
+    range of the cosine's argument omega*c0/kappa, where sech has
+    underflowed, it is +0.0 (the cosine's sign is lost with its argument);
+    otherwise that raises BjjError, naming omega and c0.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be > 0, got {omega}")
     kappa = f.kappa
     a = abs(f.lam)
-    cos = math.cos(omega * f.c0 / kappa)
     sech = _sech(math.pi * omega / (2.0 * kappa))
+    phase = omega * f.c0 / kappa
+    if not math.isfinite(phase):
+        if sech == 0.0:
+            return 0.0
+        raise BjjError(
+            f"drive coefficient's cosine overflows at omega={omega!r}, c0={f.c0!r}"
+        )
+    cos = math.cos(phase)
     try:
         bracket = (
             2.0 * f.lam * kappa**2 * (1.0 + omega**2 / kappa**2) / a**3
@@ -371,8 +381,17 @@ def drive_coefficient(f: SeparatrixFrame, omega: float) -> float:
 
 
 def _damping_loss(f: SeparatrixFrame, eta: float) -> float:
-    # eta * int z11^2 dt, the damping term of the Melnikov function negated
-    return 8.0 * eta * f.kappa**3 / (3.0 * f.lam**2)
+    # eta * int z11^2 dt, the damping term of the Melnikov function negated;
+    # past the float range of kappa**3 or lam**2 (above or below), it is
+    # computed as kappa*(kappa/lam)**2
+    try:
+        loss = 8.0 * eta * f.kappa**3 / (3.0 * f.lam**2)
+    except (OverflowError, ZeroDivisionError):
+        r = f.kappa / f.lam
+        loss = 8.0 * eta * (f.kappa * r * r) / 3.0 if eta else 0.0
+    if not math.isfinite(loss):
+        raise BjjError(f"damping term overflows at lam={f.lam!r} (h={f.h!r}, eta={eta!r})")
+    return loss
 
 
 def melnikov_closed(f: SeparatrixFrame, p: TrapParams) -> float:

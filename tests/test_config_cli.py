@@ -489,17 +489,29 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         (["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1", "--c0", "0.3",
           "--omega-max", "50"],
          "06c1e87468d6356869ce15f3e1087738fd5c0f7654a3569c3f04738375ea1ae3"),
+        # the echo of a derived h_max: undriven, without integrating, and
+        # over sampled and sectioned runs
+        (["potential", "--preset", "fig1a"],
+         "e76181ff32ec91c9f58813284bf01ac33ba7de5ee86b443277b2030965fdc6ff"),
+        (["classify", "--preset", "fig5_de1_7.5"],
+         "854c5d785b28913160916c24cb180de914cb40493819da0395f9561f0655e8cf"),
+        (["spectrum", "--preset", "fig7_left", "--n-periods", "100"],
+         "769c5860cd4ec66acf42705df4faa0e6355130a6ff13f9e4e05f03a33bb32231"),
+        (["attractor", "--preset", "fig8_de1_3.0", "--damping", "velocity",
+          "--n-periods", "400", "--discard", "100"],
+         "16923fb3bf51dbeb8bfd416d13a4c57d2d8f61ca6856dca3b7e37bc12cc9bc86"),
     ],
     ids=["poincare", "simulate", "crosscheck", "attractor_damped", "simulate_undriven",
          "lyapunov", "melnikov", "stability_curve", "melnikov_driven",
-         "stability_curve_c0"],
+         "stability_curve_c0", "potential", "classify", "spectrum", "attractor_velocity"],
 )
 def test_cli_outputs_keep_pinned_bytes(tmp_path, args, digest):
     # SHA-256 of outputs recorded before the driver was written out stage
     # by stage (the first three), before the driver took over the tilt (the
-    # next three) and before the Melnikov integrand was built from the
-    # named z11 and eps1 (the last three); a stepper or quadrature change
-    # that moves one bit shows here.
+    # next three), before the Melnikov integrand was built from the named
+    # z11 and eps1 (the next three) and before only the commands that
+    # integrate took a step policy (the last four); a stepper, quadrature
+    # or echo change that moves one bit shows here.
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -553,11 +565,14 @@ def test_damping_none_is_refused(via, tmp_path, capsys):
     "argv",
     [["melnikov", "--lambda", "4", "--energy", "0.9", "--omega", "1e200", "--eta", "0.1"],
      ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1",
-      "--omega-max", "1e200", "--n-points", "3"]],
-    ids=["melnikov", "stability_curve"],
+      "--omega-max", "1e200", "--n-points", "3"],
+     ["melnikov", "--lambda", "4", "--energy", "0.9", "--c0", "10", "--omega", "1e308",
+      "--eta", "0.1"]],
+    ids=["melnikov", "stability_curve", "melnikov_cosine"],
 )
 def test_drive_past_the_overflow_exits_0(argv, tmp_path):
-    # omega**2 overflows there; the drive coefficient is a zero, not a traceback
+    # omega**2, or omega*c0 in the cosine, overflows there; the drive
+    # coefficient is a zero, not a traceback
     code, text = run_cli(argv, tmp_path)
     assert code == 0
     if argv[0] == "melnikov":
@@ -586,6 +601,92 @@ def test_stability_curve_with_many_cosine_zeros(tmp_path, capsys):
     assert [int(r[2]) for r in poles] == list(range(len(poles)))
     assert run_cli([*argv, "1e12"], tmp_path, "big")[0] == 1
     assert "'omega_max'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["melnikov", "--lambda", "1e200", "--energy", "1"],
+     ["stability-curve", "--lambda", "1e200", "--energy", "1", "--eta", "0.1"]],
+    ids=["melnikov", "stability_curve"],
+)
+def test_interaction_past_the_power_overflow_exits_2(argv, capsys):
+    # lam**2 overflows in the damping term, which then takes another form;
+    # the drive coefficient's |lam|**3 overflows too, and stops the run
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: drive coefficient overflows at omega=")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["potential", "--lambda", "1e308", "--energy", "1"],
+     ["potential", "--energy", "1", "--z-max", "1e200"],
+     ["classify", "--lambda", "1e308"]],
+    ids=["potential_lambda", "potential_z_max", "classify"],
+)
+def test_overflowing_energy_scan_or_class_exits_2(argv, tmp_path, capsys):
+    # finite keys whose V(z) or (1 - h^2)/2 is past the float range
+    code, text = run_cli(argv, tmp_path)
+    assert (code, text) == (2, "")
+    assert "overflows at " in capsys.readouterr().err
+
+
+# A drive too fast to integrate: default_control's h_max, period/50, falls
+# below h_min.
+FAST_DRIVE = ["--de1", "1", "--omega", "2e11"]
+
+
+def echo_config(text):
+    """The config a run's output echoes: a CSV's '#' lines, or a JSON
+    output's "config" object written as key=value lines."""
+    if text.startswith("#"):
+        return "".join(line + "\n" for line in text.splitlines() if line.startswith("#"))
+    return "".join(f"{k}={v}\n" for k, v in json.loads(text)["config"].items())
+
+
+def assert_replays(command, text, tmp_path):
+    cfg_file = tmp_path / "replay.cfg"
+    cfg_file.write_text(echo_config(text))
+    assert run_cli([command, "--config", str(cfg_file)], tmp_path, "replayed") == (0, text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["potential", "--lambda", "4", "--energy", "0.9"], ["classify"],
+     ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1", "--n-points", "3"]],
+    ids=["potential", "classify", "stability_curve"],
+)
+def test_commands_that_never_integrate_run_any_drive(argv, tmp_path):
+    # they take no step policy; the echo keeps default_control's h_max,
+    # and replays
+    code, text = run_cli([*argv, *FAST_DRIVE], tmp_path)
+    assert code == 0
+    assert parse_kv_text(echo_config(text))["h_max"] == 2 * math.pi / 2e11 / 50
+    assert_replays(argv[0], text, tmp_path)
+
+
+def test_melnikov_at_a_drive_too_fast_to_integrate_exits_2(capsys):
+    # past the step policy, the quadrature cannot resolve the drive
+    assert main(["melnikov", "--lambda", "4", "--energy", "0.9", *FAST_DRIVE]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli._INTEGRATES))
+def test_commands_that_integrate_refuse_a_drive_too_fast(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, *FAST_DRIVE, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: out-of-range value: 'h_max' must be finite and >= h_min=1e-12, "
+        "got 6.283185307179586e-13\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_every_command_refuses_an_invalid_step_key(command, tmp_path, capsys):
+    for key in ("abs_tol", "h_init", "h_min", "h_max", "safety"):
+        code, text = run_cli([command, "--energy", "1", f"{cli._flag(key)}=-1"], tmp_path)
+        assert (code, text) == (1, "")
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_melnikov_quadrature_failure_exits_2(capsys):
@@ -804,7 +905,8 @@ def test_crosscheck_json(tmp_path):
     [n[:-4] for n in PRESETS],
 )
 def test_presets_run_reduced(name, tmp_path):
-    """Every preset drives its natural subcommand end to end.
+    """Every preset drives its natural subcommand end to end, and its
+    output's echo replays it byte for byte.
 
     Attractor/section presets run with shortened horizons here; the
     full-scale physics of the fig5/fig8/fig9 families is exercised by the
@@ -824,6 +926,7 @@ def test_presets_run_reduced(name, tmp_path):
         args = ["attractor", "--preset", name, "--n-periods", "150", "--discard", "20"]
     code, text = run_cli(args, tmp_path)
     assert code == 0 and text
+    assert_replays(args[0], text, tmp_path)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -945,6 +1048,10 @@ CLI_BASES = {
     "poincare": {"n_periods": st.integers(0, 4), "de1": knob(-8.0, 8.0)},
     "lyapunov": {"horizon": knob(0.5, 5.0, SHORT)},
     "crosscheck": {"t_end": knob(0.1, 3.0, SHORT)},
+    "melnikov": {"energy": knob(-2.0, 2.0)},
+    "stability-curve": {"energy": knob(-2.0, 2.0), "n_points": st.integers(1, 4)},
+    "potential": {"energy": knob(-2.0, 2.0), "n_z": st.integers(1, 4)},
+    "classify": {"energy": knob(-2.0, 2.0)},
 }
 CLI_BUDGET_S = 10.0
 
@@ -967,12 +1074,27 @@ def cli_runs(draw):
 
 
 def finite_data(command, text):
-    """Whether every data value of a command's output is a finite number."""
-    if command in {"simulate", "poincare"}:
-        rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
-        return bool(rows) and all(math.isfinite(float(x)) for r in rows for x in r.split(","))
+    """Whether every data value of a command's output is a finite number.
+
+    classify's kind and potential shape are words.  A stability curve's
+    de1_critical is inf on its asymptote rows only, which number the
+    asymptotes 0, 1, ... in their branch column.
+    """
+    if command in {"simulate", "poincare", "potential", "stability-curve"}:
+        lines = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+        if command == "stability-curve":
+            poles = [b for _, d, b in rows if d == math.inf]
+            if poles != list(range(len(poles))):
+                return False
+            rows = [[w, 0.0 if d == math.inf else d, b] for w, d, b in rows]
+        return bool(rows) and all(math.isfinite(x) for r in rows for x in r)
     payload = json.loads(text)
     del payload["config"]
+    if command == "classify":
+        words = payload.pop("kind"), payload.pop("potential_shape")
+        if not all(isinstance(w, str) for w in words):
+            return False
     return all(isinstance(v, (int, float)) and math.isfinite(v) for v in payload.values())
 
 
@@ -981,7 +1103,15 @@ def finite_data(command, text):
 @example(["poincare", "--n-periods=2", "--de1=0.0"])
 @example(["crosscheck", "--t-end=1.0", "--eta=0.5"])
 @example(["lyapunov", "--horizon=2.0", "--phi0=1e+308"])
-@settings(max_examples=60)
+@example(["potential", "--lambda=4", "--energy=0.9", "--de1=1", "--omega=2e11"])
+@example(["classify", "--de1=1", "--omega=2e11"])
+@example(["stability-curve", "--lambda=4", "--energy=0.9", "--eta=0.1", "--de1=1",
+          "--omega=2e11", "--n-points=3"])
+@example(["melnikov", "--lambda=4", "--energy=0.9", "--de1=1", "--omega=2e11"])
+@example(["melnikov", "--lambda=1e200", "--energy=1"])
+@example(["stability-curve", "--lambda=1e200", "--energy=1", "--eta=0.1"])
+@example(["melnikov", "--lambda=4", "--energy=0.9", "--c0=10", "--omega=1e308", "--eta=0.1"])
+@settings(max_examples=100)
 def test_cli_ends_in_one_of_three_ways(argv):
     # exit 0 with finite data, 1 for the input or 2 for the numerics, each
     # within a budget: a hang, a raw traceback or a NaN row is a bug

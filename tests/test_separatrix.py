@@ -307,6 +307,31 @@ def test_drive_coefficient_overflow_with_live_sech_raises_naming_omega():
         drive_coefficient(SeparatrixFrame(lam=1e200, h=1.0), 2.0 * math.pi)
 
 
+def test_drive_coefficient_past_the_cosine_range():
+    # omega*c0/kappa overflows where sech has long underflowed: +0.0, the
+    # cosine's sign being lost; with sech alive, BjjError naming omega and c0
+    g = drive_coefficient(SeparatrixFrame(lam=4.0, h=0.9, c0=10.0), 1e308)
+    assert g == 0.0 and math.copysign(1.0, g) == 1.0
+    with pytest.raises(BjjError, match=r"omega=2.0, c0=1e\+308"):
+        drive_coefficient(SeparatrixFrame(lam=4.0, h=0.9, c0=1e308), 2.0)
+
+
+def test_damping_term_past_the_power_range():
+    f = SeparatrixFrame(lam=4.0, h=0.9)
+    damp = -(8.0 * 0.1 * f.kappa**3 / (3.0 * f.lam**2))  # the powers, in range
+    assert melnikov_closed(f, TrapParams(lam=4.0, eta=0.1)) == damp
+    # lam**2 overflows at lam = 1e200; kappa*(kappa/lam)**2 does not
+    big = SeparatrixFrame(lam=1e200, h=1.0)
+    assert melnikov_closed(big, TrapParams(lam=1e200, eta=0.1)) == pytest.approx(
+        -8.0 * 0.1 * 1e-100 / 3.0, rel=1e-15)
+    # a term past the float range, or lam**2 below it, raises naming lam
+    tiny = SeparatrixFrame(lam=1e-300, h=1e308)
+    for frame, eta in ((SeparatrixFrame(lam=10.0, h=1.0), 1e308), (tiny, 0.1)):
+        with pytest.raises(BjjError, match=f"lam={frame.lam!r}"):
+            melnikov_closed(frame, TrapParams(lam=frame.lam, eta=eta))
+    assert melnikov_closed(tiny, TrapParams(lam=1e-300)) == 0.0  # undamped
+
+
 def test_quadrature_changes_sign_across_asymptote():
     f = SeparatrixFrame(lam=4.0, h=0.5)
     lo, _ = melnikov_numeric(f, TrapParams(lam=4.0, de1=1.0, omega=0.8))
