@@ -108,10 +108,11 @@ class Trajectory:
     """Sampled solution of the reduced equations.
 
     A stroboscopic section is one too: sample_stroboscopic lands row k at
-    t = k * period, so the row index is the section index.  dz_dt holds the actual flow derivative (damping included): the first
-    component of the rate at every row, from one call of the lane rate
-    that make_rate's source also gives over all rows, or, for a rate
-    without one, from one rate call per row.  Both give the rate's bits.
+    t = k * period, so the row index is the section index.  dz_dt holds
+    the actual flow derivative (damping included): the first component of
+    the rate at every row, from one call of the lane rate that make_rate's
+    source also gives over all rows, or, for a rate without one, from one
+    rate call per row.  Both give the rate's bits.
     """
 
     t: np.ndarray
