@@ -34,20 +34,14 @@ _MIN_SAMPLES = 16
 class Spectrum:
     """One-sided power spectrum of a mean-removed, evenly sampled series.
 
-    freqs is in cycles per time unit; power is normalized so that with
+    freqs is in cycles per time unit, spaced 1/(n*dt) for n samples dt
+    apart; power is normalized so that with
     the rectangular window the total equals the variance of the series
     (Parseval).  A drive at angular frequency w shows up at w / 2 pi.
     """
 
     freqs: np.ndarray
     power: np.ndarray
-    dt: float
-    n_samples: int
-
-    @property
-    def resolution(self) -> float:
-        """Bin spacing in cycles per time unit."""
-        return 1.0 / (self.n_samples * self.dt)
 
 
 def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectrum:
@@ -75,12 +69,7 @@ def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectr
     power[1:] *= 2.0
     if n % 2 == 0:
         power[-1] *= 0.5
-    return Spectrum(
-        freqs=np.fft.rfftfreq(n, d=dt),
-        power=power,
-        dt=dt,
-        n_samples=n,
-    )
+    return Spectrum(freqs=np.fft.rfftfreq(n, d=dt), power=power)
 
 
 def dominant_bin(spec: Spectrum) -> tuple[float, float]:

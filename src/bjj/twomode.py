@@ -25,10 +25,8 @@ from .integrate import StepControl, _sample, default_control, integrate_adaptive
 from .model import PhaseState, TrapParams
 
 __all__ = [
-    "TwoModeState",
     "TwoModeTrajectory",
     "CrosscheckReport",
-    "amplitudes_from_phase",
     "project_trajectory",
     "integrate_twomode",
     "crosscheck_max_dz",
@@ -36,15 +34,6 @@ __all__ = [
 
 #: Mode populations below this are treated as phase-indeterminate.
 PHASE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Complex mode amplitudes at time t (norm |a1|^2+|a2|^2 = 1)."""
-
-    t: float
-    a1: complex
-    a2: complex
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,7 @@ class CrosscheckReport:
     n_compared: int
 
 
-def amplitudes_from_phase(z0: float, phi0: float) -> tuple[complex, complex]:
+def _amplitudes(z0: float, phi0: float) -> tuple[complex, complex]:
     """Unit-norm amplitudes with imbalance z0 and relative phase phi0."""
     if not -1.0 <= z0 <= 1.0:
         raise ValueError(f"|z0| must be <= 1, got {z0}")
@@ -93,12 +82,13 @@ def _make_rate(p: TrapParams):
 
 def integrate_twomode(
     p: TrapParams,
-    s0: TwoModeState,
+    s0: PhaseState,
     t_end: float,
     ctl: StepControl | None = None,
     sample_dt: float | None = None,
 ) -> TwoModeTrajectory:
-    """Integrate the amplitude equations with the shared adaptive driver.
+    """Integrate the amplitude equations with the shared adaptive driver,
+    from the unit-norm amplitudes with imbalance s0.z and phase s0.phi.
 
     Only the conservative system is defined at this level, so p.eta must
     be zero.  Sampling semantics match integrate_adaptive.  The driver
@@ -109,7 +99,7 @@ def integrate_twomode(
         raise ValueError("two-mode oracle is conservative; requires eta = 0")
     if ctl is None:
         ctl = default_control(p)
-    a1, a2 = complex(s0.a1), complex(s0.a2)
+    a1, a2 = _amplitudes(s0.z, s0.phi)
     y0 = (a1.real, a1.imag, a2.real, a2.imag)
     t, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
     amps = ys.view(complex)
@@ -147,13 +137,9 @@ def crosscheck_max_dz(
 ) -> CrosscheckReport:
     """Integrate both routes from the same state and compare z on a grid."""
     # the oracle runs first, so its eta = 0 rule fails before any integration
-    a1, a2 = amplitudes_from_phase(z0, phi0)
-    full = integrate_twomode(
-        p, TwoModeState(t=0.0, a1=a1, a2=a2), t_end, ctl=ctl, sample_dt=sample_dt
-    )
-    reduced = integrate_adaptive(
-        p, PhaseState(t=0.0, z=z0, phi=phi0), t_end, ctl=ctl, sample_dt=sample_dt
-    )
+    s0 = PhaseState(t=0.0, z=z0, phi=phi0)
+    full = integrate_twomode(p, s0, t_end, ctl=ctl, sample_dt=sample_dt)
+    reduced = integrate_adaptive(p, s0, t_end, ctl=ctl, sample_dt=sample_dt)
     if len(reduced) != len(full) or np.max(np.abs(reduced.t - full.t)) > 1e-9:
         raise RuntimeError("integration routes produced mismatched sample grids")
     z_full, _ = project_trajectory(full)

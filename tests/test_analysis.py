@@ -70,7 +70,7 @@ def test_spectrum_shape_and_resolution():
     t = np.arange(100) * 0.25
     spec = power_spectrum(t, np.sin(t))
     assert len(spec.freqs) == 51
-    assert spec.resolution == pytest.approx(1.0 / (100 * 0.25))
+    assert spec.freqs[1] == pytest.approx(1.0 / (100 * 0.25))
     assert np.all(np.diff(spec.freqs) > 0)
 
 

@@ -942,8 +942,8 @@ PUBLIC_API = {
     "MotionClass", "PhaseState", "PotentialShape", "QuadratureError", "Regime", "RunConfig",
     "SeparatrixFrame", "SingularityError", "Spectrum", "StabilityCurve",
     "StepControl", "StepUnderflowError", "TOL_SEP", "Trajectory", "TrapParams",
-    "TwoModeState", "TwoModeTrajectory", "Z_GUARD", "__version__", "advance",
-    "amplitudes_from_phase", "classify_regime", "crosscheck_max_dz",
+    "TwoModeTrajectory", "Z_GUARD", "__version__", "advance",
+    "classify_regime", "crosscheck_max_dz",
     "default_control", "detect_frequency_locking", "dominant_bin", "drive_coefficient",
     "duffing_residual", "effective_energy", "effective_potential", "epsilon1",
     "frame_from_initial", "hamiltonian", "integrate_adaptive", "integrate_twomode",
@@ -955,9 +955,9 @@ PUBLIC_API = {
 }
 
 
-def test_public_api_keeps_its_58_names():
+def test_public_api_keeps_its_56_names():
     # each module declares its names once; the package re-exports them
-    assert len(bjj.__all__) == len(PUBLIC_API) == 58
+    assert len(bjj.__all__) == len(PUBLIC_API) == 56
     assert set(bjj.__all__) == PUBLIC_API
     namespace: dict = {}
     exec("from bjj import *", namespace)

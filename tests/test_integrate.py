@@ -36,12 +36,7 @@ from bjj.model import (
     make_rate,
     trap_asymmetry,
 )
-from bjj.twomode import (
-    TwoModeState,
-    amplitudes_from_phase,
-    crosscheck_max_dz,
-    integrate_twomode,
-)
+from bjj.twomode import crosscheck_max_dz, integrate_twomode
 
 TIGHT = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-14, h_max=0.05)
 
@@ -285,8 +280,7 @@ def test_dz_dt_rows_outside_the_flow_raise_naming_t():
 
 def test_twomode_keeps_pinned_amplitude_bits():
     p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
-    a1, a2 = amplitudes_from_phase(S_PIN.z, S_PIN.phi)
-    traj = integrate_twomode(p, TwoModeState(0.0, a1, a2), 5.0, sample_dt=0.5)
+    traj = integrate_twomode(p, S_PIN, 5.0, sample_dt=0.5)
     assert (complex(traj.a1[-1]), complex(traj.a2[-1])) == (
         0.013766190900418373 + 0.7508490880616501j,
         0.47955608560102075 - 0.4539406347224939j,
@@ -318,11 +312,10 @@ def test_driven_oracle_keeps_pinned_bits(monkeypatch, sample_dt, t_end, evals, r
     # The counting wrapper runs the rate through the widened called driver;
     # without it the rate is written into the widened driver.
     p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
-    s0 = TwoModeState(0.0, *amplitudes_from_phase(S_PIN.z, S_PIN.phi))
     count = [0]
     monkeypatch.setattr(bjj.twomode, "_make_rate", counting(bjj.twomode._make_rate, count))
     for counted in (True, False):
-        traj = integrate_twomode(p, s0, t_end, sample_dt=sample_dt)
+        traj = integrate_twomode(p, S_PIN, t_end, sample_dt=sample_dt)
         assert (count[0], len(traj)) == (evals, rows)
         assert (complex(traj.a1[-1]), complex(traj.a2[-1])) == (a1, a2)
         assert rows_digest(traj) == digest
@@ -522,7 +515,7 @@ def test_inlined_driver_matches_called_driver(kind, eta, de0, de1, z0, phi0, tol
     if oracle:
         f = bjj.twomode._make_rate(p)
         if math.isfinite(phi0):
-            a1, a2 = amplitudes_from_phase(z0, phi0)
+            a1, a2 = bjj.twomode._amplitudes(z0, phi0)
             y = (a1.real, a1.imag, a2.real, a2.imag)
         else:
             y = (0.0, 1.0, 0.0, phi0)
@@ -634,7 +627,7 @@ def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch)
     # site has already overwritten.
     p = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi, eta=0.05)
     p3 = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
-    a1, a2 = amplitudes_from_phase(S_PIN.z, S_PIN.phi)
+    a1, a2 = bjj.twomode._amplitudes(S_PIN.z, S_PIN.phi)
     cases = [(make_rate(p), (p.de0, p.de1, p.omega), (S_PIN.z, S_PIN.phi)),
              (oscillator, NO_DRIVE, (1.0, 0.0)),
              (bjj.twomode._make_rate(p3), (0.0, 3.0, p3.omega),

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from bjj.errors import StepUnderflowError
 from bjj.model import PhaseState, TrapParams
 from bjj.twomode import (
-    TwoModeState,
     TwoModeTrajectory,
-    amplitudes_from_phase,
+    _amplitudes,
     crosscheck_max_dz,
     integrate_twomode,
     project_trajectory,
@@ -25,7 +24,7 @@ def project(a1, a2):
 
 
 def test_amplitudes_and_projection_roundtrip():
-    a1, a2 = amplitudes_from_phase(0.5, math.pi / 3)
+    a1, a2 = _amplitudes(0.5, math.pi / 3)
     assert abs(a1) ** 2 == pytest.approx(0.75, abs=1e-15)
     assert abs(a2) ** 2 == pytest.approx(0.25, abs=1e-15)
     z, phi = project(a1, a2)
@@ -41,23 +40,20 @@ def test_projection_flags_empty_mode():
 
 def test_norm_is_conserved():
     p = TrapParams(lam=10.0, de0=0.5, de1=2.0, omega=4.0 * math.pi)
-    a1, a2 = amplitudes_from_phase(0.5, 0.0)
-    traj = integrate_twomode(p, TwoModeState(0.0, a1, a2), 100.0, sample_dt=1.0)
+    traj = integrate_twomode(p, PhaseState(0.0, 0.5, 0.0), 100.0, sample_dt=1.0)
     norms = np.abs(traj.a1) ** 2 + np.abs(traj.a2) ** 2
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
 def test_overflowing_run_raises_instead_of_nan_rows():
     # lam*|a|^2 ~ 1e308 overflows every trial step, however small
-    a1, a2 = amplitudes_from_phase(0.5, 0.0)
     with pytest.raises(StepUnderflowError):
-        integrate_twomode(TrapParams(lam=1e308), TwoModeState(0.0, a1, a2), 1.0, sample_dt=0.5)
+        integrate_twomode(TrapParams(lam=1e308), PhaseState(0.0, 0.5, 0.0), 1.0, sample_dt=0.5)
 
 
 def test_step_underflow_names_configured_h_min():
-    a1, a2 = amplitudes_from_phase(0.5, 0.0)
     with pytest.raises(StepUnderflowError) as info:
-        integrate_twomode(TrapParams(lam=1e308), TwoModeState(0.0, a1, a2), 1.0, sample_dt=0.5)
+        integrate_twomode(TrapParams(lam=1e308), PhaseState(0.0, 0.5, 0.0), 1.0, sample_dt=0.5)
     err = info.value
     assert (err.t, err.h_min) == (0.0, 1e-12)
     assert err.h <= 1e-12 * (1.0 + 1e-9)
@@ -69,9 +65,8 @@ def test_step_underflow_names_configured_h_min():
 
 def test_damping_is_rejected():
     p = TrapParams(lam=10.0, eta=0.1)
-    a1, a2 = amplitudes_from_phase(0.5, 0.0)
     with pytest.raises(ValueError):
-        integrate_twomode(p, TwoModeState(0.0, a1, a2), 1.0)
+        integrate_twomode(p, PhaseState(0.0, 0.5, 0.0), 1.0)
 
 
 def test_crosscheck_agreement_short_run():
@@ -89,8 +84,7 @@ def test_crosscheck_rejects_damped_params():
 def test_projected_trajectory_unwraps_phase():
     # a self-trapped orbit has a running phase; unwrap keeps it continuous
     p = TrapParams(lam=10.0)
-    a1, a2 = amplitudes_from_phase(0.75, 0.0)
-    traj = integrate_twomode(p, TwoModeState(0.0, a1, a2), 10.0, sample_dt=0.02)
+    traj = integrate_twomode(p, PhaseState(0.0, 0.75, 0.0), 10.0, sample_dt=0.02)
     _, phi = project_trajectory(traj)
     assert np.max(np.abs(np.diff(phi))) < 1.0
 
@@ -101,7 +95,7 @@ def test_projected_trajectory_unwraps_phase():
 )
 @settings(max_examples=25)
 def test_amplitude_construction_is_normalized(z0, phi0):
-    a1, a2 = amplitudes_from_phase(z0, phi0)
+    a1, a2 = _amplitudes(z0, phi0)
     assert abs(a1) ** 2 + abs(a2) ** 2 == pytest.approx(1.0, abs=1e-14)
     z, phi = project(a1, a2)
     assert z == pytest.approx(z0, abs=1e-14)
