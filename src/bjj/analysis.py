@@ -44,14 +44,18 @@ class Spectrum:
     power: np.ndarray
 
 
+def _check_samples(n: int) -> None:
+    if n < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+
+
 def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectrum:
     """Spectrum of x(t) on a uniform grid; mean removed before windowing."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     if t.ndim != 1 or t.shape != x.shape:
         raise ValueError("t and x must be one-dimensional and equally long")
-    if len(t) < _MIN_SAMPLES:
-        raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {len(t)}")
+    _check_samples(len(t))
     if window not in _WINDOWS:
         raise ValueError(f"'window' must be one of {_WINDOWS}, got {window!r}")
     steps = np.diff(t)
@@ -154,6 +158,14 @@ def _check_locking(cluster_tol: float, max_order: int, chaos_spread_min: float) 
         raise ValueError(f"'chaos_spread_min' must be > 0, got {chaos_spread_min!r}")
 
 
+def _check_section_length(n_points: int, discard_periods: int, max_order: int) -> None:
+    if n_points <= discard_periods + 10 * max_order:
+        raise ValueError(
+            f"need more than discard_periods + 10*max_order = "
+            f"{discard_periods + 10 * max_order} section points, got {n_points}"
+        )
+
+
 def detect_frequency_locking(
     section: Trajectory,
     cluster_tol: float = 1e-3,
@@ -181,11 +193,7 @@ def detect_frequency_locking(
         raise ValueError(
             f"section has {len(bad)} non-finite points, the first at index {bad[0]}"
         )
-    if len(pts) <= discard_periods + 10 * max_order:
-        raise ValueError(
-            f"need more than discard_periods + 10*max_order = "
-            f"{discard_periods + 10 * max_order} section points, got {len(pts)}"
-        )
+    _check_section_length(len(pts), discard_periods, max_order)
     kept = pts[discard_periods:]
     mean_z = float(kept[:, 0].mean())
     spread = _diameter(kept)

@@ -28,7 +28,7 @@ from .config import (
     parse_config,
 )
 from .errors import BjjError, ConfigError
-from .integrate import integrate_adaptive, sample_stroboscopic
+from .integrate import _sample_targets, integrate_adaptive, sample_stroboscopic
 from .model import classify_regime, effective_potential, hamiltonian
 
 __all__ = ["main", "console_main"]
@@ -138,6 +138,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_values(merged, integrates)
     _apply_profile(cfg, args.command, explicit=set(merged))
     cfg.validate(integrates)
+    _check_run_length(cfg, args.command)
     return cfg
 
 
@@ -180,6 +181,28 @@ def _apply_profile(cfg: RunConfig, command: str, explicit: set[str]) -> None:
         cfg.t_end = cfg.horizon
 
 
+def _check_run_length(cfg: RunConfig, command: str) -> None:
+    """Refuse, before integrating, a run too short for the analysis that
+    follows it: the check that analysis makes, on the count the run gives."""
+    if command == "attractor":
+        analysis._check_section_length(cfg.n_periods + 1, cfg.discard, cfg.max_order)
+    elif command == "spectrum":
+        # the run's rows: t = 0 and every landing target
+        t = np.array([0.0, *_sample_targets(cfg.resolved_t_end(), cfg.sample_dt)])
+        try:
+            analysis._check_samples(int(np.count_nonzero(_kept(cfg, t))))
+        except ValueError as exc:
+            raise ConfigError(
+                f"{exc}: the horizon ('t_end' or 'n_periods') less the 'discard' "
+                "periods, over 'sample_dt', sets the count"
+            ) from None
+
+
+def _kept(cfg: RunConfig, t: np.ndarray) -> np.ndarray:
+    """The samples a spectrum keeps: those past the 'discard' periods."""
+    return t >= cfg.discard * cfg.period - 1e-9 * cfg.sample_dt
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 
@@ -203,15 +226,7 @@ def _cmd_spectrum(cfg: RunConfig) -> str:
     traj = integrate_adaptive(
         cfg.trap, cfg.state0, cfg.resolved_t_end(), ctl=cfg.control(), sample_dt=cfg.sample_dt
     )
-    t_start = cfg.discard * cfg.period
-    keep = traj.t >= t_start - 1e-9 * cfg.sample_dt
-    count = int(np.count_nonzero(keep))
-    if count < analysis._MIN_SAMPLES:
-        raise ConfigError(
-            f"need at least {analysis._MIN_SAMPLES} samples, got {count}: the horizon "
-            "('t_end' or 'n_periods') less the 'discard' periods, over 'sample_dt', "
-            "sets the count"
-        )
+    keep = _kept(cfg, traj.t)
     spec = analysis.power_spectrum(traj.t[keep], traj.z[keep], window=cfg.window)
     return _csv_text(cfg, "freq,power", spec.freqs, spec.power)
 
@@ -268,8 +283,8 @@ def _cmd_stability_curve(cfg: RunConfig) -> str:
         omega_max=cfg.omega_max,
         n_points=cfg.n_points,
     )
-    # Grid points that land exactly on a pole evaluate to inf; drop them in
-    # favour of the dedicated asymptote rows appended below.
+    # A grid point that is an asymptote is inf; it gives way to the
+    # asymptote rows appended below.
     rows = [
         (float(w), float(d), int(b))
         for w, d, b in zip(curve.omega, curve.de1_critical, curve.branch)

@@ -244,10 +244,10 @@ def classify_regime(p: TrapParams, z0: float, phi0: float) -> Regime:
     particle is confined to one well) and the separatrix band between.
     Raises BjjError when that energy overflows.
     """
-    h = hamiltonian(p, z0, phi0, t=0.0)
+    h = float(hamiltonian(p, z0, phi0, t=0.0))  # a float: h*h overflows to inf, unwarned
     h_eff = effective_energy(h)
     if not math.isfinite(h_eff):
-        raise BjjError(f"the fictitious-particle energy (1 - h^2)/2 overflows at h={float(h)!r}")
+        raise BjjError(f"the fictitious-particle energy (1 - h^2)/2 overflows at h={h!r}")
     shape = (
         PotentialShape.DOUBLE_WELL
         if 1.0 - p.lam * h < 0.0

@@ -410,9 +410,9 @@ def melnikov_closed(f: SeparatrixFrame, p: TrapParams) -> float:
 class StabilityCurve:
     """Critical drive amplitude versus frequency at fixed damping.
 
-    de1_critical solves M = 0 at each grid frequency (+/-inf next to an
-    asymptote); branch counts how many asymptotes lie below each point, so
-    it is constant on every continuous piece of the curve.  The sign of
+    de1_critical solves M = 0 at each grid frequency (inf at a grid point
+    that is an asymptote); branch counts how many asymptotes lie below each
+    point, so it is constant on every continuous piece of the curve.  The sign of
     de1_critical is the algebraic root; drive amplitude being a phase
     convention, the physical threshold is its magnitude.
     """
@@ -473,9 +473,11 @@ def stability_curve(
     """Solve the Melnikov zero condition for de1 on a frequency grid.
 
     M is linear in de1, so de1_critical = (8 eta kappa^3 / 3 lam^2) / G(omega)
-    with G the drive coefficient.  Grid points where G vanishes to machine
-    level get +/-inf; the closed-form asymptote list (bracket root at
-    omega = 1 plus the cosine zeros for c0 != 0) is returned alongside.
+    with G the drive coefficient.  The closed-form asymptote list (bracket
+    root at omega = 1 plus the cosine zeros for c0 != 0) is returned
+    alongside; a grid point that is one of them gets inf.  Raises BjjError
+    where de1_critical is past the float range (G underflowed to zero, or
+    the quotient overflowed), naming omega.
     """
     if not eta >= 0.0:
         raise ValueError(f"'eta' must be >= 0, got {eta!r}")
@@ -485,21 +487,21 @@ def stability_curve(
     marks = _asymptotes_in(f, float(grid[0]), float(grid[-1]))
     damp = _damping_loss(f, eta)
     crit = np.empty_like(grid)
-    for i, w in enumerate(grid):
+    branch = np.empty(len(grid), dtype=int)
+    for i, w in enumerate(grid.tolist()):
+        b = branch[i] = bisect.bisect_left(marks, w)
         if damp == 0.0:
             crit[i] = 0.0
-            continue
-        g = drive_coefficient(f, float(w))
-        if g == 0.0 or abs(g) < 1e-300:
-            crit[i] = math.copysign(math.inf, g) if g != 0.0 else math.inf
+        elif b < len(marks) and marks[b] == w:
+            crit[i] = math.inf
         else:
-            crit[i] = damp / g
+            g = drive_coefficient(f, w)
+            d = damp / g if g else math.inf
+            if not math.isfinite(d):
+                raise BjjError(f"de1_critical overflows at omega={w!r} "
+                               f"(lambda={f.lam!r}, energy={f.h!r})")
+            crit[i] = d
 
-    branch = np.fromiter(
-        (bisect.bisect_left(marks, float(w)) for w in grid),
-        dtype=int,
-        count=len(grid),
-    )
     return StabilityCurve(
         omega=grid, de1_critical=crit, branch=branch, asymptotes=tuple(marks)
     )

@@ -564,28 +564,43 @@ def test_damping_none_is_refused(via, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["melnikov", "--lambda", "4", "--energy", "0.9", "--omega", "1e200", "--eta", "0.1"],
-     ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1",
-      "--omega-max", "1e200", "--n-points", "3"],
      ["melnikov", "--lambda", "4", "--energy", "0.9", "--c0", "10", "--omega", "1e308",
       "--eta", "0.1"]],
-    ids=["melnikov", "stability_curve", "melnikov_cosine"],
+    ids=["melnikov", "melnikov_cosine"],
 )
 def test_drive_past_the_overflow_exits_0(argv, tmp_path):
     # omega**2, or omega*c0 in the cosine, overflows there; the drive
     # coefficient is a zero, not a traceback
     code, text = run_cli(argv, tmp_path)
     assert code == 0
-    if argv[0] == "melnikov":
-        assert json.loads(text)["drive_coefficient"] == 0
-    else:
-        rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert rows == ["omega,de1_critical,branch", "0.5,-0.53188650033248919,0", "1,inf,0"]
+    assert json.loads(text)["drive_coefficient"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, omega",
+    [(["stability-curve", "--lambda", "2", "--energy", "0.5000005", "--eta", "0.1",
+       "--n-points", "5"], "0.5"),
+     (["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1",
+       "--omega-max", "1e200", "--n-points", "3"], "5e+199")],
+    ids=["kappa_1e-3", "omega_overflow"],
+)
+def test_stability_curve_past_the_float_range_exits_2(argv, omega, tmp_path, capsys):
+    # where the drive coefficient has underflowed to zero (kappa = 1e-3
+    # from omega = 0.5 on; past omega**2's overflow), de1_critical is past
+    # the float range: exit 2 naming omega, not a curve without those rows
+    assert run_cli(argv, tmp_path) == (2, "")
+    lam, energy = argv[2], argv[4]
+    assert capsys.readouterr().err == (
+        f"runtime failure: de1_critical overflows at omega={omega} "
+        f"(lambda={float(lam)!r}, energy={float(energy)!r})\n")
 
 
 def test_stability_curve_with_many_cosine_zeros(tmp_path, capsys):
     # 59,223 asymptote rows within an alarm; past MAX_TARGETS of them
-    # the curve is refused, naming the keys that set the count
-    argv = ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0.1",
+    # the curve is refused, naming the keys that set the count.  Undamped,
+    # the curve is zero: with damping, de1_critical is past the float range
+    # at the two upper grid points
+    argv = ["stability-curve", "--lambda", "4", "--energy", "0.9", "--eta", "0",
             "--c0", "0.3", "--n-points", "3", "--omega-max"]
     previous = signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
@@ -597,7 +612,8 @@ def test_stability_curve_with_many_cosine_zeros(tmp_path, capsys):
     assert code == 0
     rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
     poles = [r for r in rows if r[1] == "inf"]
-    assert len(poles) == 59223 and len(rows) == len(poles) + 1  # one finite grid row
+    assert len(poles) == 59223 and len(rows) == len(poles) + 3  # and three grid rows
+    assert [r[1] for r in rows if r[1] != "inf"] == ["0", "0", "0"]
     assert [int(r[2]) for r in poles] == list(range(len(poles)))
     assert run_cli([*argv, "1e12"], tmp_path, "big")[0] == 1
     assert "'omega_max'" in capsys.readouterr().err
@@ -723,6 +739,48 @@ def test_spectrum_rejects_fewer_than_16_samples(tmp_path, capsys, args, count):
     assert err.startswith(f"error: need at least 16 samples, got {count}: ")
     for key in ("'t_end'", "'n_periods'", "'sample_dt'", "'discard'"):
         assert key in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["attractor", "--lambda", "10", "--de1", "3", "--omega-pi", "4", "--n-periods", "4000",
+       "--discard", "4000"],
+      "need more than discard_periods + 10*max_order = 4120 section points, got 4001"),
+     (["spectrum", "--lambda", "10", "--de1", "3", "--omega-pi", "4", "--n-periods", "2000",
+       "--discard", "2000"],
+      "need at least 16 samples, got 1: the horizon ('t_end' or 'n_periods') less the "
+      "'discard' periods, over 'sample_dt', sets the count")],
+    ids=["attractor", "spectrum"],
+)
+def test_too_short_runs_are_refused_before_integrating(argv, message, tmp_path, capsys,
+                                                       monkeypatch):
+    # the analysis's own count rule, on the rows the run would give,
+    # decided before the run starts
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a run its analysis refuses")
+
+    monkeypatch.setattr(cli, "sample_stroboscopic", never)
+    monkeypatch.setattr(cli, "integrate_adaptive", never)
+    assert run_cli(argv, tmp_path) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_spectrum_of_exactly_16_samples_runs(tmp_path):
+    # 0, 0.1, ..., 1.5: the fewest samples the spectrum takes
+    code, text = run_cli(["spectrum", "--t-end", "1.5", "--sample-dt", "0.1"], tmp_path)
+    assert code == 0
+    assert len([l for l in text.splitlines() if not l.startswith("#")]) == 1 + 9
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--de0"])
+def test_overflowing_classify_prints_no_warning(flag):
+    # the fictitious-particle energy overflows in float arithmetic: stderr
+    # holds the exit-2 line and nothing else
+    done = run_python("-m", "bjj", "classify", flag, "1e308")
+    h = {"--lambda": "1.25e+307", "--de0": "5e+307"}[flag]
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"runtime failure: the fictitious-particle energy (1 - h^2)/2 overflows at h={h}\n")
 
 
 def test_stability_curve_emits_asymptote_row(tmp_path):
@@ -1110,6 +1168,7 @@ def finite_data(command, text):
 @example(["melnikov", "--lambda=4", "--energy=0.9", "--de1=1", "--omega=2e11"])
 @example(["melnikov", "--lambda=1e200", "--energy=1"])
 @example(["stability-curve", "--lambda=1e200", "--energy=1", "--eta=0.1"])
+@example(["stability-curve", "--lambda=2", "--energy=0.5000005", "--eta=0.1", "--n-points=5"])
 @example(["melnikov", "--lambda=4", "--energy=0.9", "--c0=10", "--omega=1e308", "--eta=0.1"])
 @settings(max_examples=100)
 def test_cli_ends_in_one_of_three_ways(argv):

@@ -360,6 +360,24 @@ def test_stability_curve_scales_linearly_with_damping():
     assert np.all(np.abs(hi.de1_critical) > np.abs(lo.de1_critical))
 
 
+def test_stability_curve_grid_point_on_an_asymptote_is_inf():
+    # omega = 1 is on the grid: it gives way to the asymptote; every other
+    # point is damp/G, finite
+    curve = stability_curve(SeparatrixFrame(lam=4.0, h=0.5), eta=0.3, omega_max=2.0,
+                            n_points=7)
+    assert curve.omega[2] == 1.0 and curve.asymptotes == (1.0,)
+    assert curve.de1_critical[2] == math.inf
+    assert np.all(np.isfinite(np.delete(curve.de1_critical, 2)))
+    assert curve.branch.tolist() == [0, 0, 0, 1, 1, 1, 1]
+
+
+def test_stability_curve_past_the_float_range_raises():
+    # kappa = 1e-3: sech(pi*omega/(2*kappa)) underflows from omega = 0.5 on
+    with pytest.raises(BjjError, match=r"^de1_critical overflows at omega=0\.5 "
+                                       r"\(lambda=2\.0, energy=0\.5000005\)$"):
+        stability_curve(SeparatrixFrame(lam=2.0, h=0.5000005), eta=0.1, n_points=5)
+
+
 def test_stability_curve_single_asymptote_without_phase_offset():
     f = SeparatrixFrame(lam=4.0, h=0.5, c0=0.0)
     curve = stability_curve(f, eta=0.3, omega_min=0.5, omega_max=10.0, n_points=60)
@@ -369,9 +387,10 @@ def test_stability_curve_single_asymptote_without_phase_offset():
 
 
 def test_cosine_zero_asymptotes_listed_in_linear_time_and_capped():
+    # undamped, so that no grid point is past the float range
     f = SeparatrixFrame(lam=4.0, h=0.9, c0=0.3)
     start = time.perf_counter()
-    wide = stability_curve(f, eta=0.1, omega_max=1e6, n_points=3).asymptotes
+    wide = stability_curve(f, eta=0.0, omega_max=1e6, n_points=3).asymptotes
     assert time.perf_counter() - start < 5.0
     spacing = math.pi * f.kappa / 0.3
     assert len(wide) == 2 + math.floor(1e6 / spacing - 0.5)  # omega = 1 and k = 0, 1, ...
@@ -379,7 +398,7 @@ def test_cosine_zero_asymptotes_listed_in_linear_time_and_capped():
     assert all(a < b for a, b in zip(wide, wide[1:]))
     # a window far up the axis starts at its own first zero
     lo, hi = 5e5, 5e5 + 200.0
-    window = stability_curve(f, eta=0.1, omega_min=lo, omega_max=hi, n_points=3).asymptotes
+    window = stability_curve(f, eta=0.0, omega_min=lo, omega_max=hi, n_points=3).asymptotes
     assert window == tuple(w for w in wide if lo <= w <= hi) and len(window) == 12
     with pytest.raises(ValueError, match="'omega_max'.*'c0'"):
         stability_curve(f, eta=0.1, omega_max=1e12, n_points=3)
