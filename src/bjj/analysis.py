@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import MAX_TARGETS, StepControl, Trajectory, advance, default_control
-from .model import PhaseState, TrapParams
+from .model import Z_GUARD, PhaseState, TrapParams
 
 __all__ = [
     "Spectrum",
@@ -277,11 +277,18 @@ def lyapunov_estimate(
     zero with the horizon; chaotic ones converge to a positive rate.
     """
     _check_lyapunov(horizon, renorm_interval, d0)
+    # a clone on the reference collapses every interval and reads 0 for any orbit
+    z1 = z0 + d0
+    if z1 == z0 or not abs(z1) < 1.0 - Z_GUARD:
+        raise ValueError(
+            f"'d0' must move z0={z0!r} to a distinct z with |z| < 1, got {d0!r} "
+            f"(z0 + d0 = {z1!r})"
+        )
     if ctl is None:
         ctl = default_control(p)
     n_int = int(round(horizon / renorm_interval))
     ref = PhaseState(t=0.0, z=z0, phi=phi0)
-    clone = PhaseState(t=0.0, z=z0 + d0, phi=phi0)
+    clone = PhaseState(t=0.0, z=z1, phi=phi0)
     total = 0.0
     for k in range(n_int):
         t_next = (k + 1) * renorm_interval

@@ -134,16 +134,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         sources.append(parse_config(args.config))
     sources.append(_flag_overrides(args))
     merged = merge_sources(*sources)
-    integrates = args.command in _INTEGRATES
-    cfg = RunConfig.from_values(merged, integrates)
+    cfg = RunConfig.from_values(merged)
     _apply_profile(cfg, args.command, explicit=set(merged))
-    cfg.validate(integrates)
+    cfg.validate()
     _check_run_length(cfg, args.command)
     return cfg
-
-
-#: The subcommands that integrate, and so take a step policy.
-_INTEGRATES = {"simulate", "poincare", "spectrum", "attractor", "crosscheck", "lyapunov"}
 
 
 def _apply_profile(cfg: RunConfig, command: str, explicit: set[str]) -> None:

@@ -188,7 +188,7 @@ class RunConfig:
     n_z: int = _key(401, _parse_int, "potential scan grid size")
 
     @classmethod
-    def from_values(cls, values: dict[str, object], integrates: bool = True) -> "RunConfig":
+    def from_values(cls, values: dict[str, object]) -> "RunConfig":
         unknown = [f"'{key}'" for key in values if key not in _KEYS]
         if unknown:
             raise ConfigError(f"unknown keys: {', '.join(unknown)}")
@@ -198,17 +198,17 @@ class RunConfig:
                 cfg.omega = float(value) * math.pi
             else:
                 setattr(cfg, _FIELDS[key], value)
-        cfg.validate(integrates)
+        cfg.validate()
         return cfg
 
-    def validate(self, integrates: bool = True) -> None:
+    def validate(self) -> None:
         """Check the keys no other code owns, then call the checks of the code
         that uses the rest (trap, control, sampling, analysis, separatrix);
         each names its key.
 
-        integrates=False, for a command that never integrates, holds h_max
-        (set, or derived from the drive) to h_max > 0 alone, not to
-        h_min <= h_max: such a command runs at any drive, and its echo replays.
+        h_max (set, or derived from the drive) need only be > 0 here;
+        control() holds it to h_min <= h_max, so a command that never
+        integrates runs at any drive, and its echo replays.
         """
 
         def bad(key: str, why: str) -> ConfigError:
@@ -233,7 +233,7 @@ class RunConfig:
         try:
             _ = self.trap
             h_max = self._h_max()
-            self._control(h_max if integrates else self.h_min)
+            self._control(self.h_min)
             if not h_max > 0.0:
                 raise bad("h_max", f"must be > 0, got {fmt(h_max)}")
             analysis._check_locking(self.cluster_tol, self.max_order, self.chaos_spread_min)
@@ -277,7 +277,10 @@ class RunConfig:
     def control(self) -> StepControl:
         """Step policy from the config's step keys; an unset h_max takes
         default_control's value for this trap."""
-        return self._control(self._h_max())
+        try:
+            return self._control(self._h_max())
+        except ValueError as exc:
+            raise ConfigError(f"out-of-range value: {exc}") from None
 
     def _h_max(self) -> float:
         return self.h_max if self.h_max is not None else _default_h_max(self.trap)

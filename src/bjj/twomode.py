@@ -27,13 +27,9 @@ from .model import PhaseState, TrapParams
 __all__ = [
     "TwoModeTrajectory",
     "CrosscheckReport",
-    "project_trajectory",
     "integrate_twomode",
     "crosscheck_max_dz",
 ]
-
-#: Mode populations below this are treated as phase-indeterminate.
-PHASE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,27 +102,6 @@ def integrate_twomode(
     return TwoModeTrajectory(t=t, a1=amps[:, 0], a2=amps[:, 1])
 
 
-def project_trajectory(traj: TwoModeTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(z, phi) arrays with phi unwrapped to a continuous branch.
-
-    z is normalized by the instantaneous total so that slow norm drift in
-    a numerical trajectory does not leak into the imbalance.  phi is nan
-    (rather than a silent 0) where a mode is empty, marking the genuinely
-    undefined relative phase at full polarization; it is then left
-    unwrapped.
-    """
-    n1 = np.abs(traj.a1) ** 2
-    n2 = np.abs(traj.a2) ** 2
-    total = n1 + n2
-    z = (n1 - n2) / total
-    phi = np.angle(traj.a2) - np.angle(traj.a1)
-    empty = (n1 < PHASE_FLOOR * total) | (n2 < PHASE_FLOOR * total)
-    phi = np.where(empty, np.nan, phi)
-    if not empty.any():
-        phi = np.unwrap(phi)
-    return z, phi
-
-
 def crosscheck_max_dz(
     p: TrapParams,
     z0: float,
@@ -136,14 +111,17 @@ def crosscheck_max_dz(
     ctl: StepControl | None = None,
 ) -> CrosscheckReport:
     """Integrate both routes from the same state and compare z on a grid."""
+    if sample_dt is None:  # two every-step recordings never share a grid
+        raise ValueError("'sample_dt' must be a spacing both routes land on, got None")
     # the oracle runs first, so its eta = 0 rule fails before any integration
     s0 = PhaseState(t=0.0, z=z0, phi=phi0)
     full = integrate_twomode(p, s0, t_end, ctl=ctl, sample_dt=sample_dt)
     reduced = integrate_adaptive(p, s0, t_end, ctl=ctl, sample_dt=sample_dt)
     if len(reduced) != len(full) or np.max(np.abs(reduced.t - full.t)) > 1e-9:
         raise RuntimeError("integration routes produced mismatched sample grids")
-    z_full, _ = project_trajectory(full)
-    diff = np.abs(reduced.z - z_full)
+    n1 = np.abs(full.a1) ** 2
+    n2 = np.abs(full.a2) ** 2
+    diff = np.abs(reduced.z - (n1 - n2) / (n1 + n2))
     i = int(np.argmax(diff))
     return CrosscheckReport(
         max_abs_dz=float(diff[i]),

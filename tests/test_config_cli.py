@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -171,6 +172,9 @@ API_RANGE_RULES = [
     ("eta", lambda: bjj.stability_curve(bjj.SeparatrixFrame(lam=4.0, h=0.5), -1.0)),
     ("discard_periods", lambda: _locking(discard_periods=-1)),
     ("window", lambda: bjj.power_spectrum(np.arange(32.0), np.zeros(32), window="x")),
+    ("d0", lambda: _lyapunov(renorm_interval=1.0, d0=1e-17)),
+    ("sample_dt", lambda: bjj.crosscheck_max_dz(bjj.TrapParams(lam=2.0), 0.4, 0.0,
+                                                sample_dt=None)),
 ]
 
 
@@ -200,6 +204,36 @@ def test_control_carries_every_step_key():
     assert RunConfig.from_values({}).control().h_max == 0.05
 
 
+def _defaults(func, *names):
+    params = inspect.signature(func).parameters
+    return {name: params[name].default for name in names}
+
+
+def test_cli_and_api_defaults_agree():
+    # each default is written twice, once as a RunConfig field and once in
+    # the API the command calls; a run and the same call must agree
+    cfg = RunConfig()
+    api = {f.name: f.default for cls in (StepControl, bjj.TrapParams) for f in fields(cls)
+           if f.name not in {"h_max", "lam"}}
+    api["damping"] = api["damping"].value
+    api.update(_defaults(bjj.lyapunov_estimate, "d0", "renorm_interval", "horizon"))
+    api.update(_defaults(bjj.detect_frequency_locking,
+                         "cluster_tol", "max_order", "chaos_spread_min"))
+    api.update(_defaults(bjj.melnikov_numeric, "xi_max"))
+    api.update(_defaults(bjj.stability_curve, "omega_min", "omega_max", "n_points"))
+    api.update(_defaults(bjj.power_spectrum, "window"))
+    assert {name: getattr(cfg, name) for name in api} == api
+
+    def echo(command):
+        args = cli._build_parser(command).parse_args([command])
+        return dict(cli._resolve_config(args).metadata_values())
+
+    crosscheck = _defaults(bjj.crosscheck_max_dz, "t_end", "sample_dt")
+    assert {key: echo("crosscheck")[key] for key in crosscheck} == crosscheck
+    assert echo("attractor")["discard"] == _defaults(
+        bjj.detect_frequency_locking, "discard_periods")["discard_periods"]
+
+
 FLOAT_KEYS = sorted(k for k, (parse, _) in config._KEYS.items() if parse is config._parse_float)
 
 
@@ -211,8 +245,20 @@ def test_from_values_rejects_or_returns_finite(values):
     except ConfigError:
         return
     assert all(math.isfinite(v) for v in vars(cfg).values() if isinstance(v, float))
-    ctl = cfg.control()
+    try:
+        ctl = cfg.control()
+    except ConfigError as exc:
+        assert "'h_max' must be finite and >= h_min=" in str(exc)
+        return
     assert all(math.isfinite(getattr(ctl, f.name)) for f in fields(StepControl))
+
+
+def test_h_max_below_h_min_is_refused_where_the_policy_is_built():
+    # validate holds h_max to > 0 only, so a command that never integrates
+    # takes it; control() refuses it
+    cfg = RunConfig.from_values({"h_max": 1e-13})
+    with pytest.raises(ConfigError, match="^out-of-range value: 'h_max' must be finite"):
+        cfg.control()
 
 
 def test_exclusive_pairs_conflict_within_one_source():
@@ -687,7 +733,8 @@ def test_melnikov_at_a_drive_too_fast_to_integrate_exits_2(capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(cli._INTEGRATES))
+@pytest.mark.parametrize(
+    "command", ["attractor", "crosscheck", "lyapunov", "poincare", "simulate", "spectrum"])
 def test_commands_that_integrate_refuse_a_drive_too_fast(command, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([command, *FAST_DRIVE, "--out", str(out)]) == 1
@@ -763,6 +810,26 @@ def test_too_short_runs_are_refused_before_integrating(argv, message, tmp_path, 
     monkeypatch.setattr(cli, "integrate_adaptive", never)
     assert run_cli(argv, tmp_path) == (1, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--horizon", "2", "--renorm-interval", "1", "--d0", "1e-17"],
+     ["--horizon", "2", "--renorm-interval", "1", "--d0", "1e-320"],
+     ["--horizon", "2", "--renorm-interval", "1", "--d0", "0.6"],
+     ["--horizon", "1", "--renorm-interval", "1", "--z0", "0.9999999999989"]],
+    ids=["clone_on_z0", "clone_on_z0_subnormal", "clone_past_z_1", "z0_within_d0_of_1"],
+)
+def test_lyapunov_clone_start_is_refused_before_integrating(argv, tmp_path, capsys,
+                                                            monkeypatch):
+    # a clone on the reference gives exponent 0 for any orbit, and one past
+    # the z band is singular at t = 0: the config alone decides both
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a clone the config refuses")
+
+    monkeypatch.setattr(bjj.analysis, "advance", never)
+    assert run_cli(["lyapunov", *argv], tmp_path) == (1, "")
+    assert capsys.readouterr().err.startswith("error: 'd0' must ")
 
 
 def test_spectrum_of_exactly_16_samples_runs(tmp_path):
@@ -1006,16 +1073,16 @@ PUBLIC_API = {
     "duffing_residual", "effective_energy", "effective_potential", "epsilon1",
     "frame_from_initial", "hamiltonian", "integrate_adaptive", "integrate_twomode",
     "lyapunov_estimate", "make_rate", "melnikov_closed", "melnikov_numeric", "merge_sources",
-    "parse_config", "parse_kv_text", "power_spectrum", "project_trajectory",
+    "parse_config", "parse_kv_text", "power_spectrum",
     "running_stability_integral", "sample_stroboscopic", "section_from_trajectory",
     "separatrix_accel", "separatrix_orbit", "separatrix_velocity", "stability_curve",
     "time_average_z", "trap_asymmetry",
 }
 
 
-def test_public_api_keeps_its_56_names():
+def test_public_api_keeps_its_55_names():
     # each module declares its names once; the package re-exports them
-    assert len(bjj.__all__) == len(PUBLIC_API) == 56
+    assert len(bjj.__all__) == len(PUBLIC_API) == 55
     assert set(bjj.__all__) == PUBLIC_API
     namespace: dict = {}
     exec("from bjj import *", namespace)
@@ -1161,6 +1228,7 @@ def finite_data(command, text):
 @example(["poincare", "--n-periods=2", "--de1=0.0"])
 @example(["crosscheck", "--t-end=1.0", "--eta=0.5"])
 @example(["lyapunov", "--horizon=2.0", "--phi0=1e+308"])
+@example(["lyapunov", "--horizon=2.0", "--d0=1e+308"])
 @example(["potential", "--lambda=4", "--energy=0.9", "--de1=1", "--omega=2e11"])
 @example(["classify", "--de1=1", "--omega=2e11"])
 @example(["stability-curve", "--lambda=4", "--energy=0.9", "--eta=0.1", "--de1=1",

@@ -5,22 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bjj import twomode
 from bjj.errors import StepUnderflowError
 from bjj.model import PhaseState, TrapParams
-from bjj.twomode import (
-    TwoModeTrajectory,
-    _amplitudes,
-    crosscheck_max_dz,
-    integrate_twomode,
-    project_trajectory,
-)
+from bjj.twomode import _amplitudes, crosscheck_max_dz, integrate_twomode
 
 
 def project(a1, a2):
-    """(z, phi) of one amplitude pair, through a one-row trajectory."""
-    one = TwoModeTrajectory(np.zeros(1), np.array([a1]), np.array([a2]))
-    z, phi = project_trajectory(one)
-    return float(z[0]), float(phi[0])
+    """(z, phi) of one amplitude pair."""
+    n1, n2 = abs(a1) ** 2, abs(a2) ** 2
+    return (n1 - n2) / (n1 + n2), cmath.phase(a2) - cmath.phase(a1)
 
 
 def test_amplitudes_and_projection_roundtrip():
@@ -30,12 +24,6 @@ def test_amplitudes_and_projection_roundtrip():
     z, phi = project(a1, a2)
     assert z == pytest.approx(0.5, abs=1e-15)
     assert phi == pytest.approx(math.pi / 3, abs=1e-15)
-
-
-def test_projection_flags_empty_mode():
-    z, phi = project(1.0 + 0j, 0.0 + 0j)
-    assert z == pytest.approx(1.0)
-    assert math.isnan(phi)
 
 
 def test_norm_is_conserved():
@@ -76,17 +64,20 @@ def test_crosscheck_agreement_short_run():
     assert rep.max_abs_dz < 1e-7
 
 
+def test_crosscheck_without_a_sample_grid_runs_neither_route(monkeypatch):
+    # two every-step recordings never share a grid: refused up front
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a crosscheck that has no grid")
+
+    monkeypatch.setattr(twomode, "_sample", never)
+    monkeypatch.setattr(twomode, "integrate_adaptive", never)
+    with pytest.raises(ValueError, match="^'sample_dt' must "):
+        crosscheck_max_dz(TrapParams(lam=2.0), 0.4, 0.0, sample_dt=None)
+
+
 def test_crosscheck_rejects_damped_params():
     with pytest.raises(ValueError):
         crosscheck_max_dz(TrapParams(lam=2.0, eta=0.2), 0.4, 0.0)
-
-
-def test_projected_trajectory_unwraps_phase():
-    # a self-trapped orbit has a running phase; unwrap keeps it continuous
-    p = TrapParams(lam=10.0)
-    traj = integrate_twomode(p, PhaseState(0.0, 0.75, 0.0), 10.0, sample_dt=0.02)
-    _, phi = project_trajectory(traj)
-    assert np.max(np.abs(np.diff(phi))) < 1.0
 
 
 @given(
