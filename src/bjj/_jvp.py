@@ -1,0 +1,277 @@
+"""The tangent form of a rate, imported by the first Lyapunov run rather
+than with bjj or with the other drivers.
+
+_jvp differentiates, in forward mode, the rate body that
+bjj._specialise._inline has vetted, and _tangent(f, n) writes it into
+_drive widened with a tangent vector as passengers (_specialised with
+scored = n): the orbit keeps its bits and steps, and the vector rides the
+coarse RK4 step.  Each driver goes into bjj._specialise's cache under
+(rate code, 2n, n).
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import math
+from functools import partial
+from itertools import count
+from typing import Callable, NamedTuple
+
+from ._specialise import (
+    _DRIVERS,
+    _PREFIX,
+    _Body,
+    _bound,
+    _called,
+    _compiled,
+    _copy,
+    _Inlined,
+    _specialised,
+    _stored,
+)
+from .integrate import State
+from .model import RateFn
+
+#: Prefix of every name the tangent adds: the tangent of the rate's local
+#: _rate_x is _tangent_x, and its temporaries are _tangent_0, _tangent_1 ...
+_TANGENT = "_tangent_"
+#: The math functions whose calls _jvp differentiates, by what it calls them.
+_DERIVATIVES = ((math.sin, "sin"), (math.cos, "cos"), (math.sqrt, "sqrt"))
+#: The functions a derivative may call that the rate itself need not load,
+#: bound to these leading parameters of a tangent driver.
+_HELPERS = ((_TANGENT + "sin", math.sin), (_TANGENT + "cos", math.cos))
+#: Operators with a derivative rule.
+_JVP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+
+
+class _Tangent(NamedTuple):
+    """A vetted rate of n components with one tangent direction.  driver
+    is _drive widened to 2n components, n of them scored, with the rate
+    written in at the fine sites and its forward-mode derivative (_jvp) at
+    the coarse ones; rate is the derivative alone, ``rate(*values, t, de,
+    y0, ..., yn-1, v0, ..., vn-1) -> (dv0, ..., dvn-1)``, for a driver that
+    calls f.  Both take the rate's values (in _Inlined's order) and then
+    _HELPERS' functions.  calls pairs the index of each value that _jvp
+    took for a math function with that function: a closure of the same
+    definition that binds another value there has no tangent form."""
+
+    driver: Callable
+    rate: Callable
+    calls: tuple[tuple[int, Callable], ...]
+
+
+def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
+    """The driver of f's n components and one tangent vector v:
+    ``_tangent(f, n)(drive, t, y + v, targets, ctl, ...)`` returns
+    ``(t, y' + v')``, with y' the state that _stepper(f, n) gives.
+
+    v is n passengers (see _specialised): they ride only the coarse RK4
+    step of each accepted step, their stages taken at the orbit's own
+    coarse stage states with f's forward-mode derivative, and take its
+    result.  So y keeps every bit and step of the plain run, and v' is the
+    exact derivative of the chain of coarse RK4 maps along it, O(h^4) from
+    the flow's.  The derivative is generated from the body of
+    inspect.unwrap(f), which must be a rate the inliner takes and whose
+    body _jvp can differentiate.  That f itself is written in, as for
+    _stepper; a wrapper over it (a counting one) runs through _drive
+    widened to 2n, which calls f at every site and adds the derivative at
+    the coarse ones, with the same bits.  TypeError, naming the rate, when
+    there is no tangent form.
+    """
+    rate = inspect.unwrap(f)
+    bound = _bound(rate, n)
+    tangent = None
+    if bound is not None:
+        entry, values = bound
+        key = (rate.__code__, 2 * n, n)
+        if key not in _DRIVERS:
+            _DRIVERS[key] = _tangent_form(entry, values, n, rate.__qualname__)
+        tangent = _DRIVERS[key]
+    if tangent is None or any(values[i] is not fn for i, fn in tangent.calls):
+        raise TypeError(f"rate {getattr(rate, '__qualname__', rate)!r} has no tangent form")
+    values += [fn for _, fn in _HELPERS]
+    if rate is f:
+        return partial(tangent.driver, *values)
+    return partial(_called(2 * n, n), f, partial(_coarse, f, partial(tangent.rate, *values), n))
+
+
+def _coarse(f: RateFn, tangent: Callable, n: int, t: float, de: float, *y: float) -> tuple:
+    """f's rate of y's first n components, then tangent's of the rest."""
+    return f(t, de, *y[:n]) + tangent(t, de, *y)
+
+
+class _NoTangent(Exception):
+    """A rate body that _jvp cannot differentiate."""
+
+
+def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
+    """The forward-mode derivative (JVP) of a vetted rate body of n
+    components, or None when it has none: a body of 2n + 2 parameters
+    (the rate's, then the tangent _tangent_y of each state parameter _rate_y)
+    returning the rate's n values and then their tangents.
+
+    funcs names the locals bound to the math functions of _DERIVATIVES.  A
+    local is active when an assignment to it reads the state or an active
+    local.  Each assignment to an active local is preceded by its tangent,
+    so the tangent reads the values its expression reads; an assignment or
+    an expression that reads nothing active passes through unchanged, and
+    so does every if test (the guard's raise and the branches on closure
+    constants).  Rules: + - * / and unary minus, and sin, cos and sqrt
+    calls of one argument.  Each differentiated call and quotient is bound
+    to a temporary, shared by the rate and its derivative (sin'(u) is a
+    cos(u) that the rate may evaluate as well) while no name it reads is
+    rebound; a temporary holds the value its expression gives, so the
+    rate's values keep their bits.  Any other expression that reads an
+    active name has no derivative.
+    """
+    params, body, returned = _copy(vetted)
+    state = params[2:]
+    active = set(state)
+    assigned = [node for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, (ast.Assign, ast.AugAssign))]
+
+    def reads(node: ast.AST) -> set[str]:
+        return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+    grew = True
+    while grew:
+        grew = False
+        for node in assigned:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if not reads(node) & active:
+                continue
+            if len(targets) != 1 or not isinstance(targets[0], ast.Name):
+                return None
+            if targets[0].id not in active:
+                active.add(targets[0].id)
+                grew = True
+    temps = count()
+
+    def tangent(name: str) -> str:
+        return _TANGENT + name[len(_PREFIX):]
+
+    def binop(left: ast.expr | None, op: ast.operator, right: ast.expr | None) -> ast.expr | None:
+        """left op right, None standing for a zero tangent."""
+        if isinstance(op, (ast.Mult, ast.Div)):
+            return None if left is None or right is None else ast.BinOp(left, op, right)
+        if right is None:
+            return left
+        if left is None:
+            return right if isinstance(op, ast.Add) else ast.UnaryOp(ast.USub(), right)
+        return ast.BinOp(left, op, right)
+
+    def bound(key: tuple[str, str], value: ast.expr, memo: dict,
+              hoisted: list[ast.stmt]) -> ast.Name:
+        """The temporary that memo holds for key, else a new one assigned
+        value in hoisted."""
+        if key not in memo:
+            name = f"{_TANGENT}{next(temps)}"
+            hoisted.append(ast.Assign(targets=[ast.Name(name, ast.Store())], value=value))
+            memo[key] = name, reads(value)
+        return ast.Name(memo[key][0], ast.Load())
+
+    def call(kind: str, arg: ast.expr, memo: dict, hoisted: list[ast.stmt]) -> ast.Name:
+        """The temporary holding the math function kind of arg."""
+        name = next((local for local, k in funcs.items() if k == kind), _TANGENT + kind)
+        value = ast.Call(ast.Name(name, ast.Load()), [_copy(arg)], [])
+        return bound((kind, ast.dump(arg)), value, memo, hoisted)
+
+    def derive(e: ast.expr, memo: dict, hoisted: list[ast.stmt]) -> tuple[ast.expr, ast.expr | None]:
+        """(e with its calls and quotients read from temporaries, its tangent
+        or None for zero), the temporaries' assignments added to hoisted."""
+        if not reads(e) & active:
+            return e, None
+        if isinstance(e, ast.Name):
+            return e, ast.Name(tangent(e.id), ast.Load())
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+            e.operand, d = derive(e.operand, memo, hoisted)
+            return e, binop(None, ast.Sub(), d)
+        if isinstance(e, ast.BinOp) and isinstance(e.op, _JVP_OPS):
+            e.left, dl = derive(e.left, memo, hoisted)
+            e.right, dr = derive(e.right, memo, hoisted)
+            a, b = _copy(e.left), _copy(e.right)
+            if isinstance(e.op, (ast.Add, ast.Sub)):
+                return e, binop(dl, e.op, dr)
+            if isinstance(e.op, ast.Mult):
+                return e, binop(binop(dl, ast.Mult(), b), ast.Add(), binop(a, ast.Mult(), dr))
+            if dr is None:
+                return e, binop(dl, ast.Div(), b)
+            q = bound(("/", ast.dump(e)), e, memo, hoisted)
+            return q, binop(binop(dl, ast.Sub(), binop(_copy(q), ast.Mult(), dr)), ast.Div(), b)
+        if (isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and e.func.id in funcs
+                and len(e.args) == 1 and not e.keywords):
+            kind = funcs[e.func.id]
+            e.args[0], du = derive(e.args[0], memo, hoisted)
+            u = e.args[0]
+            value = bound((kind, ast.dump(u)), e, memo, hoisted)
+            if kind == "sqrt":
+                return value, binop(binop(ast.Constant(0.5), ast.Mult(), du), ast.Div(),
+                                    _copy(value))
+            if kind == "sin":
+                return value, binop(call("cos", u, memo, hoisted), ast.Mult(), du)
+            sin = call("sin", u, memo, hoisted)
+            return value, binop(ast.UnaryOp(ast.USub(), sin), ast.Mult(), du)
+        raise _NoTangent
+
+    def statements(stmts: list[ast.stmt], memo: dict) -> list[ast.stmt]:
+        out: list[ast.stmt] = []
+        for stmt in stmts:
+            if isinstance(stmt, ast.If):
+                stmt.body = statements(stmt.body, dict(memo))
+                stmt.orelse = statements(stmt.orelse, dict(memo))
+                out.append(stmt)
+            elif (isinstance(stmt, (ast.Assign, ast.AugAssign))
+                  and _stored([stmt]) & active):
+                (x,) = _stored([stmt])
+                hoisted: list[ast.stmt] = []
+                if isinstance(stmt, ast.Assign):
+                    stmt.value, d = derive(stmt.value, memo, hoisted)
+                else:
+                    e = ast.BinOp(ast.Name(x, ast.Load()), stmt.op, stmt.value)
+                    if not isinstance(stmt.op, _JVP_OPS):
+                        raise _NoTangent
+                    _, d = derive(e, memo, hoisted)
+                    stmt.value = e.right
+                d = ast.Constant(0.0) if d is None else d
+                out += hoisted + [ast.Assign(targets=[ast.Name(tangent(x), ast.Store())],
+                                             value=d), stmt]
+            else:
+                out.append(stmt)
+            stored = _stored([stmt])
+            for key in [key for key, (_, names) in memo.items() if names & stored]:
+                del memo[key]
+        return out
+
+    try:
+        body = statements(body, memo := {})
+        hoisted: list[ast.stmt] = []
+        values, tangents = zip(*(derive(e, memo, hoisted) for e in returned.elts))
+    except _NoTangent:
+        return None
+    tangents = [ast.Constant(0.0) if d is None else d for d in tangents]
+    return ([*params, *map(tangent, state)], body + hoisted,
+            ast.Tuple([*values, *tangents], ast.Load()))
+
+
+def _tangent_form(entry: _Inlined, values: list[object], n: int, qualname: str) -> _Tangent | None:
+    """Compile the tangent form of a vetted rate of n components, bound to
+    values, or None when its body has no derivative (see _jvp)."""
+    funcs = {}
+    for name, value in zip(entry.args, values):
+        kind = next((kind for fn, kind in _DERIVATIVES if value is fn), None)
+        if kind is not None:
+            funcs[name] = kind
+    jvp = _jvp(entry.vetted, funcs)
+    if jvp is None:
+        return None
+    params, body, returned = jvp
+    args = [ast.arg(arg) for arg in (*entry.args, *(name for name, _ in _HELPERS))]
+    drive = _specialised(2 * n, entry.vetted, scored=n, coarse=jvp)
+    drive.args.args[:0] = args
+    (rate,) = ast.parse("def tangent(): pass").body
+    rate.args.args = _copy(args) + [ast.arg(p) for p in params]
+    rate.body = _copy(body) + [ast.Return(ast.Tuple(_copy(returned.elts[n:]), ast.Load()))]
+    calls = tuple((i, values[i]) for i, name in enumerate(entry.args) if name in funcs)
+    return _Tangent(_compiled(drive, f"<_drive inlining {qualname} and its tangent>"),
+                    _compiled(rate, f"<tangent of {qualname}>"), calls)

@@ -13,19 +13,23 @@ _inline has vetted, it writes the rate's body in place of each of the 11
 rate calls, with the rate's names prefixed, a parameter whose argument is
 a bare name read as that name, and the returned values landing in the
 call's n targets.  Each result is compiled once per process into one
-cache, keyed by (rate code, n), or (None, n) for the called driver.  The
+cache, keyed by (rate code, n, scored), or (None, n, scored) for the
+called driver: the components past the first scored are passengers,
+which ride only the coarse RK4 step and are never scored.  The
 floating-point operations and their order are the called driver's, so the
 bits, counts and exceptions are too.  A rate it cannot take (a lambda, one
 with defaults, a wrapper over ``*args`` such as a counting one, a body
 with nested scopes or an early return, no source) is called by _drive
 itself, or by _drive widened to n, so one source serves every path.
 
-One rate source gives two bodies: the scalar one written into the driver,
-and a lane rate (_lanes) built from the same vetted body, which runs the
-same operations over numpy columns with math's sin, cos and sqrt bound to
-numpy's.  Trajectory.dz_dt comes from one lane call over all rows; a rate
-without a lane body (a declined one, or one that calls anything else) is
-called once per row.
+One rate source gives three bodies: the scalar one written into the
+driver, a lane rate (_lanes) built from the same vetted body, which runs
+the same operations over numpy columns with math's sin, cos and sqrt bound
+to numpy's, and its forward-mode derivative (bjj._jvp), written in at the
+coarse sites of a driver whose passengers are a tangent vector.
+Trajectory.dz_dt comes from one lane call over all rows; a rate without a
+lane body (a declined one, or one that calls anything else) is called once
+per row.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import cache, partial
 from inspect import CO_VARARGS, CO_VARKEYWORDS
 from itertools import groupby
 from types import CodeType, FunctionType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +53,9 @@ from .model import RateFn
 
 #: Rate calls in one step of _drive; the specialiser finds every one of them.
 _RATE_CALLS = 11
+#: The first of them are the stages of the coarse RK4 step, the one that
+#: passengers ride.
+_COARSE_SITES = 4
 #: _drive's component locals are one of these letters and the index 0 or 1.
 _COMPONENTS = "ykacdbmjne"
 #: Prefix of every name of an inlined rate; no name in _drive starts with it.
@@ -61,16 +68,23 @@ _STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
 _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
              ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
 
-# Every driver compiled in this process, keyed by (rate code, n).  For a rate
-# code: an _Inlined, or None for a rate that runs through the called driver.
-# For None (n > 2): the called driver, _drive widened to n.  Under (None, 0):
-# _drive's source, read once (parsing it again costs less than copying the
-# parsed tree).
-_DRIVERS: dict[tuple[CodeType | None, int], _Inlined | Callable | str | None] = {}
+# Every driver compiled in this process, keyed by (rate code, n, scored): n
+# components, of which the first `scored` are scored and the rest are
+# passengers.  For a rate code: an _Inlined (scored = n), bjj._jvp's
+# _Tangent (n = 2 * scored), or None for a rate that runs through the
+# called driver or has no tangent form.  For None: the called driver,
+# _drive widened to n.  Under (None, 0, 0): _drive's source, read once
+# (parsing it again costs less than copying the parsed tree).
+_DRIVERS: dict[tuple[CodeType | None, int, int], object] = {}
 
 #: What the lane rate runs for each of these math functions: numpy's ufunc,
 #: which rounds like it (tests/test_integrate.py probes both).
 _UFUNCS = ((math.sin, np.sin), (math.cos, np.cos), (math.sqrt, np.sqrt))
+
+
+#: A rate body as the specialiser writes it in: (its parameters, its
+#: statements, its returned tuple), every name prefixed.
+_Body = tuple[list[str], list[ast.stmt], ast.Tuple]
 
 
 class _Inlined(NamedTuple):
@@ -79,11 +93,14 @@ class _Inlined(NamedTuple):
     its globals named by names, so that the rate's constants are locals;
     lanes() builds, on its first call, the rate's lane body as (a function
     taking the same values first, indices of the values it loads), or None
-    when the body has no lane form."""
+    when the body has no lane form.  vetted is the body and args the
+    driver's leading parameters, from which bjj._jvp builds the tangent."""
 
     driver: Callable
     names: tuple[str, ...]
     lanes: Callable[[], tuple[Callable, tuple[int, ...]] | None]
+    vetted: _Body
+    args: tuple[str, ...]
 
 
 def _bound(f: RateFn, n: int) -> tuple[_Inlined, list[object]] | None:
@@ -91,7 +108,7 @@ def _bound(f: RateFn, n: int) -> tuple[_Inlined, list[object]] | None:
     n components that the inliner takes, else None."""
     if type(f) is not FunctionType or f.__defaults__ is not None or f.__kwdefaults__ is not None:
         return None
-    key = (f.__code__, n)
+    key = (f.__code__, n, n)
     if key not in _DRIVERS:
         _DRIVERS[key] = _inline(f, n)
     entry = _DRIVERS[key]
@@ -158,14 +175,18 @@ def _lanes(f: RateFn, n: int) -> Callable[..., tuple] | None:
     return partial(lanes, *values)
 
 
-def _called(n: int) -> Callable[..., tuple[float, State]]:
-    """The driver of n components that calls its rate: _drive itself when
-    n = 2, else _drive widened to n and compiled once per process."""
+def _called(n: int, scored: int | None = None) -> Callable[..., tuple[float, State]]:
+    """The driver of n components, the first scored of them (default all)
+    scored, that calls its rate: _drive itself when n = 2, else _drive
+    widened and compiled once per process.  With passengers it takes the
+    rate of all n, called at the coarse sites, after f."""
+    scored = n if scored is None else scored
     if n == 2:
         return _drive
-    key = (None, n)
+    key = (None, n, scored)
     if key not in _DRIVERS:
-        _DRIVERS[key] = _compiled(_specialised(n), f"<_drive widened to {n} components>")
+        _DRIVERS[key] = _compiled(_specialised(n, scored=scored),
+                                  f"<_drive widened to {n} components, {scored} scored>")
     return _DRIVERS[key]
 
 
@@ -223,70 +244,111 @@ def _renaming(nodes: list[ast.AST], names: dict[str, str]) -> list[ast.AST]:
     return nodes
 
 
+def _site(stmt: ast.stmt, n: int) -> bool:
+    """Whether stmt is a rate site of n components,
+    ``X0, ..., Xn-1 = f(a, b, A0, ..., An-1)``."""
+    return (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Tuple) and len(stmt.targets[0].elts) == n
+            and len(_f_args(stmt.value)) == n + 2)
+
+
 def _specialised(
-    n: int, rate: tuple[Sequence[str], list[ast.stmt], ast.Tuple] | None = None
+    n: int, rate: _Body | None = None, scored: int | None = None, coarse: _Body | None = None
 ) -> ast.FunctionDef:
-    """A fresh AST of _drive widened to n components, with rate's body
+    """A fresh AST of _drive widened to n components, the first scored of
+    them (default all) scored and the rest passengers, with rate's body
     written in at each rate site when rate = (params, body, returned).
 
     One pass widens and writes in.  In every statement list, a maximal run
     of statements that name only index-1 component locals is followed
-    whole by its copies for the indices 2 .. n-1, which are not widened
-    again; every other statement is widened inside.  A tuple or a rate
-    call whose last two elements are an index-0 and an index-1 expression
-    gains the copies of the latter.  With n = 2 nothing is widened.  A rate
-    site is a statement ``X0, ..., Xn-1 = f(a, b, A0, ..., An-1)``; with a
-    rate it becomes the body, preceded by each parameter assigned its
-    argument and followed by ``Xi = ei`` for each returned ``ei``, and the
-    parameter f is dropped.  Copy-free, a parameter that the body never
-    binds and whose argument is a bare name other than the targets is that
-    name, and a returned local that is not a parameter is its target Xi
-    when Xi is not a bare-name argument; no float operation changes.
-    RuntimeError unless there are exactly _RATE_CALLS sites and f is loaded
-    nowhere else.
+    whole by its copies for the indices 2 .. scored-1, which are not
+    widened again; every other statement is widened inside.  A tuple or a
+    rate call whose last two elements are an index-0 and an index-1
+    expression gains the copies of the latter.  With n = 2 nothing is
+    widened.  A rate site is a statement ``X0, X1 = f(a, b, A0, A1)`` of
+    _drive; with a rate it becomes the body, preceded by each parameter
+    assigned its argument and followed by ``Xi = ei`` for each returned
+    ``ei``, and the parameter f is dropped.  Copy-free, a parameter that
+    the body never binds and whose argument is a bare name other than the
+    targets is that name, and a returned local that is not a parameter is
+    its target Xi when Xi is not a bare-name argument; no float operation
+    changes.
+
+    Passengers ride the coarse RK4 step only.  The first _COARSE_SITES
+    rate sites, the stages of b, are widened to all n components and the
+    others to scored; the run that computes b1 is copied for the
+    passengers too, and the run that accepts y1 gains ``yi = bi`` for
+    each passenger.  Every other tuple, the state, carries them all, but
+    in a raise statement, whose message names the scored state.  So a
+    passenger never enters the half steps, the extrapolation or the error
+    score, and the scored components keep their bits and steps.  The
+    coarse sites get coarse's body, a rate of all n components; without a
+    rate they call the parameter g, added after f.  RuntimeError unless
+    there are exactly _RATE_CALLS sites, f and g are loaded nowhere else
+    and a passenger is both stepped and accepted.
     """
-    key = (None, 0)
+    scored = n if scored is None else scored
+    key = (None, 0, 0)
     if key not in _DRIVERS:
         _DRIVERS[key] = _source(_drive.__code__)
     (drive,) = ast.parse(_DRIVERS[key]).body
-    sites = 0
-    if rate is not None:
-        params = [_PREFIX + p for p in rate[0]]
-        stored = _stored(rate[1])
+    sites = candidates = carried = 0
 
-    def widen(node: ast.AST) -> None:
+    def widen(node: ast.AST, width: int) -> None:
         for field, value in ast.iter_fields(node):
             if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
                 body: list[ast.stmt] = []
                 for run, group in groupby(value, lambda s: n > 2 and _indices(s) == {"1"}):
                     group = list(group)
                     if run:
-                        body += group + [_renamed(s, i) for i in range(2, n) for s in group]
+                        body += group + [_renamed(s, i) for i in range(2, scored) for s in group]
+                        body += passengers(group)
                         continue
                     for stmt in group:
-                        widen(stmt)
-                        body += write_in(stmt)
+                        if _site(stmt, 2):
+                            body += write_in(stmt)
+                        else:
+                            widen(stmt, scored if isinstance(stmt, ast.Raise) else n)
+                            body.append(stmt)
                 setattr(node, field, body)
             else:
                 for item in value if isinstance(value, list) else [value]:
                     if isinstance(item, ast.AST):
-                        widen(item)
+                        widen(item, width)
         elts = node.elts if isinstance(node, ast.Tuple) else _f_args(node)
-        if (n > 2 and len(elts) >= 2 and _indices(elts[-2]) == {"0"}
-                and _indices(elts[-1]) == {"1"}):
-            elts += [_renamed(elts[-1], i) for i in range(2, n)]
+        if len(elts) >= 2 and _indices(elts[-2]) == {"0"} and _indices(elts[-1]) == {"1"}:
+            elts += [_renamed(elts[-1], i) for i in range(2, width)]
+
+    def passengers(group: list[ast.stmt]) -> list[ast.stmt]:
+        """The passengers' copies of a run: of the one computing b1, and
+        ``yi = bi`` for the one accepting y1."""
+        nonlocal carried
+        if n == scored or _stored(group) not in ({"b1"}, {"y1"}):
+            return []
+        carried += 1
+        if _stored(group) == {"b1"}:
+            return [_renamed(s, i) for i in range(scored, n) for s in group]
+        return [ast.copy_location(ast.Assign(targets=[ast.Name(f"y{i}", ast.Store())],
+                                             value=ast.Name(f"b{i}", ast.Load())), group[0])
+                for i in range(scored, n)]
 
     def write_in(stmt: ast.stmt) -> list[ast.stmt]:
-        """[stmt], or the rate written in for it when stmt is a rate site."""
-        nonlocal sites
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Tuple) and len(stmt.targets[0].elts) == n
-                and len(_f_args(stmt.value)) == n + 2):
+        """stmt widened, and the rate written in for it when it is still a
+        rate site."""
+        nonlocal sites, candidates
+        candidates += 1
+        width = n if candidates <= _COARSE_SITES else scored
+        body = coarse if width > scored else rate
+        widen(stmt, width)
+        if not _site(stmt, width):
             return [stmt]
         sites += 1
-        if rate is None:
+        if body is None:
+            if width > scored:
+                stmt.value.func.id = "g"
             return [stmt]
-        _, body, returned = rate
+        params, body, returned = body
+        stored = _stored(body)
         targets = stmt.targets[0].elts
         target_ids = {getattr(x, "id", None) for x in targets}
         args = stmt.value.args
@@ -307,15 +369,19 @@ def _specialised(
                               for x, e in zip(targets, returned.elts)
                               if not (isinstance(e, ast.Name) and e.id == getattr(x, "id", None))]
 
-    widen(drive)
-    loads = sum(isinstance(node, ast.Name) and node.id == "f" for node in ast.walk(drive))
-    if sites != _RATE_CALLS or loads != (sites if rate is None else 0):
+    widen(drive, n)
+    loads = sum(isinstance(node, ast.Name) and node.id in ("f", "g") for node in ast.walk(drive))
+    if (sites != _RATE_CALLS or loads != (sites if rate is None else 0)
+            or carried != (0 if n == scored else 2)):
         raise RuntimeError(
             f"_drive widened to {n} components has {sites} inlinable rate calls, "
             f"expected {_RATE_CALLS}, and must load f nowhere else"
+            + ("" if n == scored else ", and step and accept its passengers once")
         )
     if rate is not None:
         del drive.args.args[0]
+    elif n > scored:
+        drive.args.args.insert(1, ast.arg("g"))
     return drive
 
 
@@ -364,12 +430,13 @@ def _inline(f: FunctionType, n: int) -> _Inlined | None:
     if stores != set(code.co_varnames) or not set(code.co_freevars) <= loads:
         return None  # the source on disk is not the code that runs
     names = tuple(sorted(loads - stores - set(code.co_freevars)))
-    args = [ast.arg(_PREFIX + name) for name in code.co_freevars + names]
-    vetted = (params, body, last.value)
+    args = tuple(_PREFIX + name for name in code.co_freevars + names)
+    vetted = ([_PREFIX + p for p in params], body, last.value)
     drive = _specialised(n, vetted)
-    drive.args.args[:0] = args
+    drive.args.args[:0] = [ast.arg(arg) for arg in args]
     driver = _compiled(drive, f"<_drive inlining {f.__qualname__}>")
-    return _Inlined(driver, names, cache(partial(_lane_body, vetted, args, f.__qualname__)))
+    return _Inlined(driver, names, cache(partial(_lane_body, vetted, args, f.__qualname__)),
+                    vetted, args)
 
 
 #: Operators a lane body may apply: numpy's elementwise ones round like
@@ -416,13 +483,12 @@ def _mask(test: ast.expr) -> ast.expr | None:
 
 
 def _lane_body(
-    vetted: tuple[Sequence[str], list[ast.stmt], ast.Tuple], args: list[ast.arg], qualname: str
+    vetted: _Body, args: tuple[str, ...], qualname: str
 ) -> tuple[Callable, tuple[int, ...]] | None:
     """The lane form of a vetted rate body: (lanes, indices of the args it
     loads), ``lanes(*args, t, de, y0, ..., yn-1) -> (flagged, dy0, ...,
     dyn-1)``, or None when the body has no lane form (see _lanes)."""
     params, body, returned = _copy(vetted)
-    params = [_PREFIX + p for p in params]
     local = set(params) | _stored(body)
 
     def lane(stmt: ast.stmt) -> ast.stmt | None:
@@ -455,8 +521,7 @@ def _lane_body(
     statements = [lane(stmt) for stmt in body]
     if None in statements or not all(_columnar(e) for e in returned.elts):
         return None
-    args = [arg.arg for arg in args]
-    (lanes,) = ast.parse("def lanes(" + ", ".join(args + params) + "): flagged = False").body
+    (lanes,) = ast.parse("def lanes(" + ", ".join([*args, *params]) + "): flagged = False").body
     lanes.body += statements + [ast.Return(ast.Tuple(
         [ast.Name("flagged", ast.Load())] + returned.elts, ast.Load()))]
     loads = {sub.id for sub in ast.walk(lanes) if isinstance(sub, ast.Name)} - local

@@ -174,7 +174,7 @@ class RunConfig:
     cluster_tol: float = _key(1e-3, _parse_float, "attractor cluster radius")
     max_order: int = _key(12, _parse_int, "largest locking order searched")
     chaos_spread_min: float = _key(0.2, _parse_float, "minimum spread to call a section chaotic")
-    d0: float = _key(1e-8, _parse_float, "initial separation for the Lyapunov estimate")
+    d0: float = _key(1e-8, _parse_float, "unused: the Lyapunov estimate is tangent-space")
     renorm_interval: float = _key(0.5, _parse_float, "Lyapunov renormalization interval")
     horizon: float = _key(1000.0, _parse_float, "Lyapunov estimation horizon")
     energy: float | None = _key(None, _parse_float, "junction energy h for separatrix analysis")

@@ -18,7 +18,9 @@ undriven one never does.  The rates add the tilt first, so passing the
 sum in keeps every bit.
 
 Every run goes through bjj._specialise._stepper(f, n), which writes the
-rate into the driver's source, and Trajectory.dz_dt comes from the rate's
+rate into the driver's source (a Lyapunov run through
+bjj._jvp._tangent(f, n), which writes in the rate's derivative as well
+and carries a tangent vector), and Trajectory.dz_dt comes from the rate's
 lane form, bjj._specialise._lanes.  That module, the ast machinery behind
 both, is imported on the first run, not with this one.
 """

@@ -12,6 +12,7 @@ from bjj.analysis import (
     power_spectrum,
     time_average_z,
 )
+from bjj.errors import BjjError
 from bjj.integrate import Trajectory
 from bjj.model import TrapParams
 
@@ -261,3 +262,22 @@ def test_lyapunov_validation():
             lyapunov_estimate(p, 0.5, 0.0, **{"horizon": 2.0, name: math.nan})
     with pytest.raises(ValueError, match="'horizon'"):
         lyapunov_estimate(p, 0.5, 0.0, horizon=math.inf)
+    with pytest.raises(ValueError, match="'d0' must be finite and > 0"):
+        lyapunov_estimate(p, 0.5, 0.0, horizon=2.0, d0=math.inf)
+
+
+@pytest.mark.parametrize(
+    "p, norm",
+    # at a fixed point: a saddle with rate 100, whose tangent overflows in
+    # one interval, and an overdamped sink with rates -20 and -20, whose
+    # tangent goes subnormal
+    [(TrapParams(lam=-10001.0), "nan"), (TrapParams(lam=399.0, eta=40.0), "2e-323")],
+    ids=["overflow", "subnormal"],
+)
+def test_tangent_out_of_range_names_t_z_and_the_interval(p, norm):
+    horizon = 10.0 if p.eta == 0.0 else 60.0
+    with pytest.raises(BjjError, match=rf"norm {norm} at t={horizon}, z=0.0 after a "
+                                       rf"renorm_interval of h={horizon}"):
+        lyapunov_estimate(p, 0.0, 0.0, horizon=horizon, renorm_interval=horizon)
+    # shorter intervals keep it in range
+    assert math.isfinite(lyapunov_estimate(p, 0.0, 0.0, horizon=horizon))

@@ -172,7 +172,6 @@ API_RANGE_RULES = [
     ("eta", lambda: bjj.stability_curve(bjj.SeparatrixFrame(lam=4.0, h=0.5), -1.0)),
     ("discard_periods", lambda: _locking(discard_periods=-1)),
     ("window", lambda: bjj.power_spectrum(np.arange(32.0), np.zeros(32), window="x")),
-    ("d0", lambda: _lyapunov(renorm_interval=1.0, d0=1e-17)),
     ("sample_dt", lambda: bjj.crosscheck_max_dz(bjj.TrapParams(lam=2.0), 0.4, 0.0,
                                                 sample_dt=None)),
 ]
@@ -520,9 +519,9 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         # undriven: the tilt is de0 at every stage
         (["simulate", "--preset", "fig4a", "--t-end", "30"],
          "6d70e6b74ebc9102551902164aa528bb9c7b2ea0a42bc4e55df130c5eec470bd"),
-        # restarted advance calls: the tilt is recomputed after every landing
+        # restarted tangent runs: the tilt is recomputed after every landing
         (["lyapunov", "--preset", "fig5_de1_7.5", "--horizon", "5"],
-         "a85e20d3286b2430c6d09f2cb7cbd7f12019463ebb89b365eb2d5af2c4206183"),
+         "eb93d42ac80f4759c32c40f87f2aac7f76943278d429e3a3f2b475d781711f80"),
         # the quadrature and the closed form, with and without c0 and drive
         (["melnikov", "--preset", "fig3_eta0.1"],
          "ee1c262d114b872d75f55fd0a27b81f69458280d49b4dbf27c17edb9dcca535e"),
@@ -813,23 +812,30 @@ def test_too_short_runs_are_refused_before_integrating(argv, message, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--horizon", "2", "--renorm-interval", "1", "--d0", "1e-17"],
-     ["--horizon", "2", "--renorm-interval", "1", "--d0", "1e-320"],
-     ["--horizon", "2", "--renorm-interval", "1", "--d0", "0.6"],
-     ["--horizon", "1", "--renorm-interval", "1", "--z0", "0.9999999999989"]],
-    ids=["clone_on_z0", "clone_on_z0_subnormal", "clone_past_z_1", "z0_within_d0_of_1"],
+    "argv, d0",
+    [(["--horizon", "2", "--renorm-interval", "1"], "1e-17"),
+     (["--horizon", "2", "--renorm-interval", "1"], "1e-320"),
+     (["--horizon", "2", "--renorm-interval", "1"], "0.6"),
+     (["--horizon", "1", "--renorm-interval", "1", "--z0", "0.9999999999989"], "1e-8"),
+     # a regular self-trapped orbit: a clone this close read rounding as
+     # chaos (5.806); the tangent gives 0.039 at any d0
+     (["--lambda", "10", "--z0", "0.75", "--horizon", "200"], "1e-15")],
+    ids=["clone_on_z0", "clone_on_z0_subnormal", "clone_past_z_1", "z0_within_d0_of_1",
+         "regular_orbit_tiny_d0"],
 )
-def test_lyapunov_clone_start_is_refused_before_integrating(argv, tmp_path, capsys,
-                                                            monkeypatch):
-    # a clone on the reference gives exponent 0 for any orbit, and one past
-    # the z band is singular at t = 0: the config alone decides both
-    def never(*args, **kwargs):
-        raise AssertionError("integrated a clone the config refuses")
+def test_lyapunov_d0_is_inert(argv, d0, tmp_path):
+    # d0 is checked but enters nothing: any d0 gives the default's exponent
+    runs = [run_cli(["lyapunov", *argv, *extra], tmp_path) for extra in ([], ["--d0", d0])]
+    assert [code for code, _ in runs] == [0, 0]
+    default, chosen = (json.loads(text) for _, text in runs)
+    assert chosen["exponent"] == default["exponent"]
+    assert chosen["config"]["d0"] == float(d0)
+    if "0.75" in argv:
+        assert 0.03 < chosen["exponent"] < 0.05
 
-    monkeypatch.setattr(bjj.analysis, "advance", never)
-    assert run_cli(["lyapunov", *argv], tmp_path) == (1, "")
-    assert capsys.readouterr().err.startswith("error: 'd0' must ")
+
+def test_lyapunov_estimate_ignores_d0():
+    assert _lyapunov(renorm_interval=1.0, d0=1e-17) == _lyapunov(renorm_interval=1.0)
 
 
 def test_spectrum_of_exactly_16_samples_runs(tmp_path):
