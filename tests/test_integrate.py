@@ -682,6 +682,7 @@ def test_passenger_widening_rides_the_coarse_step_only():
     assert "StepUnderflowError(t, (y0, y1), h_try, h_min)" in text
     assert "return (t, (y0, y1, y2, y3))" in text
 
+
 def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
     rate = make_rate(TrapParams(lam=10.0))
 
