@@ -1,12 +1,14 @@
 """The tangent form of a rate, imported by the first Lyapunov run rather
 than with bjj or with the other drivers.
 
-_jvp differentiates, in forward mode, the rate body that
+_jvp differentiates, in forward mode, the canonical rate body that
 bjj._specialise._inline has vetted, and _tangent(f, n) writes it into
 _drive widened with a tangent vector as passengers (_specialised with
 scored = n): the orbit keeps its bits and steps, and the vector rides the
-coarse RK4 step.  Each driver goes into bjj._specialise's cache under
-(rate code, 2n, n).
+coarse RK4 step.  _tangent_form compiles it once per process into its own
+cache, keyed by the rate's definition and n and by which of the values
+the rate binds are math's sin, cos and sqrt: a closure of the same
+definition that binds another of them gets its own tangent.
 """
 
 from __future__ import annotations
@@ -14,19 +16,20 @@ from __future__ import annotations
 import ast
 import inspect
 import math
-from functools import partial
+from functools import cache, partial
 from itertools import count
+from types import CodeType
 from typing import Callable, NamedTuple
 
 from ._specialise import (
-    _DRIVERS,
     _PREFIX,
     _Body,
     _bound,
     _called,
     _compiled,
     _copy,
-    _Inlined,
+    _function,
+    _inline,
     _specialised,
     _stored,
 )
@@ -52,13 +55,10 @@ class _Tangent(NamedTuple):
     the coarse ones; rate is the derivative alone, ``rate(*values, t, de,
     y0, ..., yn-1, v0, ..., vn-1) -> (dv0, ..., dvn-1)``, for a driver that
     calls f.  Both take the rate's values (in _Inlined's order) and then
-    _HELPERS' functions.  calls pairs the index of each value that _jvp
-    took for a math function with that function: a closure of the same
-    definition that binds another value there has no tangent form."""
+    _HELPERS' functions."""
 
     driver: Callable
     rate: Callable
-    calls: tuple[tuple[int, Callable], ...]
 
 
 def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
@@ -81,14 +81,12 @@ def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     """
     rate = inspect.unwrap(f)
     bound = _bound(rate, n)
-    tangent = None
     if bound is not None:
-        entry, values = bound
-        key = (rate.__code__, 2 * n, n)
-        if key not in _DRIVERS:
-            _DRIVERS[key] = _tangent_form(entry, values, n, rate.__qualname__)
-        tangent = _DRIVERS[key]
-    if tangent is None or any(values[i] is not fn for i, fn in tangent.calls):
+        _, values = bound
+        kinds = tuple(next((kind for fn, kind in _DERIVATIVES if value is fn), None)
+                      for value in values)
+        tangent = _tangent_form(rate.__code__, n, rate.__qualname__, kinds)
+    if bound is None or tangent is None:
         raise TypeError(f"rate {getattr(rate, '__qualname__', rate)!r} has no tangent form")
     values += [fn for _, fn in _HELPERS]
     if rate is f:
@@ -128,8 +126,7 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
     params, body, returned = _copy(vetted)
     state = params[2:]
     active = set(state)
-    assigned = [node for stmt in body for node in ast.walk(stmt)
-                if isinstance(node, (ast.Assign, ast.AugAssign))]
+    assigned = [node for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Assign)]
 
     def reads(node: ast.AST) -> set[str]:
         return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
@@ -138,13 +135,12 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
     while grew:
         grew = False
         for node in assigned:
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if not reads(node) & active:
                 continue
-            if len(targets) != 1 or not isinstance(targets[0], ast.Name):
+            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
                 return None
-            if targets[0].id not in active:
-                active.add(targets[0].id)
+            if node.targets[0].id not in active:
+                active.add(node.targets[0].id)
                 grew = True
     temps = count()
 
@@ -221,18 +217,10 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
                 stmt.body = statements(stmt.body, dict(memo))
                 stmt.orelse = statements(stmt.orelse, dict(memo))
                 out.append(stmt)
-            elif (isinstance(stmt, (ast.Assign, ast.AugAssign))
-                  and _stored([stmt]) & active):
+            elif isinstance(stmt, ast.Assign) and _stored([stmt]) & active:
                 (x,) = _stored([stmt])
                 hoisted: list[ast.stmt] = []
-                if isinstance(stmt, ast.Assign):
-                    stmt.value, d = derive(stmt.value, memo, hoisted)
-                else:
-                    e = ast.BinOp(ast.Name(x, ast.Load()), stmt.op, stmt.value)
-                    if not isinstance(stmt.op, _JVP_OPS):
-                        raise _NoTangent
-                    _, d = derive(e, memo, hoisted)
-                    stmt.value = e.right
+                stmt.value, d = derive(stmt.value, memo, hoisted)
                 d = ast.Constant(0.0) if d is None else d
                 out += hoisted + [ast.Assign(targets=[ast.Name(tangent(x), ast.Store())],
                                              value=d), stmt]
@@ -254,24 +242,21 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
             ast.Tuple([*values, *tangents], ast.Load()))
 
 
-def _tangent_form(entry: _Inlined, values: list[object], n: int, qualname: str) -> _Tangent | None:
-    """Compile the tangent form of a vetted rate of n components, bound to
-    values, or None when its body has no derivative (see _jvp)."""
-    funcs = {}
-    for name, value in zip(entry.args, values):
-        kind = next((kind for fn, kind in _DERIVATIVES if value is fn), None)
-        if kind is not None:
-            funcs[name] = kind
-    jvp = _jvp(entry.vetted, funcs)
+@cache
+def _tangent_form(code: CodeType, n: int, qualname: str,
+                  kinds: tuple[str | None, ...]) -> _Tangent | None:
+    """Compile the tangent form of the vetted rate definition code of n
+    components, whose values (in _Inlined's order) are the math functions
+    that kinds names (None for any other value), once per process; None
+    when its body has no derivative (see _jvp)."""
+    entry = _inline(code, n, qualname)
+    jvp = _jvp(entry.vetted, {name: kind for name, kind in zip(entry.args, kinds) if kind})
     if jvp is None:
         return None
     params, body, returned = jvp
-    args = [ast.arg(arg) for arg in (*entry.args, *(name for name, _ in _HELPERS))]
+    args = [*entry.args, *(name for name, _ in _HELPERS)]
     drive = _specialised(2 * n, entry.vetted, scored=n, coarse=jvp)
-    drive.args.args[:0] = args
-    (rate,) = ast.parse("def tangent(): pass").body
-    rate.args.args = _copy(args) + [ast.arg(p) for p in params]
-    rate.body = _copy(body) + [ast.Return(ast.Tuple(_copy(returned.elts[n:]), ast.Load()))]
-    calls = tuple((i, values[i]) for i, name in enumerate(entry.args) if name in funcs)
+    drive.args.args[:0] = [ast.arg(arg) for arg in args]
     return _Tangent(_compiled(drive, f"<_drive inlining {qualname} and its tangent>"),
-                    _compiled(rate, f"<tangent of {qualname}>"), calls)
+                    _function([*args, *params], _copy(body), _copy(returned.elts[n:]),
+                              f"<tangent of {qualname}>"))

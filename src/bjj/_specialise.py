@@ -12,22 +12,26 @@ component and scores each component as a float; and, given a rate that
 _inline has vetted, it writes the rate's body in place of each of the 11
 rate calls, with the rate's names prefixed, a parameter whose argument is
 a bare name read as that name, and the returned values landing in the
-call's n targets.  Each result is compiled once per process into one
-cache, keyed by (rate code, n, scored), or (None, n, scored) for the
-called driver: the components past the first scored are passengers,
-which ride only the coarse RK4 step and are never scored.  The
+call's n targets.  The components past the first scored are passengers,
+which ride only the coarse RK4 step and are never scored.  Each builder
+keeps its own functools.cache, keyed by exactly what its build reads:
+_drive_source by nothing, _called by (n, scored), _inline by the rate's
+code and n (and the qualname that names the compiled driver), and
+bjj._jvp's _tangent_form by those and which of the rate's values are
+math's sin, cos and sqrt; so each is compiled once per process.  The
 floating-point operations and their order are the called driver's, so the
 bits, counts and exceptions are too.  A rate it cannot take (a lambda, one
 with defaults, a wrapper over ``*args`` such as a counting one, a body
 with nested scopes or an early return, no source) is called by _drive
 itself, or by _drive widened to n, so one source serves every path.
 
-One rate source gives three bodies: the scalar one written into the
-driver, a lane rate (_lanes) built from the same vetted body, which runs
-the same operations over numpy columns with math's sin, cos and sqrt bound
-to numpy's, and its forward-mode derivative (bjj._jvp), written in at the
-coarse sites of a driver whose passengers are a tangent vector.
-Trajectory.dz_dt comes from one lane call over all rows; a rate without a
+One rate source gives three bodies, each from the one vetted body, which
+_inline hands out in a canonical form (``x op= v`` written ``x = x op v``,
+the same float operation): the scalar one written into the driver, a lane
+rate (_lanes), which runs the same operations over numpy columns with
+math's sin, cos and sqrt bound to numpy's, and its forward-mode derivative
+(bjj._jvp), written in at the coarse sites of a driver whose passengers
+are a tangent vector.  Trajectory.dz_dt comes from one lane call over all rows; a rate without a
 lane body (a declined one, or one that calls anything else) is called once
 per row.
 """
@@ -68,15 +72,6 @@ _STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
 _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
              ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
 
-# Every driver compiled in this process, keyed by (rate code, n, scored): n
-# components, of which the first `scored` are scored and the rest are
-# passengers.  For a rate code: an _Inlined (scored = n), bjj._jvp's
-# _Tangent (n = 2 * scored), or None for a rate that runs through the
-# called driver or has no tangent form.  For None: the called driver,
-# _drive widened to n.  Under (None, 0, 0): _drive's source, read once
-# (parsing it again costs less than copying the parsed tree).
-_DRIVERS: dict[tuple[CodeType | None, int, int], object] = {}
-
 #: What the lane rate runs for each of these math functions: numpy's ufunc,
 #: which rounds like it (tests/test_integrate.py probes both).
 _UFUNCS = ((math.sin, np.sin), (math.cos, np.cos), (math.sqrt, np.sqrt))
@@ -108,10 +103,7 @@ def _bound(f: RateFn, n: int) -> tuple[_Inlined, list[object]] | None:
     n components that the inliner takes, else None."""
     if type(f) is not FunctionType or f.__defaults__ is not None or f.__kwdefaults__ is not None:
         return None
-    key = (f.__code__, n, n)
-    if key not in _DRIVERS:
-        _DRIVERS[key] = _inline(f, n)
-    entry = _DRIVERS[key]
+    entry = _inline(f.__code__, n, f.__qualname__)
     if entry is None:
         return None
     scope = f.__globals__
@@ -175,6 +167,7 @@ def _lanes(f: RateFn, n: int) -> Callable[..., tuple] | None:
     return partial(lanes, *values)
 
 
+@cache
 def _called(n: int, scored: int | None = None) -> Callable[..., tuple[float, State]]:
     """The driver of n components, the first scored of them (default all)
     scored, that calls its rate: _drive itself when n = 2, else _drive
@@ -183,11 +176,8 @@ def _called(n: int, scored: int | None = None) -> Callable[..., tuple[float, Sta
     scored = n if scored is None else scored
     if n == 2:
         return _drive
-    key = (None, n, scored)
-    if key not in _DRIVERS:
-        _DRIVERS[key] = _compiled(_specialised(n, scored=scored),
-                                  f"<_drive widened to {n} components, {scored} scored>")
-    return _DRIVERS[key]
+    return _compiled(_specialised(n, scored=scored),
+                     f"<_drive widened to {n} components, {scored} scored>")
 
 
 def _source(code: CodeType) -> str:
@@ -196,6 +186,13 @@ def _source(code: CodeType) -> str:
         return inspect.getsource(code)
     except OSError:
         return ""
+
+
+@cache
+def _drive_source() -> str:
+    """_drive's source, read once per process: parsing it again for each
+    build costs less than copying the parsed tree."""
+    return _source(_drive.__code__)
 
 
 def _indices(node: ast.AST) -> set[str]:
@@ -288,10 +285,7 @@ def _specialised(
     and a passenger is both stepped and accepted.
     """
     scored = n if scored is None else scored
-    key = (None, 0, 0)
-    if key not in _DRIVERS:
-        _DRIVERS[key] = _source(_drive.__code__)
-    (drive,) = ast.parse(_DRIVERS[key]).body
+    (drive,) = ast.parse(_drive_source()).body
     sites = candidates = carried = 0
 
     def widen(node: ast.AST, width: int) -> None:
@@ -399,10 +393,15 @@ def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
     return namespace[function.name]
 
 
-def _inline(f: FunctionType, n: int) -> _Inlined | None:
-    """Compile _drive, widened to n components, with the body of f at every
-    rate site, or None when f is not a rate the inliner takes."""
-    code = f.__code__
+@cache
+def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
+    """Compile _drive, widened to n components, with the body of the rate
+    definition code at every rate site, or None when it is not a rate the
+    inliner takes.  qualname names the compiled driver.
+
+    The vetted body is canonical: each ``x op= v`` is ``x = x op v``, the
+    same float operation, so the transforms of the body (the lane form and
+    bjj._jvp's tangent) know only plain assignments."""
     if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
             or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
         return None
@@ -422,7 +421,8 @@ def _inline(f: FunctionType, n: int) -> _Inlined | None:
     for node in body + [last.value]:
         for sub in ast.walk(node):
             if (isinstance(sub, ast.stmt) and not isinstance(sub, _STATEMENTS)
-                    or isinstance(sub, _DECLINED)):
+                    or isinstance(sub, _DECLINED)
+                    or isinstance(sub, ast.AugAssign) and not isinstance(sub.target, ast.Name)):
                 return None
             if isinstance(sub, ast.Name):
                 (loads if isinstance(sub.ctx, ast.Load) else stores).add(sub.id)
@@ -431,12 +431,31 @@ def _inline(f: FunctionType, n: int) -> _Inlined | None:
         return None  # the source on disk is not the code that runs
     names = tuple(sorted(loads - stores - set(code.co_freevars)))
     args = tuple(_PREFIX + name for name in code.co_freevars + names)
+    body = [_Canonical().visit(stmt) for stmt in body]
     vetted = ([_PREFIX + p for p in params], body, last.value)
     drive = _specialised(n, vetted)
     drive.args.args[:0] = [ast.arg(arg) for arg in args]
-    driver = _compiled(drive, f"<_drive inlining {f.__qualname__}>")
-    return _Inlined(driver, names, cache(partial(_lane_body, vetted, args, f.__qualname__)),
+    driver = _compiled(drive, f"<_drive inlining {qualname}>")
+    return _Inlined(driver, names, cache(partial(_lane_body, vetted, args, qualname)),
                     vetted, args)
+
+
+class _Canonical(ast.NodeTransformer):
+    """A vetted statement with each ``x op= v`` written ``x = x op v``: the
+    same operation on floats, and over numpy columns (the lane form) a new
+    column rather than one written in place into a column that x aliases."""
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> ast.Assign:
+        value = ast.BinOp(ast.Name(node.target.id, ast.Load()), node.op, node.value)
+        return ast.copy_location(ast.Assign(targets=[node.target], value=value), node)
+
+
+def _function(params: list[str], body: list[ast.stmt], returned: list[ast.expr],
+              filename: str) -> Callable:
+    """``def _(*params): body; return (*returned,)``, compiled (see _compiled)."""
+    (function,) = ast.parse(f"def _({', '.join(params)}): pass").body
+    function.body = body + [ast.Return(ast.Tuple(returned, ast.Load()))]
+    return _compiled(function, filename)
 
 
 #: Operators a lane body may apply: numpy's elementwise ones round like
@@ -506,10 +525,6 @@ def _lane_body(
             stmt.body = [lane(s) for s in stmt.body]
             stmt.orelse = [lane(s) for s in stmt.orelse]
             return None if None in stmt.body + stmt.orelse else stmt
-        if isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
-            # x = x op v: an in-place op would write into a column x aliases
-            load = ast.Name(stmt.target.id, ast.Load())
-            stmt = ast.Assign(targets=[stmt.target], value=ast.BinOp(load, stmt.op, stmt.value))
         if isinstance(stmt, ast.Assign):
             ok = (len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name)
                   and _columnar(stmt.value))
@@ -521,9 +536,8 @@ def _lane_body(
     statements = [lane(stmt) for stmt in body]
     if None in statements or not all(_columnar(e) for e in returned.elts):
         return None
-    (lanes,) = ast.parse("def lanes(" + ", ".join([*args, *params]) + "): flagged = False").body
-    lanes.body += statements + [ast.Return(ast.Tuple(
-        [ast.Name("flagged", ast.Load())] + returned.elts, ast.Load()))]
-    loads = {sub.id for sub in ast.walk(lanes) if isinstance(sub, ast.Name)} - local
-    return _compiled(lanes, f"<lanes of {qualname}>"), tuple(
-        i for i, name in enumerate(args) if name in loads)
+    loads = {sub.id for node in statements + returned.elts for sub in ast.walk(node)
+             if isinstance(sub, ast.Name)}
+    lanes = _function([*args, *params], ast.parse("flagged = False").body + statements,
+                      [ast.Name("flagged", ast.Load()), *returned.elts], f"<lanes of {qualname}>")
+    return lanes, tuple(i for i, name in enumerate(args) if name in loads)

@@ -146,7 +146,10 @@ def _drive(
     at every other accepted step.  Raises StepUnderflowError when the
     tolerance cannot be met above h_min, and propagates SingularityError
     when the current state itself sits inside the guard band.  A NaN error
-    estimate never passes the tolerance test.
+    estimate never passes the tolerance test.  Raises BjjError, naming t,
+    the state, h and the count, once the call has attempted
+    1000 * (len(targets) + ceil((targets[-1] - t) / h_max)) + 100000
+    steps, accepted and rejected.
     """
     abs_tol = ctl.abs_tol
     rel_tol = ctl.rel_tol
@@ -160,9 +163,22 @@ def _drive(
     sin = math.sin
     de = de0 + de1 * sin(omega * t) if driven else de0
     y0, y1 = y
+    # The step budget: 1000 attempts per target and per h_max of the span,
+    # and 100000 more (none when the span is inf h_max-steps).  It ends a
+    # run whose error test admits only steps far below h_max, such as one
+    # whose phi nears the float range, which would otherwise run for hours.
+    span = (targets[-1] - t) / h_max if targets else 0.0
+    budget = 1000 * (len(targets) + math.ceil(span)) + 100000 if span < math.inf else span
+    steps = 0
 
     for target in targets:
         while t < target:
+            steps += 1
+            if steps > budget:
+                raise BjjError(
+                    f"{budget} accepted and rejected steps, the run's budget, spent at "
+                    f"t={t!r}, state={(y0, y1)!r}, h={h!r}; a smaller h_max allows more steps"
+                )
             gap = target - t
             if h >= gap:
                 h_try = gap

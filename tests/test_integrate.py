@@ -2,13 +2,16 @@ import ast
 import hashlib
 import inspect
 import math
+import re
 import textwrap
+import types
 from functools import partial, wraps
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bjj._jvp
 import bjj._specialise
 import bjj.analysis
 import bjj.integrate
@@ -96,6 +99,25 @@ def counting(make, evals):
 def inlined(f, n=2):
     """Whether the driver of n components runs f written into its source."""
     return _stepper(f, n).func is not _called(n)
+
+
+#: The specialiser's builders, each with its own cache.
+BUILDERS = (bjj._specialise._drive_source, bjj._specialise._called,
+            bjj._specialise._inline, bjj._jvp._tangent_form)
+
+
+def clear_builders():
+    for builder in BUILDERS:
+        builder.cache_clear()
+
+
+@pytest.fixture
+def fresh_builders():
+    """Every builder's cache empty before the test and after it, so that
+    nothing built from a patched source or compiler outlives the test."""
+    clear_builders()
+    yield
+    clear_builders()
 
 
 def assert_fig5_pins(evals=None):
@@ -617,6 +639,50 @@ def test_tangent_matches_central_differences(lam, de1, omega, eta, kind, z0, phi
     assert np.max(np.abs(jvp - differences)) <= 1e-6 * np.max(np.abs(jvp))
 
 
+def hand_jacobian_terms(p, z, phi):
+    """make_rate's Jacobian d(dz/dt, dphi/dt)/d(z, phi), written by hand:
+    each entry as the list of its terms."""
+    root = math.sqrt(1.0 - z * z)
+    s, c = math.sin(phi), math.cos(phi)
+    terms = [[[z / root * s], [-root * c]],
+             [[p.lam, c / root**3], [-z / root * s]]]
+    if p.eta > 0.0 and p.damping is DampingKind.POPULATION:
+        terms[0][0].append(-p.eta)
+    elif p.eta > 0.0:  # dphi/dt - eta * dz/dt
+        terms[1] = [row + [-p.eta * x for x in dz] for row, dz in zip(terms[1], terms[0])]
+    return terms
+
+
+@given(
+    lam=st.floats(-20.0, 20.0),
+    eta=st.floats(0.0, 1.0),
+    kind=st.sampled_from(DampingKind),
+    de=st.floats(-10.0, 10.0),
+    z=st.floats(-0.99, 0.99),
+    phi=st.floats(-10.0, 10.0),
+    v=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+@example(lam=10.0, eta=0.0, kind=DampingKind.POPULATION, de=0.5, z=0.5, phi=0.3, v=(1.0, 0.0))
+@example(lam=10.0, eta=0.3, kind=DampingKind.POPULATION, de=0.5, z=-0.99, phi=2.0, v=(1.0, 1.0))
+@example(lam=-4.0, eta=0.3, kind=DampingKind.VELOCITY, de=0.5, z=0.99, phi=-1.0, v=(1.0, -1.0))
+@settings(max_examples=200)
+def test_tangent_rate_is_the_hand_written_jacobian(lam, eta, kind, de, z, phi, v):
+    # The derivative the tangent form generates from make_rate's body,
+    # undamped and under either placement, against the Jacobian written out
+    # by hand: equal to a few ulps of the size of J.v's terms (the largest
+    # |J.v| entry when nothing cancels).  The counting wrapper sends it
+    # through the called driver, whose coarse rate is the rate and then
+    # the derivative.
+    p = TrapParams(lam=lam, eta=eta, damping=kind)
+    step = _tangent(counting(make_rate, [0])(p), 2)
+    jv = step.args[1](0.0, de, z, phi, *v)[2:]
+    terms = hand_jacobian_terms(p, z, phi)
+    expected = [sum(sum(entry) * x for entry, x in zip(row, v)) for row in terms]
+    scale = max(sum(abs(t) for t in entry) * abs(x) for row in terms for entry, x in zip(row, v))
+    for got, want in zip(jv, expected):
+        assert abs(got - want) <= 8.0 * math.ulp(scale)
+
+
 def test_tangent_needs_a_rate_it_can_differentiate():
     # a lambda is not inlined, abs and ** have no derivative rule, and a
     # counting wrapper over any of them is no better; every refusal names
@@ -656,17 +722,17 @@ def pendulum_with(sin):
 def test_tangent_of_a_rate_that_loads_sine_alone():
     # sin' is a cos the rate never loads: the driver's own math.cos
     # supplies it.  The tangent follows the linearisation v'' = -cos(x) v
-    # (central differences of the plain map); a closure of the same
-    # definition that binds another function has no tangent form.
-    f = pendulum_with(math.sin)
+    # (central differences of the plain map).  A closure of the same
+    # definition that binds math.cos instead gets its own tangent, of
+    # x'' = -cos(x), whose sin' the driver's math.sin supplies.
     ctl = StepControl(abs_tol=1e-13, rel_tol=1e-13, h_init=1e-3, h_min=1e-14, h_max=0.01)
-    _, (x, v, dx, dv) = _tangent(f, 2)(NO_DRIVE, 0.0, (1.0, 0.0, 1.0, 0.0), [2.0], ctl)
-    plain = _stepper(f, 2)
-    ahead = plain(NO_DRIVE, 0.0, (1.0 + 1e-6, 0.0), [2.0], ctl)[1]
-    behind = plain(NO_DRIVE, 0.0, (1.0 - 1e-6, 0.0), [2.0], ctl)[1]
-    assert (dx, dv) == pytest.approx([(a - b) / 2e-6 for a, b in zip(ahead, behind)], rel=1e-6)
-    with pytest.raises(TypeError, match="pendulum' has no tangent form"):
-        _tangent(pendulum_with(math.cos), 2)
+    for f in (pendulum_with(math.sin), pendulum_with(math.cos)):
+        _, (x, v, dx, dv) = _tangent(f, 2)(NO_DRIVE, 0.0, (1.0, 0.0, 1.0, 0.0), [2.0], ctl)
+        plain = _stepper(f, 2)
+        ahead = plain(NO_DRIVE, 0.0, (1.0 + 1e-6, 0.0), [2.0], ctl)[1]
+        behind = plain(NO_DRIVE, 0.0, (1.0 - 1e-6, 0.0), [2.0], ctl)[1]
+        differences = [(a - b) / 2e-6 for a, b in zip(ahead, behind)]
+        assert (dx, dv) == pytest.approx(differences, rel=1e-6)
 
 
 def test_passenger_widening_rides_the_coarse_step_only():
@@ -694,8 +760,14 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
             return 0.0, 0.0
         return z, phi
 
+    calls = types.SimpleNamespace(n=0)
+
+    def attribute_update(t, de, z, phi):
+        calls.n += 1  # only a name's x op= v has the canonical form x = x op v
+        return rate(t, de, z, phi)
+
     for f in (counting(lambda p: rate, [0])(None), lambda t, de, z, phi: (z, phi),
-              with_default, early_return):
+              with_default, early_return, attribute_update):
         step = _stepper(f, 2)
         assert isinstance(step, partial) and step.func is _drive and step.args == (f,)
     assert inlined(rate) and inlined(oscillator)
@@ -707,7 +779,7 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
     assert inlined(oracle, 4)
 
 
-def test_driver_cache_is_keyed_by_rate_and_width():
+def test_driver_cache_is_keyed_by_rate_and_width(fresh_builders):
     # a request at the wrong n declines the rate at that n only
     def four(t, de, x1, y1, x2, y2):
         return y1, -x1, y2, -x2
@@ -720,9 +792,13 @@ def test_driver_cache_is_keyed_by_rate_and_width():
     # two with a tangent: four components, the first two scored
     _tangent(two, 2)
     _tangent(counting(lambda p: two, [0])(None), 2)
-    assert {(four.__code__, 2, 2), (four.__code__, 4, 4), (two.__code__, 4, 4),
-            (two.__code__, 2, 2), (two.__code__, 4, 2), (None, 4, 4),
-            (None, 4, 2)} <= bjj._specialise._DRIVERS.keys()
+    # one inlined build per rate and width, one called driver per width
+    # and scored count (_drive itself at 2), and one tangent for two and
+    # its wrapper; asking again builds nothing
+    sizes = [builder.cache_info().currsize for builder in BUILDERS]
+    assert sizes == [1, 3, 4, 1]
+    assert inlined(four, 4) and inlined(two, 2) and _tangent(two, 2)
+    assert [builder.cache_info().currsize for builder in BUILDERS] == sizes
 
 
 def test_widening_to_two_components_is_the_identity():
@@ -753,7 +829,7 @@ def rates_with_broken_sites(monkeypatch, replacement):
     broken, read = source.replace(SITE, replacement), bjj._specialise._source
     monkeypatch.setattr(bjj._specialise, "_source",
                         lambda code: broken if code is _drive.__code__ else read(code))
-    monkeypatch.setattr(bjj._specialise, "_DRIVERS", {})
+    clear_builders()
     p = TrapParams(lam=10.0)
     reduced, oracle = make_rate(p), bjj.twomode._make_rate(p)
     wrap = counting(lambda rate: rate, [0])
@@ -765,7 +841,7 @@ def rates_with_broken_sites(monkeypatch, replacement):
     [SITE + "; " + SITE, "j0, j1 = k0, k1", SITE + "; g = f", "j0, j1 = f(t_half, de_half, *y)"],
     ids=["twelve_sites", "ten_sites", "f_loaded", "call_not_a_site"],
 )
-def test_inliner_insists_on_every_rate_call(monkeypatch, replacement):
+def test_inliner_insists_on_every_rate_call(monkeypatch, fresh_builders, replacement):
     (reduced, called_reduced), oracles = rates_with_broken_sites(monkeypatch, replacement)
     # with two components a declined rate runs _drive as written, unparsed
     assert _stepper(called_reduced, 2).func is _drive
@@ -774,7 +850,8 @@ def test_inliner_insists_on_every_rate_call(monkeypatch, replacement):
             _stepper(f, n)
 
 
-def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch):
+def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch,
+                                                                    fresh_builders):
     # The j site rewritten so that its targets are also its bare-name
     # arguments, with the same operations: the driver with the rate
     # written in must keep the called driver's bits.  There a parameter is
@@ -801,7 +878,6 @@ def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch)
         return done
 
     monkeypatch.setattr(bjj._specialise, "_compiled", spy)
-    monkeypatch.setattr(bjj._specialise, "_DRIVERS", {})
     # at the real sites every bare-name parameter and returned local is renamed
     reduced = "<_drive inlining make_rate.<locals>.rate>"
     assert inlined(make_rate(p))
@@ -814,7 +890,7 @@ def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch)
     assert "_rate_z = j0" in compiled[reduced] and "j0 = _rate_dz" in compiled[reduced]
 
 
-def test_widening_insists_on_index_pairs(monkeypatch):
+def test_widening_insists_on_index_pairs(monkeypatch, fresh_builders):
     # (m0, m0) is a site of two components, but not an index pair to widen
     reduced, oracles = rates_with_broken_sites(
         monkeypatch, "j0, j1 = f(t_half, de_half, m0, m0)")
@@ -870,11 +946,35 @@ def test_singularity_propagates_from_interior():
         advance(p, PhaseState(0.0, 1.0 - 1e-13, 0.0), 1.0)
 
 
-def test_non_finite_current_state_names_t_state_and_h():
-    # math.sin(inf) in the stage-1 rate; no step size can cure it
+@pytest.mark.parametrize("t_end, ctl", [(1.0, None), (1e308, StepControl(h_max=1e-3))],
+                         ids=["short", "span_over_h_max_overflows"])
+def test_non_finite_current_state_names_t_state_and_h(t_end, ctl):
+    # math.sin(inf) in the stage-1 rate; no step size can cure it.  A span
+    # of inf h_max-steps leaves the run without a step budget, not broken.
     with pytest.raises(BjjError, match=r"t=0\.0, state=\(0\.5, inf\), h=0\.001") as info:
-        advance(TrapParams(lam=10.0), PhaseState(0.0, 0.5, math.inf), 1.0)
+        advance(TrapParams(lam=10.0), PhaseState(0.0, 0.5, math.inf), t_end, ctl)
     assert type(info.value) is BjjError
+
+
+def test_step_budget_names_t_the_state_h_and_the_count():
+    # phi near the float range: the relative tolerance on phi admits every
+    # step that z's error allows, about 1e-8 long, so the run would take
+    # some 10^7 steps for 0.1 time units.  The plain, inlined and tangent
+    # drivers spend the same budget and name the same orbit state.
+    p = TrapParams(lam=10.0, de1=1e308, omega=4.0 * math.pi)
+    ctl = default_control(p)
+    f = make_rate(p)
+    drive = (p.de0, p.de1, p.omega)
+    budget = 1000 * (1 + math.ceil(0.1 / ctl.h_max)) + 100000
+    with pytest.raises(BjjError, match=rf"^{budget} accepted and rejected steps") as info:
+        _drive(f, drive, 0.0, (0.5, 0.0), [0.1], ctl)
+    named = re.fullmatch(r".*, the run's budget, spent at t=(\S+), state=\((\S+), (\S+)\), "
+                         r"h=(\S+); a smaller h_max allows more steps", str(info.value))
+    t, z, phi, h = map(float, named.groups())
+    assert 0.0 < t < 1e-3 and abs(z - 0.5) < 1e-3 and phi > 1e290 and 0.0 < h < 1e-7
+    end = (BjjError, str(info.value))
+    assert outcome(_stepper(f, 2), drive, (0.5, 0.0), [0.1], ctl)[-1] == repr(end)
+    assert outcome(_tangent(f, 2), drive, (0.5, 0.0, 1.0, 0.0), [0.1], ctl)[-1] == repr(end)
 
 
 def test_stroboscopic_grid_starts_at_zero():
