@@ -52,13 +52,14 @@ class _Tangent(NamedTuple):
     """A vetted rate of n components with one tangent direction.  driver
     is _drive widened to 2n components, n of them scored, with the rate
     written in at the fine sites and its forward-mode derivative (_jvp) at
-    the coarse ones; rate is the derivative alone, ``rate(*values, t, de,
-    y0, ..., yn-1, v0, ..., vn-1) -> (dv0, ..., dvn-1)``, for a driver that
-    calls f.  Both take the rate's values (in _Inlined's order) and then
-    _HELPERS' functions."""
+    the coarse ones; rate() builds, on its first call, the derivative
+    alone, ``(*values, t, de, y0, ..., yn-1, v0, ..., vn-1) -> (dv0, ...,
+    dvn-1)``, for a driver that calls f (only a wrapped rate needs it).
+    Both take the rate's values (in _Inlined's order) and then _HELPERS'
+    functions."""
 
     driver: Callable
-    rate: Callable
+    rate: Callable[[], Callable]
 
 
 def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
@@ -91,7 +92,7 @@ def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     values += [fn for _, fn in _HELPERS]
     if rate is f:
         return partial(tangent.driver, *values)
-    return partial(_called(2 * n, n), f, partial(_coarse, f, partial(tangent.rate, *values), n))
+    return partial(_called(2 * n, n), f, partial(_coarse, f, partial(tangent.rate(), *values), n))
 
 
 def _coarse(f: RateFn, tangent: Callable, n: int, t: float, de: float, *y: float) -> tuple:
@@ -247,8 +248,9 @@ def _tangent_form(code: CodeType, n: int, qualname: str,
                   kinds: tuple[str | None, ...]) -> _Tangent | None:
     """Compile the tangent form of the vetted rate definition code of n
     components, whose values (in _Inlined's order) are the math functions
-    that kinds names (None for any other value), once per process; None
-    when its body has no derivative (see _jvp)."""
+    that kinds names (None for any other value), once per process: its
+    driver now, the derivative alone when a wrapped rate first asks for
+    it.  None when the body has no derivative (see _jvp)."""
     entry = _inline(code, n, qualname)
     jvp = _jvp(entry.vetted, {name: kind for name, kind in zip(entry.args, kinds) if kind})
     if jvp is None:
@@ -258,5 +260,5 @@ def _tangent_form(code: CodeType, n: int, qualname: str,
     drive = _specialised(2 * n, entry.vetted, scored=n, coarse=jvp)
     drive.args.args[:0] = [ast.arg(arg) for arg in args]
     return _Tangent(_compiled(drive, f"<_drive inlining {qualname} and its tangent>"),
-                    _function([*args, *params], _copy(body), _copy(returned.elts[n:]),
-                              f"<tangent of {qualname}>"))
+                    cache(partial(_function, [*args, *params], body, returned.elts[n:],
+                                  f"<tangent of {qualname}>")))

@@ -9,7 +9,7 @@ repeated for the indices 2 .. n-1, and each index-0/index-1 pair in a
 tuple or a rate call gains the same copies), so the two-mode oracle steps
 (a1.real, a1.imag, a2.real, a2.imag) with the operations of _drive per
 component and scores each component as a float; and, given a rate that
-_inline has vetted, it writes the rate's body in place of each of the 11
+_inline has vetted, it writes the rate's body in place of each of the 12
 rate calls, with the rate's names prefixed, a parameter whose argument is
 a bare name read as that name, and the returned values landing in the
 call's n targets.  The components past the first scored are passengers,
@@ -25,22 +25,19 @@ with defaults, a wrapper over ``*args`` such as a counting one, a body
 with nested scopes or an early return, no source) is called by _drive
 itself, or by _drive widened to n, so one source serves every path.
 
-One rate source gives three bodies, each from the one vetted body, which
+One rate source gives two bodies, each from the one vetted body, which
 _inline hands out in a canonical form (``x op= v`` written ``x = x op v``,
-the same float operation): the scalar one written into the driver, a lane
-rate (_lanes), which runs the same operations over numpy columns with
-math's sin, cos and sqrt bound to numpy's, and its forward-mode derivative
-(bjj._jvp), written in at the coarse sites of a driver whose passengers
-are a tangent vector.  Trajectory.dz_dt comes from one lane call over all rows; a rate without a
-lane body (a declined one, or one that calls anything else) is called once
-per row.
+the same float operation): the scalar one written into the driver, and
+its forward-mode derivative (bjj._jvp), written in at the coarse sites of
+a driver whose passengers are a tangent vector.  Trajectory.dz_dt needs
+no body of its own: the driver hands over the stage-1 rate of each state
+it records.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
-import math
 import pickle
 import textwrap
 from functools import cache, partial
@@ -49,17 +46,16 @@ from itertools import groupby
 from types import CodeType, FunctionType
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import integrate
 from .integrate import State, _drive
 from .model import RateFn
 
-#: Rate calls in one step of _drive; the specialiser finds every one of them.
-_RATE_CALLS = 11
-#: The first of them are the stages of the coarse RK4 step, the one that
-#: passengers ride.
-_COARSE_SITES = 4
+#: Rate calls in _drive's source; the specialiser finds every one of them.
+_RATE_CALLS = 12
+#: Those, counted from 1 in source order, that are stages of the coarse RK4
+#: step, the one that passengers ride: the stage-1 rate before the loop,
+#: the three stages after it, and the stage-1 rate after an accepted step.
+_COARSE_SITES = (1, 2, 3, 4, 12)
 #: _drive's component locals are one of these letters and the index 0 or 1.
 _COMPONENTS = "ykacdbmjne"
 #: Prefix of every name of an inlined rate; no name in _drive starts with it.
@@ -72,11 +68,6 @@ _STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
 _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
              ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
 
-#: What the lane rate runs for each of these math functions: numpy's ufunc,
-#: which rounds like it (tests/test_integrate.py probes both).
-_UFUNCS = ((math.sin, np.sin), (math.cos, np.cos), (math.sqrt, np.sqrt))
-
-
 #: A rate body as the specialiser writes it in: (its parameters, its
 #: statements, its returned tuple), every name prefixed.
 _Body = tuple[list[str], list[ast.stmt], ast.Tuple]
@@ -85,15 +76,12 @@ _Body = tuple[list[str], list[ast.stmt], ast.Tuple]
 class _Inlined(NamedTuple):
     """A vetted rate.  driver is _drive widened to n with the rate written
     in, taking first the values of the rate's free variables and then of
-    its globals named by names, so that the rate's constants are locals;
-    lanes() builds, on its first call, the rate's lane body as (a function
-    taking the same values first, indices of the values it loads), or None
-    when the body has no lane form.  vetted is the body and args the
-    driver's leading parameters, from which bjj._jvp builds the tangent."""
+    its globals named by names, so that the rate's constants are locals.
+    vetted is the body and args the driver's leading parameters, from
+    which bjj._jvp builds the tangent."""
 
     driver: Callable
     names: tuple[str, ...]
-    lanes: Callable[[], tuple[Callable, tuple[int, ...]] | None]
     vetted: _Body
     args: tuple[str, ...]
 
@@ -136,35 +124,6 @@ def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
         entry, values = bound
         return partial(entry.driver, *values)
     return partial(_called(n), f)
-
-
-def _lanes(f: RateFn, n: int) -> Callable[..., tuple] | None:
-    """f over numpy columns, or None when f has no lane body.
-
-    ``_lanes(f, n)(t, de, y0, ..., yn-1)`` returns ``(flagged, dy0, ...,
-    dyn-1)``: the rate's body run once over the columns, with every
-    ``if test: raise ...`` statement replaced by flagging the rows where
-    the test holds.  A row that is neither flagged nor non-finite has the
-    bits of the scalar rate, since the operations are the same and each
-    math function is the numpy ufunc that rounds like it.  None unless f is
-    a rate the inliner takes, its body (raises aside) uses only + - * /,
-    calls and scalar branch tests, and every value it loads from its
-    closure or globals is a number, a bool or one of math's sin, cos and
-    sqrt.  The lane body is compiled once per process and rate definition.
-    """
-    bound = _bound(f, n)
-    if bound is None:
-        return None
-    entry, values = bound
-    lanes = entry.lanes()
-    if lanes is None:
-        return None
-    lanes, loaded = lanes
-    values = [next((ufunc for fn, ufunc in _UFUNCS if value is fn), value) for value in values]
-    if not all(type(values[i]) in (float, int, bool)
-               or any(values[i] is ufunc for _, ufunc in _UFUNCS) for i in loaded):
-        return None
-    return partial(lanes, *values)
 
 
 @cache
@@ -271,9 +230,10 @@ def _specialised(
     its target Xi when Xi is not a bare-name argument; no float operation
     changes.
 
-    Passengers ride the coarse RK4 step only.  The first _COARSE_SITES
-    rate sites, the stages of b, are widened to all n components and the
-    others to scored; the run that computes b1 is copied for the
+    Passengers ride the coarse RK4 step only.  The _COARSE_SITES, the
+    stages of b (its stage 1 is the rate at the start or at the state
+    accepted last), are widened to all n components and the others to
+    scored; the run that computes b1 is copied for the
     passengers too, and the run that accepts y1 gains ``yi = bi`` for
     each passenger.  Every other tuple, the state, carries them all, but
     in a raise statement, whose message names the scored state.  So a
@@ -331,7 +291,7 @@ def _specialised(
         rate site."""
         nonlocal sites, candidates
         candidates += 1
-        width = n if candidates <= _COARSE_SITES else scored
+        width = n if candidates in _COARSE_SITES else scored
         body = coarse if width > scored else rate
         widen(stmt, width)
         if not _site(stmt, width):
@@ -400,8 +360,8 @@ def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
     inliner takes.  qualname names the compiled driver.
 
     The vetted body is canonical: each ``x op= v`` is ``x = x op v``, the
-    same float operation, so the transforms of the body (the lane form and
-    bjj._jvp's tangent) know only plain assignments."""
+    same float operation, so bjj._jvp's tangent of the body knows only
+    plain assignments."""
     if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
             or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
         return None
@@ -436,14 +396,12 @@ def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
     drive = _specialised(n, vetted)
     drive.args.args[:0] = [ast.arg(arg) for arg in args]
     driver = _compiled(drive, f"<_drive inlining {qualname}>")
-    return _Inlined(driver, names, cache(partial(_lane_body, vetted, args, qualname)),
-                    vetted, args)
+    return _Inlined(driver, names, vetted, args)
 
 
 class _Canonical(ast.NodeTransformer):
-    """A vetted statement with each ``x op= v`` written ``x = x op v``: the
-    same operation on floats, and over numpy columns (the lane form) a new
-    column rather than one written in place into a column that x aliases."""
+    """A vetted statement with each ``x op= v`` written ``x = x op v``, the
+    same operation on floats."""
 
     def visit_AugAssign(self, node: ast.AugAssign) -> ast.Assign:
         value = ast.BinOp(ast.Name(node.target.id, ast.Load()), node.op, node.value)
@@ -456,88 +414,3 @@ def _function(params: list[str], body: list[ast.stmt], returned: list[ast.expr],
     (function,) = ast.parse(f"def _({', '.join(params)}): pass").body
     function.body = body + [ast.Return(ast.Tuple(returned, ast.Load()))]
     return _compiled(function, filename)
-
-
-#: Operators a lane body may apply: numpy's elementwise ones round like
-#: Python's float ones.  (Not **: numpy's power differs from Python's.)
-_LANE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd)
-#: Comparisons a lane flag may make, elementwise.
-_LANE_COMPARE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-
-
-def _columnar(node: ast.expr) -> bool:
-    """Whether node runs elementwise over numpy columns with the bits it
-    gives on floats: names, numbers, + - * / and calls of names."""
-    if isinstance(node, ast.Name):
-        return True
-    if isinstance(node, ast.Constant):
-        return type(node.value) in (int, float)
-    if isinstance(node, ast.BinOp):
-        return isinstance(node.op, _LANE_OPS) and _columnar(node.left) and _columnar(node.right)
-    if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, _LANE_OPS) and _columnar(node.operand)
-    if isinstance(node, ast.Call):
-        return (isinstance(node.func, ast.Name) and not node.keywords
-                and all(_columnar(arg) for arg in node.args))
-    return False
-
-
-def _mask(test: ast.expr) -> ast.expr | None:
-    """test over numpy columns as a boolean array (``or`` as ``|``, ``and``
-    as ``&``), or None when its leaves are not single comparisons."""
-    if isinstance(test, ast.BoolOp):
-        masks = [_mask(value) for value in test.values]
-        if None in masks:
-            return None
-        op = ast.BitOr() if isinstance(test.op, ast.Or) else ast.BitAnd()
-        mask = masks[0]
-        for other in masks[1:]:
-            mask = ast.BinOp(mask, op, other)
-        return mask
-    if (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], _LANE_COMPARE)
-            and _columnar(test.left) and _columnar(test.comparators[0])):
-        return test
-    return None
-
-
-def _lane_body(
-    vetted: _Body, args: tuple[str, ...], qualname: str
-) -> tuple[Callable, tuple[int, ...]] | None:
-    """The lane form of a vetted rate body: (lanes, indices of the args it
-    loads), ``lanes(*args, t, de, y0, ..., yn-1) -> (flagged, dy0, ...,
-    dyn-1)``, or None when the body has no lane form (see _lanes)."""
-    params, body, returned = _copy(vetted)
-    local = set(params) | _stored(body)
-
-    def lane(stmt: ast.stmt) -> ast.stmt | None:
-        if (isinstance(stmt, ast.If) and not stmt.orelse and len(stmt.body) == 1
-                and isinstance(stmt.body[0], ast.Raise)):
-            mask = _mask(stmt.test)
-            if mask is None:
-                return None
-            flagged = ast.BinOp(ast.Name("flagged", ast.Load()), ast.BitOr(), mask)
-            return ast.Assign(targets=[ast.Name("flagged", ast.Store())], value=flagged)
-        if isinstance(stmt, ast.If):  # a branch on closure constants only
-            if _stored([stmt.test]) or {sub.id for sub in ast.walk(stmt.test)
-                                        if isinstance(sub, ast.Name)} & local:
-                return None
-            stmt.body = [lane(s) for s in stmt.body]
-            stmt.orelse = [lane(s) for s in stmt.orelse]
-            return None if None in stmt.body + stmt.orelse else stmt
-        if isinstance(stmt, ast.Assign):
-            ok = (len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name)
-                  and _columnar(stmt.value))
-        else:  # pass, or a docstring
-            ok = isinstance(stmt, ast.Pass) or (isinstance(stmt, ast.Expr)
-                                                and isinstance(stmt.value, ast.Constant))
-        return stmt if ok else None
-
-    statements = [lane(stmt) for stmt in body]
-    if None in statements or not all(_columnar(e) for e in returned.elts):
-        return None
-    loads = {sub.id for node in statements + returned.elts for sub in ast.walk(node)
-             if isinstance(sub, ast.Name)}
-    lanes = _function([*args, *params], ast.parse("flagged = False").body + statements,
-                      [ast.Name("flagged", ast.Load()), *returned.elts], f"<lanes of {qualname}>")
-    return lanes, tuple(i for i, name in enumerate(args) if name in loads)

@@ -20,22 +20,22 @@ sum in keeps every bit.
 Every run goes through bjj._specialise._stepper(f, n), which writes the
 rate into the driver's source (a Lyapunov run through
 bjj._jvp._tangent(f, n), which writes in the rate's derivative as well
-and carries a tangent vector), and Trajectory.dz_dt comes from the rate's
-lane form, bjj._specialise._lanes.  That module, the ast machinery behind
-both, is imported on the first run, not with this one.
+and carries a tangent vector).  That ast machinery is imported on the
+first run, not with this module.  The driver hands each recorded state
+over with its rate, so Trajectory.dz_dt costs no rate call of its own.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BjjError, SingularityError, StepUnderflowError
-from .model import PhaseState, RateFn, TrapParams, make_rate, trap_asymmetry
+from .model import PhaseState, RateFn, TrapParams, make_rate
 
 __all__ = [
     "StepControl",
@@ -112,9 +112,8 @@ class Trajectory:
     A stroboscopic section is one too: sample_stroboscopic lands row k at
     t = k * period, so the row index is the section index.  dz_dt holds
     the actual flow derivative (damping included): the first component of
-    the rate at every row, from one call of the lane rate that make_rate's
-    source also gives over all rows, or, for a rate without one, from one
-    rate call per row.  Both give the rate's bits.
+    the rate at every row, the stage-1 rate that the driver evaluated there
+    and handed over with the state.
     """
 
     t: np.ndarray
@@ -142,12 +141,19 @@ def _drive(
     drive is (de0, de1, omega): every rate call gets the tilt
     de0 + de1*sin(omega*t) at its stage time, evaluated once per distinct
     stage time (never when de1 == 0, where every stage gets de0).
-    on_target fires at every target (after exact landing); on_step fires
-    at every other accepted step.  Raises StepUnderflowError when the
-    tolerance cannot be met above h_min, and propagates SingularityError
-    when the current state itself sits inside the guard band.  A NaN error
-    estimate never passes the tolerance test.  Raises BjjError, naming t,
-    the state, h and the count, once the call has attempted
+    The stage-1 rate k is first-same-as-last (Dormand & Prince, J. Comput.
+    Appl. Math. 6, 19 (1980)): it is evaluated once per state, at the
+    start and after each accepted step, so a call makes
+    1 + 10 * attempted + accepted rate calls.  on_target fires at every
+    target (after exact landing) and on_step at every other accepted step,
+    each with (t, y + k): the state's two components, then their rates.
+    Raises StepUnderflowError when the tolerance cannot be met above
+    h_min, and propagates SingularityError when a start or accepted state
+    sits inside the guard band, so the returned state is never there.  A
+    ValueError from k, which a non-finite state raises, becomes a BjjError
+    naming t, the state and h.  A NaN error estimate never passes the
+    tolerance test.  Raises BjjError, naming t, the state, h and the count,
+    once the call has attempted
     1000 * (len(targets) + ceil((targets[-1] - t) / h_max)) + 100000
     steps, accepted and rejected.
     """
@@ -170,6 +176,14 @@ def _drive(
     span = (targets[-1] - t) / h_max if targets else 0.0
     budget = 1000 * (len(targets) + math.ceil(span)) + 100000 if span < math.inf else span
     steps = 0
+    # The stage-1 rate k at the current state, evaluated here and after each
+    # accepted step, is first-same-as-last: a rejected step reuses it, and
+    # the callbacks get it with the state.  A singular current state raises
+    # here, whatever h; a ValueError, from a non-finite state, as a BjjError.
+    try:
+        k0, k1 = f(t, de, y0, y1)
+    except ValueError as exc:
+        raise BjjError(f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h!r}: {exc}") from None
 
     for target in targets:
         while t < target:
@@ -188,18 +202,9 @@ def _drive(
                 landing = False
 
             # One classical RK4 step of h_try (to b) and two of h_try/2 (to
-            # m, then n), all from the stage-1 rate k at t.  A singular
-            # current state raises at k independent of h, so the exception
-            # propagates (a ValueError there, from a non-finite state, as a
-            # BjjError); singular *trial* states further along the step are
-            # treated as a rejection instead, and so are trial states that
-            # overflowed (math.sin(inf) raises ValueError).
-            try:
-                k0, k1 = f(t, de, y0, y1)
-            except ValueError as exc:
-                raise BjjError(
-                    f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h_try!r}: {exc}"
-                ) from None
+            # m, then n), all from the stage-1 rate k at t.  Singular trial
+            # states along the step are treated as a rejection, and so are
+            # trial states that overflowed (math.sin(inf) raises ValueError).
             half = 0.5 * h_try
             q = 0.5 * half
             t_half = t + half
@@ -279,8 +284,14 @@ def _drive(
                         h = h_max
                     elif h < h_min:
                         h = h_min
-                    if on_step is not None:
-                        on_step(t, (y0, y1))
+                try:
+                    k0, k1 = f(t, de, y0, y1)
+                except ValueError as exc:
+                    raise BjjError(
+                        f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h!r}: {exc}"
+                    ) from None
+                if not landing and on_step is not None:
+                    on_step(t, (y0, y1) + (k0, k1))
             else:
                 if h_try <= underflow_edge:
                     raise StepUnderflowError(t, (y0, y1), h_try, h_min)
@@ -291,7 +302,7 @@ def _drive(
                 if h < h_min:
                     h = h_min
         if on_target is not None:
-            on_target(t, (y0, y1))
+            on_target(t, (y0, y1) + (k0, k1))
     return t, (y0, y1)
 
 
@@ -334,46 +345,48 @@ def _sample(
     ctl: StepControl,
     sample_dt: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recorded times and states, an array of rows of len(y0) floats, of
-    one run from (t0, y0) to t_end under the drive (de0, de1, omega).
+    """Recorded times and rows of one run from (t0, y0) to t_end under the
+    drive (de0, de1, omega): an array of rows of 2 * len(y0) floats, each
+    the state and then its rate, as the driver hands them over.
 
-    The initial state is the first row.  With sample_dt unset every
-    accepted step is recorded, up to MAX_TARGETS rows; otherwise only the
-    multiples of sample_dt (sample grids are anchored at t=0) and t_end,
-    each landed exactly.
+    The initial state is the first row, the driver's first target.  With
+    sample_dt unset every accepted step is recorded, up to MAX_TARGETS
+    rows; otherwise only the multiples of sample_dt (sample grids are
+    anchored at t=0) and t_end, each landed exactly.
     """
     if t_end < t0:
         raise ValueError(f"t_end={t_end} precedes initial time {t0}")
     from ._specialise import _stepper
 
-    if t_end > t0 and sample_dt is None:
-        ts = [t0]
-        ys = [y0]
+    step = _stepper(rate, len(y0))
+    # Rows go into flat buffers of C doubles, 8 bytes a value, not into
+    # tuples of Python floats.
+    ts = array("d")
+    ys = array("d")
 
+    def record(t: float, y: State) -> None:
+        ts.append(t)
+        ys.extend(y)
+
+    if sample_dt is None:
         def record_step(t: float, y: State) -> None:
             if len(ts) >= MAX_TARGETS:
                 raise BjjError(
                     f"every-step recording stopped at t={t!r} after {len(ts)} rows; "
                     "set sample_dt to record a grid"
                 )
-            ts.append(t)
-            ys.append(y)
+            record(t, y)
 
-        _stepper(rate, len(y0))(drive, t0, y0, [t_end], ctl, on_target=record_step,
-                                on_step=record_step)
+        step(drive, t0, y0, [t0, t_end] if t_end > t0 else [t0], ctl,
+             on_target=record_step, on_step=record_step)
     else:
-        # Each landing goes in through the dict's own C-level __setitem__,
-        # keyed by its time: the targets strictly increase from above t0.
-        rows = {t0: y0}
+        targets = [t0]
         if t_end > t0:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
-            targets = _sample_targets(t_end, sample_dt)
-            _stepper(rate, len(y0))(drive, t0, y0, targets, ctl, on_target=rows.__setitem__)
-        ts, ys = rows.keys(), rows.values()
-    n = len(y0)
-    return (np.fromiter(ts, float, len(ts)),
-            np.fromiter(chain.from_iterable(ys), float, n * len(ys)).reshape(-1, n))
+            targets += _sample_targets(t_end, sample_dt)
+        step(drive, t0, y0, targets, ctl, on_target=record)
+    return np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 2 * len(y0))
 
 
 def _trajectory(
@@ -386,40 +399,21 @@ def _trajectory(
     """Body of integrate_adaptive, shared with sample_stroboscopic so that
     one public entry point never runs inside another.
 
-    dz_dt is the lane rate's over all rows.  When a rate has no lane body,
-    or a row is flagged (inside the guard band) or has a non-finite dz/dt,
-    the rate is called row by row instead: the first such row raises the
-    rate's own error (SingularityError in the band), or a BjjError naming
-    t and the state.
+    z, phi and dz_dt are the first three columns of the driver's rows, so
+    dz_dt is the rate the driver evaluated at each row: a start inside the
+    guard band raises its SingularityError, and a non-finite state its
+    BjjError.  A row whose dz/dt is not finite raises a BjjError naming t
+    and the state.
     """
     if ctl is None:
         ctl = default_control(p)
-    rate = make_rate(p)
     drive = (p.de0, p.de1, p.omega)
-    from ._specialise import _lanes
-
-    t, zphi = _sample(rate, drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
-    z, phi = zphi[:, 0], zphi[:, 1]
-    lanes = _lanes(rate, 2)
-    if lanes is not None:
-        with np.errstate(all="ignore"):
-            flagged, dz_dt, _ = lanes(t, trap_asymmetry(p, t), z, phi)
-        if np.any(flagged) or not np.all(np.isfinite(dz_dt)):
-            lanes = None
-    if lanes is None:
-        dz_dt = []
-        for row_t, (row_z, row_phi) in zip(t.tolist(), zphi.tolist()):
-            try:
-                dz = rate(row_t, trap_asymmetry(p, row_t), row_z, row_phi)[0]
-            except ValueError as exc:
-                raise BjjError(
-                    f"rate failed at t={row_t!r}, state={(row_z, row_phi)!r}: {exc}"
-                ) from None
-            if not math.isfinite(dz):
-                raise BjjError(f"dz/dt is not finite at t={row_t!r}, "
-                               f"state={(row_z, row_phi)!r}")
-            dz_dt.append(dz)
-        dz_dt = np.asarray(dz_dt)
+    t, rows = _sample(make_rate(p), drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
+    z, phi, dz_dt = rows[:, 0], rows[:, 1], rows[:, 2]
+    bad = np.flatnonzero(~np.isfinite(dz_dt))
+    if bad.size:
+        row_t, row_z, row_phi = t[bad[0]].item(), z[bad[0]].item(), phi[bad[0]].item()
+        raise BjjError(f"dz/dt is not finite at t={row_t!r}, state={(row_z, row_phi)!r}")
     return Trajectory(t=t, z=z, phi=phi, dz_dt=dz_dt)
 
 

@@ -98,7 +98,7 @@ def integrate_twomode(
     a1, a2 = _amplitudes(s0.z, s0.phi)
     y0 = (a1.real, a1.imag, a2.real, a2.imag)
     t, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
-    amps = ys.view(complex)
+    amps = ys.view(complex)  # a1, a2, then their rates
     return TwoModeTrajectory(t=t, a1=amps[:, 0], a2=amps[:, 1])
 
 

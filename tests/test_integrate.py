@@ -17,7 +17,7 @@ import bjj.analysis
 import bjj.integrate
 import bjj.twomode
 from bjj._jvp import _tangent
-from bjj._specialise import _called, _lanes, _specialised, _stepper
+from bjj._specialise import _called, _specialised, _stepper
 from bjj.analysis import lyapunov_estimate
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
@@ -125,7 +125,7 @@ def assert_fig5_pins(evals=None):
     s0 = PhaseState(0.0, 0.5, 0.0)
     sec = sample_stroboscopic(p, s0, 40)
     if evals is not None:
-        assert evals[0] == 26969  # 41 of them evaluate dz/dt at the section points
+        assert evals[0] == 26925  # 1 + 10 x 2448 attempted + 2444 accepted steps
     assert sec.z[-1] == 0.020592784343077236
     assert sec.dz_dt[-1] == -0.9935658489367988
     traj = integrate_adaptive(p, s0, 40 * p.period, sample_dt=p.period)
@@ -153,8 +153,8 @@ def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
 
 @pytest.mark.parametrize(
     "damping, evals, exponent",
-    [(DampingKind.POPULATION, 5819, 0.6627514819883186),
-     (DampingKind.VELOCITY, 5830, 0.6712346815650729)],
+    [(DampingKind.POPULATION, 5829, 0.6627514819883186),
+     (DampingKind.VELOCITY, 5840, 0.6712346815650729)],
     ids=["population", "velocity"],
 )
 def test_damped_lyapunov_keeps_pinned_bits(monkeypatch, damping, evals, exponent):
@@ -173,19 +173,21 @@ def test_damped_lyapunov_keeps_pinned_bits(monkeypatch, damping, evals, exponent
 
 S_PIN = PhaseState(0.0, 0.5, 0.3)
 
+#: (p, sample_dt, evals, rows, z, phi) of the pinned runs from S_PIN.
+S_PINS = [
+    # undriven: every stage gets de0 and no sin is evaluated
+    (TrapParams(lam=10.0), 0.5, 13881, 41, -0.22191888138686355, -1.7527239785630258),
+    (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.POPULATION), 0.5,
+     14160, 41, -0.12179148388330586, -5.535668405817371),
+    (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.VELOCITY), 0.5,
+     13625, 41, 0.5409370209014888, 84.44174223604693),
+    # every accepted step recorded
+    (TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi), None,
+     5644, 514, 0.1279277221190182, -2.3104289405126646),
+]
+
 S_PIN_CASES = pytest.mark.parametrize(
-    "p, sample_dt, evals, rows, z, phi",
-    [
-        # undriven: every stage gets de0 and no sin is evaluated
-        (TrapParams(lam=10.0), 0.5, 13967, 41, -0.22191888138686355, -1.7527239785630258),
-        (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.POPULATION), 0.5,
-         14209, 41, -0.12179148388330586, -5.535668405817371),
-        (TrapParams(lam=10.0, de1=2.0, eta=0.05, damping=DampingKind.VELOCITY), 0.5,
-         13692, 41, 0.5409370209014888, 84.44174223604693),
-        # every accepted step recorded
-        (TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi), None,
-         6157, 514, 0.1279277221190182, -2.3104289405126646),
-    ],
+    "p, sample_dt, evals, rows, z, phi", S_PINS,
     ids=["undriven", "population_damped", "velocity_damped", "every_step"],
 )
 
@@ -193,7 +195,7 @@ S_PIN_CASES = pytest.mark.parametrize(
 @S_PIN_CASES
 def test_rate_closures_keep_pinned_orbit_bits(monkeypatch, p, sample_dt, evals, rows, z, phi):
     # Values recorded before the driver was written out stage by stage; the
-    # count includes one dz/dt evaluation per recorded row.
+    # count is 1 + 10 x attempted + accepted steps, and dz_dt costs none.
     count = [0]
     monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, count))
     t_end = 5.0 if sample_dt is None else 20.0
@@ -206,60 +208,13 @@ def test_rate_closures_keep_pinned_orbit_bits(monkeypatch, p, sample_dt, evals, 
     assert (traj.z[-1], traj.phi[-1]) == (z, phi)
 
 
-@S_PIN_CASES
-def test_lane_dz_dt_keeps_the_per_row_bits(monkeypatch, p, sample_dt, evals, rows, z, phi):
-    # dz_dt from one lane call over all rows against the per-row reference
-    # path, which a wrapped rate takes: the same bits in every row.
-    t_end = 5.0 if sample_dt is None else 20.0
-    assert _lanes(make_rate(p), 2) is not None
-    lanes = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
-    monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, [0]))
-    assert _lanes(bjj.integrate.make_rate(p), 2) is None
-    per_row = integrate_adaptive(p, S_PIN, t_end, sample_dt=sample_dt)
-    assert len(lanes) == len(per_row) == rows
-    for a, b in [(lanes.t, per_row.t), (lanes.z, per_row.z), (lanes.phi, per_row.phi),
-                 (lanes.dz_dt, per_row.dz_dt)]:
-        assert a.dtype == b.dtype == float and a.tobytes() == b.tobytes()
-
-
-@given(
-    kind=st.sampled_from(DampingKind),
-    eta=st.sampled_from([0.0, 0.05, 0.7]),
-    lam=st.floats(-20.0, 20.0),
-    rows=st.lists(
-        st.tuples(st.floats(0.0, 1e4), st.floats(-10.0, 10.0),
-                  st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
-                  st.floats(-1e5, 1e5)),
-        min_size=1, max_size=40),
-)
-@example(kind=DampingKind.VELOCITY, eta=0.05, lam=10.0,
-         rows=[(0.0, 0.0, 1.0 - Z_GUARD / 2, 0.3), (1.0, 2.0, -0.5, -1e5), (2.0, -0.0, 0.0, 0.0)])
-@settings(max_examples=60)
-def test_lane_rate_matches_the_scalar_rate_bit_for_bit(kind, eta, lam, rows):
-    # The lane rate generated from make_rate's own body against the rate
-    # itself, row by row: the same bits for both components, and a flag on
-    # exactly the rows where the rate raises SingularityError.
-    p = TrapParams(lam=lam, eta=eta, damping=kind)
-    rate = make_rate(p)
-    t, de, z, phi = (np.array(column) for column in zip(*rows))
-    with np.errstate(all="ignore"):
-        flagged, dz, dphi = _lanes(rate, 2)(t, de, z, phi)
-    for i, row in enumerate(rows):
-        try:
-            expected = rate(*row)
-        except SingularityError:
-            assert flagged[i]
-            continue
-        assert not flagged[i]
-        assert (dz[i].hex(), dphi[i].hex()) == tuple(x.hex() for x in expected)
-
-
 def test_numpy_rounds_sin_cos_sqrt_like_math():
-    # The lane rate and the tilt column run numpy's sin, cos and sqrt where
-    # the driver runs math's; both must give the same bits on the arguments
-    # the equations see: phases and drive phases up to 1e5 in size, and
-    # 1 - z^2 in [0, 1].  A numpy build that rounds differently fails here
-    # first, not through the output pins.
+    # The Melnikov integrand's tilt column, trap_asymmetry over an array,
+    # runs numpy's sin where the driver runs math's, and trap_asymmetry
+    # promises math's bits at every time; numpy's cos and sqrt are probed
+    # alike, on the arguments the equations see: phases and drive phases up
+    # to 1e5 in size, and 1 - z^2 in [0, 1].  A numpy build that rounds
+    # differently fails here first, not through the output pins.
     rng = np.random.default_rng(20260)
     n = 200_000
     angles = np.concatenate([rng.uniform(-4.0, 4.0, n // 2), rng.uniform(-1e5, 1e5, n // 2)])
@@ -322,10 +277,10 @@ def rows_digest(traj):
 @pytest.mark.parametrize(
     "sample_dt, t_end, evals, rows, a1, a2, digest",
     [
-        (None, 5.0, 13200, 1201,
+        (None, 5.0, 13201, 1201,
          0.013766190905263832 + 0.7508490880614505j, 0.4795560855967738 - 0.4539406347280407j,
          "2580135158d72db7717a0f2ed6d91ac5216617719feca1dcaafb71c88fe83865"),
-        (0.5, 20.0, 53306, 41,
+        (0.5, 20.0, 53307, 41,
          0.4966646176767654 + 0.6548683228176547j, -0.3212266035547778 + 0.47040961623270305j,
          "1b84b9ecc2b40032a84e71508d1e4e2e651c1e9052e38daaf1ede35308f4ce29"),
     ],
@@ -373,12 +328,24 @@ def test_sample_grid_appends_ragged_end():
     assert np.array_equal(traj.t[:-1], [k * 0.3 for k in range(4)])
 
 
-def test_dz_dt_matches_rate_at_samples():
-    p = TrapParams(lam=10.0, de1=2.0, omega=2.0 * math.pi, eta=0.01)
-    traj = integrate_adaptive(p, PhaseState(0.0, 0.5, 0.0), 3.0, sample_dt=0.25)
-    rate = make_rate(p)
-    for t, z, phi, dz in zip(traj.t, traj.z, traj.phi, traj.dz_dt):
-        assert dz == pytest.approx(rate(t, trap_asymmetry(p, t), z, phi)[0], abs=1e-12)
+def test_dz_dt_matches_rate_at_samples(monkeypatch):
+    # dz_dt is the stage-1 rate the driver evaluated at each row: the bits
+    # of make_rate's own value there, on the inlined path and on the called
+    # one that the counting wrapper takes, for the pinned runs (undriven,
+    # both damping placements, every step recorded), a damped driven grid
+    # and a one-row run.
+    damped = TrapParams(lam=10.0, de1=2.0, omega=2.0 * math.pi, eta=0.01)
+    runs = [(p, S_PIN, 5.0 if dt is None else 20.0, dt, rows) for p, dt, _, rows, _, _ in S_PINS]
+    runs += [(damped, PhaseState(0.0, 0.5, 0.0), 3.0, 0.25, 13), (damped, S_PIN, 0.0, None, 1)]
+    for wrapped in (False, True):
+        for p, s0, t_end, sample_dt, rows in runs:
+            assert inlined(bjj.integrate.make_rate(p)) is not wrapped
+            traj = integrate_adaptive(p, s0, t_end, sample_dt=sample_dt)
+            rate = make_rate(p)
+            expected = [rate(t, trap_asymmetry(p, t), z, phi)[0].hex()
+                        for t, z, phi in zip(traj.t.tolist(), traj.z.tolist(), traj.phi.tolist())]
+            assert len(traj) == rows and [dz.hex() for dz in traj.dz_dt.tolist()] == expected
+        monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, [0]))
 
 
 def test_stroboscopic_lands_exactly_on_periods():
@@ -471,9 +438,12 @@ def test_overflowing_trial_stage_is_a_rejection():
 def test_driver_tilt_matches_trap_asymmetry(de0, de1, omega, t0, gaps, tight):
     # The driver evaluates de(t) itself, once per distinct stage time, and
     # carries it across accepted steps; every rate call must still get
-    # exactly trap_asymmetry(p, t), through landings and rejections.
+    # exactly trap_asymmetry(p, t), through landings and rejections.  A
+    # call makes 1 + 10 x attempted + accepted rate calls: the stage-1 rate
+    # at the start and after each accepted step, and ten more per attempt.
     p = TrapParams(lam=1.0, de0=de0, de1=de1, omega=omega)
     calls = []
+    accepted = []
 
     def rate(t, de, y0, y1):
         calls.append((t, de))
@@ -486,12 +456,14 @@ def test_driver_tilt_matches_trap_asymmetry(de0, de1, omega, t0, gaps, tight):
     targets = [t0 + gaps[0]]
     for gap in gaps[1:]:
         targets.append(targets[-1] + gap)
-    t, _ = _drive(rate, (de0, de1, omega), t0, (0.0, 1.0), targets, ctl)
+    t, _ = _drive(rate, (de0, de1, omega), t0, (0.0, 1.0), targets, ctl,
+                  on_target=lambda t, y: accepted.append(t),
+                  on_step=lambda t, y: accepted.append(t))
     assert t == targets[-1]
-    starts = [calls[i][0] for i in range(0, len(calls), 11)]
-    assert len(calls) == 11 * len(starts)
+    attempted, rest = divmod(len(calls) - 1 - len(accepted), 10)
+    assert rest == 0 and attempted >= len(accepted) >= len(targets)
     if tight:
-        assert any(a == b for a, b in zip(starts, starts[1:]))  # a rejected step
+        assert attempted > len(accepted)  # a rejected step
     for t, de in calls:
         assert de.hex() == trap_asymmetry(p, t).hex(), t
     if de1 == 0.0:
@@ -737,10 +709,12 @@ def test_tangent_of_a_rate_that_loads_sine_alone():
 
 def test_passenger_widening_rides_the_coarse_step_only():
     text = ast.unparse(_specialised(4, scored=2))
-    # the four coarse stages call g over all four components, the other
-    # seven call f over the scored two
-    assert [text.count(f"{x}0, {x}1, {x}2, {x}3 = g(") for x in "kacd"] == [1, 1, 1, 1]
+    # the coarse stages call g over all four components (stage 1 at the
+    # start and after each accepted step), the other seven call f over the
+    # scored two, and the callbacks get all four and their rates
+    assert [text.count(f"{x}0, {x}1, {x}2, {x}3 = g(") for x in "kacd"] == [2, 1, 1, 1]
     assert text.count(" = f(") == 7 and "m2" not in text and "n2" not in text
+    assert text.count("(y0, y1, y2, y3) + (k0, k1, k2, k3))") == 2
     assert "b3 = y3 + sixth * (k3 + 2.0 * (a3 + c3) + d3)" in text
     assert "y2 = b2" in text and "y3 = b3" in text
     # only the orbit is scored, and only it is named by an error
@@ -779,7 +753,16 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
     assert inlined(oracle, 4)
 
 
-def test_driver_cache_is_keyed_by_rate_and_width(fresh_builders):
+def test_driver_cache_is_keyed_by_rate_and_width(monkeypatch, fresh_builders):
+    compiled = []
+    compile_ = bjj._specialise._compiled
+
+    def spy(function, filename):
+        compiled.append(filename)
+        return compile_(function, filename)
+
+    monkeypatch.setattr(bjj._specialise, "_compiled", spy)
+    monkeypatch.setattr(bjj._jvp, "_compiled", spy)
     # a request at the wrong n declines the rate at that n only
     def four(t, de, x1, y1, x2, y2):
         return y1, -x1, y2, -x2
@@ -789,7 +772,8 @@ def test_driver_cache_is_keyed_by_rate_and_width(fresh_builders):
 
     assert not inlined(four, 2) and inlined(four, 4)
     assert not inlined(two, 4) and inlined(two, 2)
-    # two with a tangent: four components, the first two scored
+    # two with a tangent: four components, the first two scored; only the
+    # wrapper, whose driver calls it, compiles the derivative alone
     _tangent(two, 2)
     _tangent(counting(lambda p: two, [0])(None), 2)
     # one inlined build per rate and width, one called driver per width
@@ -799,6 +783,22 @@ def test_driver_cache_is_keyed_by_rate_and_width(fresh_builders):
     assert sizes == [1, 3, 4, 1]
     assert inlined(four, 4) and inlined(two, 2) and _tangent(two, 2)
     assert [builder.cache_info().currsize for builder in BUILDERS] == sizes
+    two = two.__qualname__
+    assert compiled == [f"<_drive inlining {four.__qualname__}>",
+                        "<_drive widened to 4 components, 4 scored>",
+                        f"<_drive inlining {two}>", f"<_drive inlining {two} and its tangent>",
+                        "<_drive widened to 4 components, 2 scored>", f"<tangent of {two}>"]
+    # a process running the reduced, tangent and oracle paths compiles one
+    # driver for each
+    clear_builders()
+    compiled.clear()
+    p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
+    integrate_adaptive(p, S_PIN, 1.0, sample_dt=0.5)
+    lyapunov_estimate(p, 0.5, 0.0, horizon=1.0)
+    integrate_twomode(p, S_PIN, 1.0, sample_dt=0.5)
+    assert compiled == ["<_drive inlining make_rate.<locals>.rate>",
+                        "<_drive inlining make_rate.<locals>.rate and its tangent>",
+                        "<_drive inlining _make_rate.<locals>.rate>"]
 
 
 def test_widening_to_two_components_is_the_identity():
@@ -810,7 +810,7 @@ def test_widening_to_four_components_widens_every_rate_site():
     drive = _specialised(4)
     calls = [node for node in ast.walk(drive) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "f"]
-    assert len(calls) == 11 and {len(call.args) for call in calls} == {6}
+    assert len(calls) == 12 and {len(call.args) for call in calls} == {6}
     text = ast.unparse(drive)
     assert "y0, y1, y2, y3 = y" in text and "return (t, (y0, y1, y2, y3))" in text
     # the error score runs over all four components, each once
@@ -839,6 +839,8 @@ def rates_with_broken_sites(monkeypatch, replacement):
 @pytest.mark.parametrize(
     "replacement",
     [SITE + "; " + SITE, "j0, j1 = k0, k1", SITE + "; g = f", "j0, j1 = f(t_half, de_half, *y)"],
+    # a site doubled, a site removed, f loaded elsewhere, and a call that
+    # is no site
     ids=["twelve_sites", "ten_sites", "f_loaded", "call_not_a_site"],
 )
 def test_inliner_insists_on_every_rate_call(monkeypatch, fresh_builders, replacement):
@@ -846,7 +848,7 @@ def test_inliner_insists_on_every_rate_call(monkeypatch, fresh_builders, replace
     # with two components a declined rate runs _drive as written, unparsed
     assert _stepper(called_reduced, 2).func is _drive
     for f, n in [(reduced, 2)] + [(f, 4) for f in oracles]:
-        with pytest.raises(RuntimeError, match="expected 11"):
+        with pytest.raises(RuntimeError, match="expected 12"):
             _stepper(f, n)
 
 
@@ -896,7 +898,7 @@ def test_widening_insists_on_index_pairs(monkeypatch, fresh_builders):
         monkeypatch, "j0, j1 = f(t_half, de_half, m0, m0)")
     assert inlined(reduced[0])
     for f in oracles:
-        with pytest.raises(RuntimeError, match="4 components has 10 inlinable rate calls"):
+        with pytest.raises(RuntimeError, match="4 components has 11 inlinable rate calls"):
             _stepper(f, 4)
 
 
