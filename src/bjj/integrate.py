@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -147,14 +148,15 @@ def _drive(
     1 + 10 * attempted + accepted rate calls.  on_target fires at every
     target (after exact landing) and on_step at every other accepted step,
     each with (t, y + k): the state's two components, then their rates.
-    Raises StepUnderflowError when the tolerance cannot be met above
-    h_min, and propagates SingularityError when a start or accepted state
-    sits inside the guard band, so the returned state is never there.  A
-    ValueError from k, which a non-finite state raises, becomes a BjjError
-    naming t, the state and h.  A NaN error estimate never passes the
-    tolerance test.  Raises BjjError, naming t, the state, h and the count,
-    once the call has attempted
-    1000 * (len(targets) + ceil((targets[-1] - t) / h_max)) + 100000
+    The one judge of a run's inputs, so every route ends alike: ValueError
+    when the targets end before t (or either is NaN); SingularityError
+    from k at a start or accepted state in the guard band, so the
+    returned state is never there; a BjjError naming t, the state and h
+    for a ValueError from k and for a start that is not finite.  Raises
+    StepUnderflowError when the tolerance cannot be met above h_min; a
+    NaN error estimate never passes the tolerance test.  Raises BjjError,
+    naming t, the state, h and the count, once the call has attempted
+    1000 * (targets after t + ceil((targets[-1] - t) / h_max)) + 100000
     steps, accepted and rejected.
     """
     abs_tol = ctl.abs_tol
@@ -169,12 +171,15 @@ def _drive(
     sin = math.sin
     de = de0 + de1 * sin(omega * t) if driven else de0
     y0, y1 = y
-    # The step budget: 1000 attempts per target and per h_max of the span,
-    # and 100000 more (none when the span is inf h_max-steps).  It ends a
-    # run whose error test admits only steps far below h_max, such as one
-    # whose phi nears the float range, which would otherwise run for hours.
+    if targets and not targets[-1] >= t:
+        raise ValueError(f"t_end={targets[-1]} precedes initial time {t}")
+    # The step budget: 1000 attempts per target after t and per h_max of
+    # the span, and 100000 more (none when the span is inf h_max-steps).  It
+    # ends a run whose error test admits only steps far below h_max, such as
+    # one whose phi nears the float range, which would run for hours.
     span = (targets[-1] - t) / h_max if targets else 0.0
-    budget = 1000 * (len(targets) + math.ceil(span)) + 100000 if span < math.inf else span
+    ahead = len(targets) - bisect_right(targets, t)
+    budget = 1000 * (ahead + math.ceil(span)) + 100000 if span < math.inf else span
     steps = 0
     # The stage-1 rate k at the current state, evaluated here and after each
     # accepted step, is first-same-as-last: a rejected step reuses it, and
@@ -184,6 +189,9 @@ def _drive(
         k0, k1 = f(t, de, y0, y1)
     except ValueError as exc:
         raise BjjError(f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h!r}: {exc}") from None
+    # Only the start: the error test rejects a step to a non-finite state.
+    if not all(map(math.isfinite, (y0, y1))):
+        raise BjjError(f"start is not finite at t={t!r}, state={(y0, y1)!r}, h={h!r}")
 
     for target in targets:
         while t < target:
@@ -352,10 +360,9 @@ def _sample(
     The initial state is the first row, the driver's first target.  With
     sample_dt unset every accepted step is recorded, up to MAX_TARGETS
     rows; otherwise only the multiples of sample_dt (sample grids are
-    anchored at t=0) and t_end, each landed exactly.
+    anchored at t=0) and t_end, each landed exactly.  The driver judges
+    the start, t_end and the step budget (see _drive).
     """
-    if t_end < t0:
-        raise ValueError(f"t_end={t_end} precedes initial time {t0}")
     from ._specialise import _stepper
 
     step = _stepper(rate, len(y0))
@@ -377,11 +384,11 @@ def _sample(
                 )
             record(t, y)
 
-        step(drive, t0, y0, [t0, t_end] if t_end > t0 else [t0], ctl,
+        step(drive, t0, y0, [t0] if t_end == t0 else [t0, t_end], ctl,
              on_target=record_step, on_step=record_step)
     else:
         targets = [t0]
-        if t_end > t0:
+        if t_end != t0:
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
             targets += _sample_targets(t_end, sample_dt)
@@ -400,33 +407,25 @@ def _trajectory(
     one public entry point never runs inside another.
 
     z, phi and dz_dt are the first three columns of the driver's rows, so
-    dz_dt is the rate the driver evaluated at each row: a start inside the
-    guard band raises its SingularityError, and a non-finite state its
-    BjjError.  A row whose dz/dt is not finite raises a BjjError naming t
-    and the state.
+    dz_dt is the rate the driver evaluated at each row.  The driver judges
+    the start, t_end and the step budget (see _drive), as for advance; its
+    error test admits only finite states, where dz/dt is finite too.
     """
     if ctl is None:
         ctl = default_control(p)
     drive = (p.de0, p.de1, p.omega)
     t, rows = _sample(make_rate(p), drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
-    z, phi, dz_dt = rows[:, 0], rows[:, 1], rows[:, 2]
-    bad = np.flatnonzero(~np.isfinite(dz_dt))
-    if bad.size:
-        row_t, row_z, row_phi = t[bad[0]].item(), z[bad[0]].item(), phi[bad[0]].item()
-        raise BjjError(f"dz/dt is not finite at t={row_t!r}, state={(row_z, row_phi)!r}")
-    return Trajectory(t=t, z=z, phi=phi, dz_dt=dz_dt)
+    return Trajectory(t=t, z=rows[:, 0], phi=rows[:, 1], dz_dt=rows[:, 2])
 
 
 def advance(
     p: TrapParams, s0: PhaseState, t_end: float, ctl: StepControl | None = None
 ) -> PhaseState:
-    """Final state at t_end, recording nothing along the way."""
+    """Final state at t_end, recording nothing along the way.  The driver
+    judges the start, t_end and the step budget (see _drive), as for
+    integrate_adaptive: even at t_end = s0.t it evaluates the rate at s0."""
     if ctl is None:
         ctl = default_control(p)
-    if t_end < s0.t:
-        raise ValueError(f"t_end={t_end} precedes initial time {s0.t}")
-    if t_end == s0.t:
-        return s0
     from ._specialise import _stepper
 
     drive = (p.de0, p.de1, p.omega)

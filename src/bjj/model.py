@@ -162,8 +162,8 @@ def make_rate(p: TrapParams) -> RateFn:
     """Bind parameters into a fast rate function ``f(t, de, z, phi)``.
 
     This closure is the single source of the equations of motion: the
-    integration driver runs its body written in (bjj.integrate), the
-    dz_dt column of a trajectory runs the same body over numpy columns,
+    integration driver runs its body written in (bjj.integrate) and hands
+    over the rate at each recorded state as a trajectory's dz_dt column,
     and ``make_rate(p)(t, trap_asymmetry(p, t), z, phi)`` is the rate
     ``(dz/dt, dphi/dt)`` at a single state.  The tilt ``de`` comes
     in as an argument, so the closure never evaluates the drive; the

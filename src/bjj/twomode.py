@@ -52,8 +52,9 @@ class CrosscheckReport:
 
 
 def _amplitudes(z0: float, phi0: float) -> tuple[complex, complex]:
-    """Unit-norm amplitudes with imbalance z0 and relative phase phi0."""
-    if not -1.0 <= z0 <= 1.0:
+    """Unit-norm amplitudes with imbalance z0 and relative phase phi0, NaN
+    for a NaN z0: the driver refuses them as a start."""
+    if abs(z0) > 1.0:
         raise ValueError(f"|z0| must be <= 1, got {z0}")
     a1 = complex(math.sqrt(0.5 * (1.0 + z0)), 0.0)
     a2 = cmath.rect(math.sqrt(0.5 * (1.0 - z0)), phi0)
@@ -89,7 +90,7 @@ def integrate_twomode(
     Only the conservative system is defined at this level, so p.eta must
     be zero.  Sampling semantics match integrate_adaptive.  The driver
     steps the four floats (a1.real, a1.imag, a2.real, a2.imag), so a
-    StepUnderflowError or BjjError lists the state as those four.
+    StepUnderflowError or BjjError (a NaN start's too) lists those four.
     """
     if p.eta != 0.0:
         raise ValueError("two-mode oracle is conservative; requires eta = 0")
@@ -110,15 +111,14 @@ def crosscheck_max_dz(
     sample_dt: float = 0.05,
     ctl: StepControl | None = None,
 ) -> CrosscheckReport:
-    """Integrate both routes from the same state and compare z on a grid."""
+    """Integrate both routes from the same state and compare z on the
+    sample_dt grid that both land on, row for row."""
     if sample_dt is None:  # two every-step recordings never share a grid
         raise ValueError("'sample_dt' must be a spacing both routes land on, got None")
     # the oracle runs first, so its eta = 0 rule fails before any integration
     s0 = PhaseState(t=0.0, z=z0, phi=phi0)
     full = integrate_twomode(p, s0, t_end, ctl=ctl, sample_dt=sample_dt)
     reduced = integrate_adaptive(p, s0, t_end, ctl=ctl, sample_dt=sample_dt)
-    if len(reduced) != len(full) or np.max(np.abs(reduced.t - full.t)) > 1e-9:
-        raise RuntimeError("integration routes produced mismatched sample grids")
     n1 = np.abs(full.a1) ** 2
     n2 = np.abs(full.a2) ** 2
     diff = np.abs(reduced.z - (n1 - n2) / (n1 + n2))

@@ -1124,6 +1124,20 @@ def test_section_analysis_leaves_scipy_spatial_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_only_lyapunov_work_loads_the_tangent_transform():
+    # bjj._jvp, the derivative transform, costs about 0.5 MiB of peak RSS
+    # when it loads with the other drivers: the reduced, oracle and advance
+    # runs leave it unloaded, and the first Lyapunov estimate imports it
+    proc = run_python("-c", "import sys, bjj; "
+                      "p = bjj.TrapParams(lam=10.0); s0 = bjj.PhaseState(0.0, 0.5, 0.3); "
+                      "bjj.integrate_adaptive(p, s0, 1.0); bjj.integrate_twomode(p, s0, 1.0); "
+                      "bjj.advance(p, s0, 1.0); before = 'bjj._jvp' in sys.modules; "
+                      "bjj.lyapunov_estimate(p, 0.5, 0.3, horizon=1.0); "
+                      "print(before, 'bjj._jvp' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_python_m_bjj_runs_the_cli():
     proc = run_python("-m", "bjj", "--help")
     assert proc.returncode == 0, proc.stderr

@@ -841,7 +841,7 @@ def rates_with_broken_sites(monkeypatch, replacement):
     [SITE + "; " + SITE, "j0, j1 = k0, k1", SITE + "; g = f", "j0, j1 = f(t_half, de_half, *y)"],
     # a site doubled, a site removed, f loaded elsewhere, and a call that
     # is no site
-    ids=["twelve_sites", "ten_sites", "f_loaded", "call_not_a_site"],
+    ids=["one_site_more", "one_site_fewer", "f_loaded", "call_not_a_site"],
 )
 def test_inliner_insists_on_every_rate_call(monkeypatch, fresh_builders, replacement):
     (reduced, called_reduced), oracles = rates_with_broken_sites(monkeypatch, replacement)
@@ -957,6 +957,42 @@ def test_non_finite_current_state_names_t_state_and_h():
         assert type(info.value) is BjjError
 
 
+@given(start=st.sampled_from([(1.0 - 1e-13, 0.3), (math.nan, 0.3), (0.5, math.nan),
+                               (0.5, math.inf)]),
+       span=st.sampled_from([0.0, 1.0]))
+@settings(max_examples=16)
+def test_every_route_ends_the_same_way_for_a_bad_start(start, span):
+    # The driver alone judges a run's start, whether or not the run takes a
+    # step: advance, a sampled and an every-step trajectory and one
+    # Lyapunov interval end in the same exception with the same message.
+    # A start in the guard band raises the rate's SingularityError, which
+    # names t and z; one that is not finite a BjjError naming t, the state
+    # and h.  The oracle, which has no guard band, refuses a NaN start the
+    # same way, naming its four floats (an infinite phase has no amplitudes).
+    p = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi)
+    s0 = PhaseState(0.0, *start)
+    tangent = partial(_tangent(make_rate(p), 2), (p.de0, p.de1, p.omega))
+    routes = [partial(advance, p, s0, span),
+              partial(integrate_adaptive, p, s0, span, sample_dt=0.25),
+              partial(integrate_adaptive, p, s0, span),
+              partial(tangent, 0.0, (*start, 1.0, 0.0), [span], default_control(p))]
+    ends = set()
+    for route in routes:
+        with pytest.raises(BjjError) as info:
+            route()
+        ends.add((type(info.value), str(info.value)))
+    ((kind, message),) = ends
+    z, phi = start
+    if z == 1.0 - 1e-13:
+        assert kind is SingularityError and f"at t=0.0 (z={z!r})" in message
+        return
+    assert kind is BjjError and f"t=0.0, state={start!r}, h=0.001" in message
+    if math.isnan(z + phi):
+        with pytest.raises(BjjError, match=r"^start is not finite at t=0\.0, state=\(\S+, 0\.0, "
+                                           r"nan, nan\), h=0\.001$"):
+            integrate_twomode(p, s0, span)
+
+
 def test_step_budget_names_t_the_state_h_and_the_count():
     # phi near the float range: the relative tolerance on phi admits every
     # step that z's error allows, about 1e-8 long, so the run would take
@@ -974,6 +1010,9 @@ def test_step_budget_names_t_the_state_h_and_the_count():
     t, z, phi, h = map(float, named.groups())
     assert 0.0 < t < 1e-3 and abs(z - 0.5) < 1e-3 and phi > 1e290 and 0.0 < h < 1e-7
     end = (BjjError, str(info.value))
+    # a target at the start needs no step, so a recorded run, whose first
+    # target is its start, spends the budget of advance's run
+    assert outcome(partial(_drive, f), drive, (0.5, 0.0), [0.0, 0.1], ctl)[-1] == repr(end)
     assert outcome(_stepper(f, 2), drive, (0.5, 0.0), [0.1], ctl)[-1] == repr(end)
     assert outcome(_tangent(f, 2), drive, (0.5, 0.0, 1.0, 0.0), [0.1], ctl)[-1] == repr(end)
 
