@@ -66,7 +66,7 @@ def power_spectrum(t: np.ndarray, x: np.ndarray, window: str = "hann") -> Spectr
         raise ValueError(f"'window' must be one of {_WINDOWS}, got {window!r}")
     steps = np.diff(t)
     dt = float(steps[0])
-    if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
+    if not dt > 0.0 or not np.max(np.abs(steps - dt)) <= 1e-9 * dt:
         raise ValueError("samples are not evenly spaced")
 
     n = len(x)

@@ -24,13 +24,17 @@ class ConfigError(BjjError):
 
 
 class SingularityError(BjjError):
-    """The population imbalance hit the |z| -> 1 pole of the phase equation."""
+    """The population imbalance hit the |z| -> 1 pole of the phase equation.
 
-    def __init__(self, t: float, z: float):
-        self.t = t
-        self.z = z
+    The rate raises it naming t and z; the integration driver raises it
+    again naming the step size h as well, so one that leaves a run names
+    all three."""
+
+    def __init__(self, t: float, z: float, h: float | None = None):
+        self.t, self.z, self.h = t, z, h
+        step = "" if h is None else f", h={h!r}"
         super().__init__(
-            f"population imbalance reached the |z|=1 singularity at t={t!r} (z={z!r}); "
+            f"population imbalance reached the |z|=1 singularity at t={t!r} (z={z!r}{step}); "
             "the 1/sqrt(1-z^2) term in dphi/dt is no longer finite"
         )
 

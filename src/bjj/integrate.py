@@ -149,10 +149,12 @@ def _drive(
     target (after exact landing) and on_step at every other accepted step,
     each with (t, y + k): the state's two components, then their rates.
     The one judge of a run's inputs, so every route ends alike: ValueError
-    when the targets end before t (or either is NaN); SingularityError
-    from k at a start or accepted state in the guard band, so the
-    returned state is never there; a BjjError naming t, the state and h
-    for a ValueError from k and for a start that is not finite.  Raises
+    when the targets end before t (or either is NaN); then, before the
+    tilt, the budget or any rate, a BjjError naming t, the state and h for
+    a start whose t or state is not finite; SingularityError naming t, z
+    and h from k at a start or accepted state in the guard band (so the
+    returned state is never there) or from a trial state at h_min; a
+    BjjError naming t, the state and h for a ValueError from k.  Raises
     StepUnderflowError when the tolerance cannot be met above h_min; a
     NaN error estimate never passes the tolerance test.  Raises BjjError,
     naming t, the state, h and the count, once the call has attempted
@@ -169,10 +171,15 @@ def _drive(
     de0, de1, omega = drive
     driven = de1 != 0.0
     sin = math.sin
-    de = de0 + de1 * sin(omega * t) if driven else de0
     y0, y1 = y
     if targets and not targets[-1] >= t:
         raise ValueError(f"t_end={targets[-1]} precedes initial time {t}")
+    # Before the tilt, the budget and the stage-1 rate, so that a start that
+    # is not finite ends here on every route; the error test then rejects a
+    # step to a state that is not finite.
+    if not all(map(math.isfinite, (t, y0, y1))):
+        raise BjjError(f"start is not finite at t={t!r}, state={(y0, y1)!r}, h={h!r}")
+    de = de0 + de1 * sin(omega * t) if driven else de0
     # The step budget: 1000 attempts per target after t and per h_max of
     # the span, and 100000 more (none when the span is inf h_max-steps).  It
     # ends a run whose error test admits only steps far below h_max, such as
@@ -184,14 +191,13 @@ def _drive(
     # The stage-1 rate k at the current state, evaluated here and after each
     # accepted step, is first-same-as-last: a rejected step reuses it, and
     # the callbacks get it with the state.  A singular current state raises
-    # here, whatever h; a ValueError, from a non-finite state, as a BjjError.
+    # here, whatever h, naming h; a ValueError as a BjjError.
     try:
         k0, k1 = f(t, de, y0, y1)
+    except SingularityError as exc:
+        raise SingularityError(exc.t, exc.z, h) from None
     except ValueError as exc:
         raise BjjError(f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h!r}: {exc}") from None
-    # Only the start: the error test rejects a step to a non-finite state.
-    if not all(map(math.isfinite, (y0, y1))):
-        raise BjjError(f"start is not finite at t={t!r}, state={(y0, y1)!r}, h={h!r}")
 
     for target in targets:
         while t < target:
@@ -250,7 +256,7 @@ def _drive(
             except (SingularityError, ValueError) as exc:
                 if h_try <= underflow_edge:
                     if isinstance(exc, SingularityError):
-                        raise
+                        raise SingularityError(exc.t, exc.z, h_try) from None
                     raise StepUnderflowError(t, (y0, y1), h_try, h_min) from None
                 h = max(h_min, 0.5 * h_try)
                 continue
@@ -294,6 +300,8 @@ def _drive(
                         h = h_min
                 try:
                     k0, k1 = f(t, de, y0, y1)
+                except SingularityError as exc:
+                    raise SingularityError(exc.t, exc.z, h) from None
                 except ValueError as exc:
                     raise BjjError(
                         f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h!r}: {exc}"
@@ -479,7 +487,7 @@ def section_from_trajectory(traj: Trajectory, period: float) -> Trajectory:
     if len(traj) < 2:
         raise ValueError("trajectory too short for a section")
     dt = traj.t[1] - traj.t[0]
-    stride = int(round(period / dt))
+    stride = int(round(period / dt)) if dt > 0.0 else 0  # none for a NaN or repeated time
     if stride < 1 or abs(stride * dt - period) > 1e-9 * period:
         raise ValueError(
             f"sample step {dt!r} does not divide the period {period!r}"

@@ -282,7 +282,7 @@ def running_stability_integral(
     when rounding fills it) with an error worse than max(1e-10, 1e-8*|value|).
     """
     if not t_lo <= t_hi:
-        raise ValueError(f"t_hi must be >= t_lo, got [{t_lo!r}, {t_hi!r}]")
+        raise ValueError(f"'t_hi' must be >= t_lo, got [{t_lo!r}, {t_hi!r}]")
     xi_lo, xi_hi = f.xi(t_lo), f.xi(t_hi)
     if xi_lo < -_XI_EDGE:
         xi_lo, t_lo = -_XI_EDGE, (-_XI_EDGE - f.c0) / f.kappa
@@ -350,7 +350,7 @@ def drive_coefficient(f: SeparatrixFrame, omega: float) -> float:
     otherwise that raises BjjError, naming omega and c0.
     """
     if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+        raise ValueError(f"'omega' must be > 0, got {omega!r}")
     kappa = f.kappa
     a = abs(f.lam)
     sech = _sech(math.pi * omega / (2.0 * kappa))
@@ -547,7 +547,7 @@ def frame_from_initial(
     amp = probe.amplitude
     if not 0.0 < z0 <= amp * (1.0 + 1e-12):
         raise ValueError(
-            f"z0 must lie in (0, {amp!r}] to sit on this separatrix, got {z0!r}"
+            f"'z0' must lie in (0, {amp!r}] to sit on this separatrix, got {z0!r}"
         )
     u = min(z0 / amp, 1.0)
     xi0 = math.log((1.0 + math.sqrt(1.0 - u * u)) / u)  # arcsech(u)

@@ -53,8 +53,11 @@ class CrosscheckReport:
 
 def _amplitudes(z0: float, phi0: float) -> tuple[complex, complex]:
     """Unit-norm amplitudes with imbalance z0 and relative phase phi0, NaN
-    for a NaN z0: the driver refuses them as a start."""
-    if abs(z0) > 1.0:
+    for a z0 or phi0 that is not finite: the driver refuses them as a
+    start, as it refuses that start on the reduced routes."""
+    if math.isinf(z0) or math.isinf(phi0):
+        z0 = phi0 = math.nan
+    elif abs(z0) > 1.0:
         raise ValueError(f"|z0| must be <= 1, got {z0}")
     a1 = complex(math.sqrt(0.5 * (1.0 + z0)), 0.0)
     a2 = cmath.rect(math.sqrt(0.5 * (1.0 - z0)), phi0)
@@ -90,7 +93,8 @@ def integrate_twomode(
     Only the conservative system is defined at this level, so p.eta must
     be zero.  Sampling semantics match integrate_adaptive.  The driver
     steps the four floats (a1.real, a1.imag, a2.real, a2.imag), so a
-    StepUnderflowError or BjjError (a NaN start's too) lists those four.
+    StepUnderflowError or BjjError (one for a start that is not finite
+    too) lists those four.
     """
     if p.eta != 0.0:
         raise ValueError("two-mode oracle is conservative; requires eta = 0")

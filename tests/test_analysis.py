@@ -65,6 +65,11 @@ def test_spectrum_validation():
     tt[5] += 0.01
     with pytest.raises(ValueError):
         power_spectrum(tt, np.zeros(32))
+    # NaN times have no spacing, first or later, and no frequencies
+    tt[5] = np.nan
+    for times in (tt, np.arange(20) * np.nan):
+        with pytest.raises(ValueError, match="^samples are not evenly spaced$"):
+            power_spectrum(times, np.zeros(len(times)))
 
 
 def test_spectrum_shape_and_resolution():

@@ -174,6 +174,10 @@ API_RANGE_RULES = [
     ("window", lambda: bjj.power_spectrum(np.arange(32.0), np.zeros(32), window="x")),
     ("sample_dt", lambda: bjj.crosscheck_max_dz(bjj.TrapParams(lam=2.0), 0.4, 0.0,
                                                 sample_dt=None)),
+    ("omega", lambda: bjj.drive_coefficient(bjj.SeparatrixFrame(lam=4.0, h=0.5), -1.0)),
+    ("t_hi", lambda: bjj.running_stability_integral(bjj.SeparatrixFrame(lam=2.0, h=1.0),
+                                                    bjj.TrapParams(lam=2.0), 1.0, 0.0)),
+    ("z0", lambda: bjj.frame_from_initial(2.0, 1.0, 2.0, 0.0)),
 ]
 
 
@@ -1263,6 +1267,9 @@ def finite_data(command, text):
 # step budget ends each run with exit 2
 @example(["poincare", "--n-periods=2", "--de1=1e+308"])
 @example(["lyapunov", "--horizon=5.0", "--renorm-interval=0.05", "--de1=1e+308"])
+# a Rabi orbit that reaches the guard band near z = -1 at t = 2.094 and stays
+# there on steps of about 5e-11 that no longer move z: the budget ends it
+@example(["simulate", "--t-end=5.0", "--lambda=0.0", "--z0=0.5", "--phi0=1.5707963267948966"])
 @settings(max_examples=100)
 def test_cli_ends_in_one_of_three_ways(argv):
     # exit 0 with finite data, 1 for the input or 2 for the numerics, each

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -249,14 +250,15 @@ def test_numpy_exp_tanh_keep_the_melnikov_pin_bits():
 
 def test_dz_dt_rows_outside_the_flow_raise_naming_t():
     # a row in the guard band raises the rate's own SingularityError; a row
-    # whose dz/dt is not finite raises a BjjError naming t and the state
+    # that is not finite (an infinite phase too) a BjjError naming t and the
+    # state
     p = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi)
     with pytest.raises(SingularityError, match=r"at t=0\.0 \(z=0\.9999999999999"):
         integrate_adaptive(p, PhaseState(0.0, 1.0 - 1e-13, 0.3), 0.0)
-    for phi, reason in [(math.inf, "math domain error"), (math.nan, "not finite")]:
+    for phi in (math.inf, math.nan):
         with pytest.raises(BjjError, match=rf"t=0\.0, state=\(0\.5, {phi}\).*") as info:
             integrate_adaptive(p, PhaseState(0.0, 0.5, phi), 0.0)
-        assert type(info.value) is BjjError and reason in str(info.value)
+        assert type(info.value) is BjjError and "not finite" in str(info.value)
 
 
 def test_twomode_keeps_pinned_amplitude_bits():
@@ -379,6 +381,13 @@ def test_section_from_trajectory_rejects_incommensurate_grid():
     traj = integrate_adaptive(p, PhaseState(0.0, 0.5, 0.0), 5.0, sample_dt=0.3)
     with pytest.raises(ValueError):
         section_from_trajectory(traj, p.period)
+    # a repeated or NaN first time gives no sample step, refused before the
+    # division by it
+    for t1 in (0.0, math.nan):
+        t = traj.t.copy()
+        t[1] = t1
+        with pytest.raises(ValueError, match=r"^sample step \S+ does not divide the period "):
+            section_from_trajectory(dataclasses.replace(traj, t=t), p.period)
 
 
 def test_default_control_caps_step_by_drive_period():
@@ -946,51 +955,73 @@ def test_singularity_propagates_from_interior():
     p = TrapParams(lam=10.0)
     with pytest.raises(SingularityError):
         advance(p, PhaseState(0.0, 1.0 - 1e-13, 0.0), 1.0)
+    # a Rabi orbit to z = -1 whose steps may not shrink below 1e-4: the
+    # singular trial state at h_min leaves the run naming that step size
+    ctl = StepControl(h_init=1e-4, h_min=1e-4)
+    with pytest.raises(SingularityError, match=r"at t=\S+ \(z=-1\.0\S*, h=0\.0001\); "):
+        advance(TrapParams(lam=0.0), PhaseState(0.0, 0.5, 0.5 * math.pi), 5.0, ctl)
 
 
 def test_non_finite_current_state_names_t_state_and_h():
-    # math.sin(inf) in the stage-1 rate; no step size can cure it.  A span
-    # of inf h_max-steps leaves the run without a step budget, not broken.
+    # an infinite phase, which no step size can cure, refused before the
+    # step budget: a span of inf h_max-steps leaves the run without one.
     for t_end, ctl in [(1.0, None), (1e308, StepControl(h_max=1e-3))]:
         with pytest.raises(BjjError, match=r"t=0\.0, state=\(0\.5, inf\), h=0\.001") as info:
             advance(TrapParams(lam=10.0), PhaseState(0.0, 0.5, math.inf), t_end, ctl)
         assert type(info.value) is BjjError
 
 
-@given(start=st.sampled_from([(1.0 - 1e-13, 0.3), (math.nan, 0.3), (0.5, math.nan),
-                               (0.5, math.inf)]),
-       span=st.sampled_from([0.0, 1.0]))
-@settings(max_examples=16)
-def test_every_route_ends_the_same_way_for_a_bad_start(start, span):
-    # The driver alone judges a run's start, whether or not the run takes a
-    # step: advance, a sampled and an every-step trajectory and one
-    # Lyapunov interval end in the same exception with the same message.
-    # A start in the guard band raises the rate's SingularityError, which
-    # names t and z; one that is not finite a BjjError naming t, the state
-    # and h.  The oracle, which has no guard band, refuses a NaN start the
-    # same way, naming its four floats (an infinite phase has no amplitudes).
-    p = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi)
-    s0 = PhaseState(0.0, *start)
+def bad_start_routes(p, s0, t_end):
+    """advance, a sampled and an every-step trajectory, the oracle and one
+    Lyapunov interval from s0 to t_end.  A grid from a start time other
+    than 0 to another time is left out: sample grids are anchored at t=0,
+    so it is refused before the driver."""
     tangent = partial(_tangent(make_rate(p), 2), (p.de0, p.de1, p.omega))
-    routes = [partial(advance, p, s0, span),
-              partial(integrate_adaptive, p, s0, span, sample_dt=0.25),
-              partial(integrate_adaptive, p, s0, span),
-              partial(tangent, 0.0, (*start, 1.0, 0.0), [span], default_control(p))]
-    ends = set()
-    for route in routes:
-        with pytest.raises(BjjError) as info:
-            route()
-        ends.add((type(info.value), str(info.value)))
-    ((kind, message),) = ends
-    z, phi = start
-    if z == 1.0 - 1e-13:
-        assert kind is SingularityError and f"at t=0.0 (z={z!r})" in message
-        return
-    assert kind is BjjError and f"t=0.0, state={start!r}, h=0.001" in message
-    if math.isnan(z + phi):
-        with pytest.raises(BjjError, match=r"^start is not finite at t=0\.0, state=\(\S+, 0\.0, "
-                                           r"nan, nan\), h=0\.001$"):
-            integrate_twomode(p, s0, span)
+    routes = [partial(advance, p, s0, t_end),
+              partial(integrate_adaptive, p, s0, t_end, sample_dt=0.25),
+              partial(integrate_adaptive, p, s0, t_end),
+              partial(integrate_twomode, p, s0, t_end),
+              partial(tangent, s0.t, (s0.z, s0.phi, 1.0, 0.0), [t_end], default_control(p))]
+    return routes if t_end == s0.t or s0.t == 0.0 else routes[:1] + routes[2:]
+
+
+def test_every_route_ends_the_same_way_for_a_bad_start():
+    # The driver alone judges a run's start, before the tilt, the step
+    # budget and the stage-1 rate, whether or not the run takes a step:
+    # every route ends in one BjjError naming t, the state and h.  The
+    # oracle names its four floats, NaN where the start has no amplitudes.
+    inf, nan = math.inf, math.nan
+    driven = TrapParams(lam=10.0, de1=2.0, omega=4.0 * math.pi)
+    undriven = TrapParams(lam=10.0)
+    runs = [(p, PhaseState(t, 0.5, 0.3), t) for p in (driven, undriven) for t in (inf, -inf)]
+    runs += [(driven, PhaseState(0.0, z, phi), t_end)
+             for z, phi in [(inf, 0.3), (-inf, 0.3), (nan, 0.3), (0.5, inf), (0.5, nan)]
+             for t_end in (0.0, 1.0)]
+    # undriven, this start once stepped forever: t + h stays -inf
+    runs.append((undriven, PhaseState(-inf, 0.5, 0.3), 1.0))
+    for p, s0, t_end in runs:
+        for route in bad_start_routes(p, s0, t_end):
+            state = (r"\((\S+, ){3}\S+\)" if route.func is integrate_twomode
+                     else re.escape(repr((s0.z, s0.phi))))
+            with pytest.raises(BjjError, match=rf"^start is not finite at t={s0.t!r}, "
+                                               rf"state={state}, h=0\.001$") as info:
+                route()
+            assert type(info.value) is BjjError, (s0, t_end, route)
+    # a NaN start time fails the targets' check, which comes first
+    for t_end in (nan, 1.0):
+        for route in bad_start_routes(driven, PhaseState(nan, 0.5, 0.3), t_end):
+            with pytest.raises(ValueError, match=r"precedes initial time nan"):
+                route()
+    # A start in the guard band raises the rate's SingularityError, its
+    # prefix naming t and z, then h; the oracle has no guard band.
+    z = 1.0 - 1e-13
+    prefix = f"population imbalance reached the |z|=1 singularity at t=0.0 (z={z!r}, h=0.001); "
+    for t_end in (0.0, 1.0):
+        for route in bad_start_routes(driven, PhaseState(0.0, z, 0.3), t_end):
+            if route.func is not integrate_twomode:
+                with pytest.raises(SingularityError) as info:
+                    route()
+                assert str(info.value).startswith(prefix) and info.value.h == 0.001
 
 
 def test_step_budget_names_t_the_state_h_and_the_count():

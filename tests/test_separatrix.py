@@ -214,7 +214,7 @@ def test_quadrature_failure_raises_naming_the_window():
     # finite parameters whose tilt overflows to inf
     with pytest.raises(QuadratureError, match=r"not finite on \[-40\.0, 40\.0\]"):
         melnikov_numeric(UNIT, TrapParams(lam=2.0, de0=1e308, de1=1e308, omega=1.0))
-    with pytest.raises(ValueError, match="t_hi must be >= t_lo"):
+    with pytest.raises(ValueError, match="'t_hi' must be >= t_lo"):
         running_stability_integral(UNIT, QUIET, 0.0, math.nan)
 
 
