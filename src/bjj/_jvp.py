@@ -5,10 +5,13 @@ _jvp differentiates, in forward mode, the canonical rate body that
 bjj._specialise._inline has vetted, and _tangent(f, n) writes it into
 _drive widened with a tangent vector as passengers (_specialised with
 scored = n): the orbit keeps its bits and steps, and the vector rides the
-coarse RK4 step.  _tangent_form compiles it once per process into its own
-cache, keyed by the rate's definition and n and by which of the values
-the rate binds are math's sin, cos and sqrt: a closure of the same
-definition that binds another of them gets its own tangent.
+coarse RK4 step.  The rest of the driver has the rate written in, or, for
+a wrapper over the rate (a counting one), calls the wrapper at every site,
+so one writer serves both.  _tangent_form compiles it once per process
+into its own cache, keyed by the rate's definition and n, by which of the
+values the rate binds are math's sin, cos and sqrt (a closure of the same
+definition that binds another of them gets its own tangent) and by
+whether the driver calls the rate.
 """
 
 from __future__ import annotations
@@ -19,20 +22,9 @@ import math
 from functools import cache, partial
 from itertools import count
 from types import CodeType
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from ._specialise import (
-    _PREFIX,
-    _Body,
-    _bound,
-    _called,
-    _compiled,
-    _copy,
-    _function,
-    _inline,
-    _specialised,
-    _stored,
-)
+from ._specialise import _PREFIX, _Body, _bound, _compiled, _copy, _inline, _specialised, _stored
 from .integrate import State
 from .model import RateFn
 
@@ -48,20 +40,6 @@ _HELPERS = ((_TANGENT + "sin", math.sin), (_TANGENT + "cos", math.cos))
 _JVP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 
-class _Tangent(NamedTuple):
-    """A vetted rate of n components with one tangent direction.  driver
-    is _drive widened to 2n components, n of them scored, with the rate
-    written in at the fine sites and its forward-mode derivative (_jvp) at
-    the coarse ones; rate() builds, on its first call, the derivative
-    alone, ``(*values, t, de, y0, ..., yn-1, v0, ..., vn-1) -> (dv0, ...,
-    dvn-1)``, for a driver that calls f (only a wrapped rate needs it).
-    Both take the rate's values (in _Inlined's order) and then _HELPERS'
-    functions."""
-
-    driver: Callable
-    rate: Callable[[], Callable]
-
-
 def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     """The driver of f's n components and one tangent vector v:
     ``_tangent(f, n)(drive, t, y + v, targets, ctl, ...)`` returns
@@ -75,10 +53,10 @@ def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     the flow's.  The derivative is generated from the body of
     inspect.unwrap(f), which must be a rate the inliner takes and whose
     body _jvp can differentiate.  That f itself is written in, as for
-    _stepper; a wrapper over it (a counting one) runs through _drive
-    widened to 2n, which calls f at every site and adds the derivative at
-    the coarse ones, with the same bits.  TypeError, naming the rate, when
-    there is no tangent form.
+    _stepper; a wrapper over it (a counting one) is called at every site
+    instead, its derivative written in after it at the coarse ones, with
+    the same bits and calls.  TypeError, naming the rate, when there is no
+    tangent form.
     """
     rate = inspect.unwrap(f)
     bound = _bound(rate, n)
@@ -86,18 +64,11 @@ def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
         _, values = bound
         kinds = tuple(next((kind for fn, kind in _DERIVATIVES if value is fn), None)
                       for value in values)
-        tangent = _tangent_form(rate.__code__, n, rate.__qualname__, kinds)
-    if bound is None or tangent is None:
+        driver = _tangent_form(rate.__code__, n, rate.__qualname__, kinds, rate is not f)
+    if bound is None or driver is None:
         raise TypeError(f"rate {getattr(rate, '__qualname__', rate)!r} has no tangent form")
     values += [fn for _, fn in _HELPERS]
-    if rate is f:
-        return partial(tangent.driver, *values)
-    return partial(_called(2 * n, n), f, partial(_coarse, f, partial(tangent.rate(), *values), n))
-
-
-def _coarse(f: RateFn, tangent: Callable, n: int, t: float, de: float, *y: float) -> tuple:
-    """f's rate of y's first n components, then tangent's of the rest."""
-    return f(t, de, *y[:n]) + tangent(t, de, *y)
+    return partial(driver, *values) if rate is f else partial(driver, *values, f)
 
 
 class _NoTangent(Exception):
@@ -244,21 +215,21 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
 
 
 @cache
-def _tangent_form(code: CodeType, n: int, qualname: str,
-                  kinds: tuple[str | None, ...]) -> _Tangent | None:
-    """Compile the tangent form of the vetted rate definition code of n
-    components, whose values (in _Inlined's order) are the math functions
-    that kinds names (None for any other value), once per process: its
-    driver now, the derivative alone when a wrapped rate first asks for
-    it.  None when the body has no derivative (see _jvp)."""
+def _tangent_form(code: CodeType, n: int, qualname: str, kinds: tuple[str | None, ...],
+                  called: bool) -> Callable | None:
+    """Compile, once per process, the driver of the vetted rate definition
+    code of n components and its tangent: _drive widened to 2n components,
+    n of them scored, with the rate's forward-mode derivative (_jvp)
+    written in at the coarse sites, and the rate written in at the others
+    or, when called, called at every site.  It takes the rate's values (in
+    _Inlined's order), of which kinds names the math functions (None for
+    any other value), then _HELPERS' functions, then, when called, the
+    rate.  None when the body has no derivative (see _jvp)."""
     entry = _inline(code, n, qualname)
     jvp = _jvp(entry.vetted, {name: kind for name, kind in zip(entry.args, kinds) if kind})
     if jvp is None:
         return None
-    params, body, returned = jvp
-    args = [*entry.args, *(name for name, _ in _HELPERS)]
-    drive = _specialised(2 * n, entry.vetted, scored=n, coarse=jvp)
-    drive.args.args[:0] = [ast.arg(arg) for arg in args]
-    return _Tangent(_compiled(drive, f"<_drive inlining {qualname} and its tangent>"),
-                    cache(partial(_function, [*args, *params], body, returned.elts[n:],
-                                  f"<tangent of {qualname}>")))
+    drive = _specialised(2 * n, None if called else entry.vetted, scored=n, coarse=jvp)
+    drive.args.args[:0] = [ast.arg(arg) for arg in (*entry.args, *(name for name, _ in _HELPERS))]
+    how = "calling" if called else "inlining"
+    return _compiled(drive, f"<_drive {how} {qualname} and its tangent>")

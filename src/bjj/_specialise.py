@@ -15,21 +15,23 @@ a bare name read as that name, and the returned values landing in the
 call's n targets.  The components past the first scored are passengers,
 which ride only the coarse RK4 step and are never scored.  Each builder
 keeps its own functools.cache, keyed by exactly what its build reads:
-_drive_source by nothing, _called by (n, scored), _inline by the rate's
-code and n (and the qualname that names the compiled driver), and
-bjj._jvp's _tangent_form by those and which of the rate's values are
-math's sin, cos and sqrt; so each is compiled once per process.  The
-floating-point operations and their order are the called driver's, so the
-bits, counts and exceptions are too.  A rate it cannot take (a lambda, one
-with defaults, a wrapper over ``*args`` such as a counting one, a body
-with nested scopes or an early return, no source) is called by _drive
-itself, or by _drive widened to n, so one source serves every path.
+_drive_source by nothing, _called by n, _inline by the rate's code and n
+(and the qualname that names the compiled driver), and bjj._jvp's
+_tangent_form by those, which of the rate's values are math's sin, cos
+and sqrt, and whether the driver calls the rate; so each is compiled once
+per process.  The floating-point operations and their order are the
+called driver's, so the bits, counts and exceptions are too.  A rate it
+cannot take (a lambda, one with defaults, a wrapper over ``*args`` such as
+a counting one, a body with nested scopes or an early return, no source)
+is called by _drive itself, or by _drive widened to n, so one source
+serves every path.
 
 One rate source gives two bodies, each from the one vetted body, which
 _inline hands out in a canonical form (``x op= v`` written ``x = x op v``,
 the same float operation): the scalar one written into the driver, and
 its forward-mode derivative (bjj._jvp), written in at the coarse sites of
-a driver whose passengers are a tangent vector.  Trajectory.dz_dt needs
+a driver whose passengers are a tangent vector (after a call of the rate,
+when the driver calls a wrapper over it).  Trajectory.dz_dt needs
 no body of its own: the driver hands over the stage-1 rate of each state
 it records.
 """
@@ -127,16 +129,12 @@ def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
 
 
 @cache
-def _called(n: int, scored: int | None = None) -> Callable[..., tuple[float, State]]:
-    """The driver of n components, the first scored of them (default all)
-    scored, that calls its rate: _drive itself when n = 2, else _drive
-    widened and compiled once per process.  With passengers it takes the
-    rate of all n, called at the coarse sites, after f."""
-    scored = n if scored is None else scored
+def _called(n: int) -> Callable[..., tuple[float, State]]:
+    """The driver of n components that calls its rate: _drive itself when
+    n = 2, else _drive widened and compiled once per process."""
     if n == 2:
         return _drive
-    return _compiled(_specialised(n, scored=scored),
-                     f"<_drive widened to {n} components, {scored} scored>")
+    return _compiled(_specialised(n), f"<_drive widened to {n} components>")
 
 
 def _source(code: CodeType) -> str:
@@ -239,10 +237,12 @@ def _specialised(
     in a raise statement, whose message names the scored state.  So a
     passenger never enters the half steps, the extrapolation or the error
     score, and the scored components keep their bits and steps.  The
-    coarse sites get coarse's body, a rate of all n components; without a
-    rate they call the parameter g, added after f.  RuntimeError unless
-    there are exactly _RATE_CALLS sites, f and g are loaded nowhere else
-    and a passenger is both stepped and accepted.
+    coarse sites get coarse's body, a rate of all n components whose first
+    scored values are the rate's own, bit for bit; without a rate each is
+    preceded by the call of f over the scored components, so that f is
+    called at every site.  RuntimeError unless there are exactly
+    _RATE_CALLS sites, f is loaded nowhere else and a passenger is both
+    stepped and accepted.
     """
     scored = n if scored is None else scored
     (drive,) = ast.parse(_drive_source()).body
@@ -293,13 +293,15 @@ def _specialised(
         candidates += 1
         width = n if candidates in _COARSE_SITES else scored
         body = coarse if width > scored else rate
+        # a called rate with a derivative: f over the scored components first
+        call = [_copy(stmt)] if rate is None and body is not None else []
+        for site in call:
+            widen(site, scored)
         widen(stmt, width)
         if not _site(stmt, width):
             return [stmt]
         sites += 1
         if body is None:
-            if width > scored:
-                stmt.value.func.id = "g"
             return [stmt]
         params, body, returned = body
         stored = _stored(body)
@@ -319,12 +321,12 @@ def _specialised(
                     and e.id in stored and e.id not in params and e.id not in names):
                 names[e.id] = x.id
         *body, returned = _renaming(body + [returned], names)
-        return head + body + [ast.Assign(targets=[x], value=e)
+        return call + head + body + [ast.Assign(targets=[x], value=e)
                               for x, e in zip(targets, returned.elts)
                               if not (isinstance(e, ast.Name) and e.id == getattr(x, "id", None))]
 
     widen(drive, n)
-    loads = sum(isinstance(node, ast.Name) and node.id in ("f", "g") for node in ast.walk(drive))
+    loads = sum(isinstance(node, ast.Name) and node.id == "f" for node in ast.walk(drive))
     if (sites != _RATE_CALLS or loads != (sites if rate is None else 0)
             or carried != (0 if n == scored else 2)):
         raise RuntimeError(
@@ -334,8 +336,6 @@ def _specialised(
         )
     if rate is not None:
         del drive.args.args[0]
-    elif n > scored:
-        drive.args.args.insert(1, ast.arg("g"))
     return drive
 
 
@@ -407,10 +407,3 @@ class _Canonical(ast.NodeTransformer):
         value = ast.BinOp(ast.Name(node.target.id, ast.Load()), node.op, node.value)
         return ast.copy_location(ast.Assign(targets=[node.target], value=value), node)
 
-
-def _function(params: list[str], body: list[ast.stmt], returned: list[ast.expr],
-              filename: str) -> Callable:
-    """``def _(*params): body; return (*returned,)``, compiled (see _compiled)."""
-    (function,) = ast.parse(f"def _({', '.join(params)}): pass").body
-    function.body = body + [ast.Return(ast.Tuple(returned, ast.Load()))]
-    return _compiled(function, filename)

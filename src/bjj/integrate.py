@@ -59,6 +59,9 @@ _MIN_SHRINK = 0.1
 #: front), most rows an every-step recording may hold, and the largest
 #: Lyapunov interval count and grid size (n_points, n_z).
 MAX_TARGETS = 10**7
+#: Most steps of h_max one driver call may span: twice what the longest
+#: section needs, MAX_TARGETS periods at h_max = period/50.
+_MAX_SPAN = 100 * MAX_TARGETS
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,12 @@ def _drive(
     The one judge of a run's inputs, so every route ends alike: ValueError
     when the targets end before t (or either is NaN); then, before the
     tilt, the budget or any rate, a BjjError naming t, the state and h for
-    a start whose t or state is not finite; SingularityError naming t, z
-    and h from k at a start or accepted state in the guard band (so the
-    returned state is never there) or from a trial state at h_min; a
-    BjjError naming t, the state and h for a ValueError from k.  Raises
+    a start whose t or state is not finite; then ValueError naming t_end,
+    the span and h_max when the span is more than _MAX_SPAN steps of h_max;
+    SingularityError naming t, z and h from k at a start or accepted state
+    in the guard band (so the returned state is never there) or from a
+    trial state at h_min; a BjjError naming t, the state and h for a
+    ValueError from k or from the start's tilt.  Raises
     StepUnderflowError when the tolerance cannot be met above h_min; a
     NaN error estimate never passes the tolerance test.  Raises BjjError,
     naming t, the state, h and the count, once the call has attempted
@@ -179,20 +184,25 @@ def _drive(
     # step to a state that is not finite.
     if not all(map(math.isfinite, (t, y0, y1))):
         raise BjjError(f"start is not finite at t={t!r}, state={(y0, y1)!r}, h={h!r}")
-    de = de0 + de1 * sin(omega * t) if driven else de0
-    # The step budget: 1000 attempts per target after t and per h_max of
-    # the span, and 100000 more (none when the span is inf h_max-steps).  It
-    # ends a run whose error test admits only steps far below h_max, such as
-    # one whose phi nears the float range, which would run for hours.
+    # A span of more than _MAX_SPAN h_max-steps would run for hours at least.
     span = (targets[-1] - t) / h_max if targets else 0.0
+    if span > _MAX_SPAN:
+        raise ValueError(f"t_end={targets[-1]!r} lies {targets[-1] - t!r} past t={t!r}, "
+                         f"more than {_MAX_SPAN} steps of h_max={h_max!r}")
+    # The step budget: 1000 attempts per target after t and per h_max of
+    # the span, and 100000 more.  It ends a run whose error test admits only
+    # steps far below h_max, such as one whose phi nears the float range,
+    # which would run for hours.
     ahead = len(targets) - bisect_right(targets, t)
-    budget = 1000 * (ahead + math.ceil(span)) + 100000 if span < math.inf else span
+    budget = 1000 * (ahead + math.ceil(span)) + 100000
     steps = 0
     # The stage-1 rate k at the current state, evaluated here and after each
     # accepted step, is first-same-as-last: a rejected step reuses it, and
     # the callbacks get it with the state.  A singular current state raises
-    # here, whatever h, naming h; a ValueError as a BjjError.
+    # here, whatever h, naming h; a ValueError, from the rate or from the
+    # tilt (whose omega*t may overflow), as a BjjError.
     try:
+        de = de0 + de1 * sin(omega * t) if driven else de0
         k0, k1 = f(t, de, y0, y1)
     except SingularityError as exc:
         raise SingularityError(exc.t, exc.z, h) from None
@@ -486,8 +496,11 @@ def section_from_trajectory(traj: Trajectory, period: float) -> Trajectory:
     """
     if len(traj) < 2:
         raise ValueError("trajectory too short for a section")
-    dt = traj.t[1] - traj.t[0]
-    stride = int(round(period / dt)) if dt > 0.0 else 0  # none for a NaN or repeated time
+    # No stride for a NaN or repeated first time, a NaN period or a period
+    # over a step so small that the count overflows.
+    dt = float(traj.t[1] - traj.t[0])
+    count = float(period) / dt if dt > 0.0 else 0.0
+    stride = round(count) if count < math.inf else 0
     if stride < 1 or abs(stride * dt - period) > 1e-9 * period:
         raise ValueError(
             f"sample step {dt!r} does not divide the period {period!r}"

@@ -1270,6 +1270,11 @@ def finite_data(command, text):
 # a Rabi orbit that reaches the guard band near z = -1 at t = 2.094 and stays
 # there on steps of about 5e-11 that no longer move z: the budget ends it
 @example(["simulate", "--t-end=5.0", "--lambda=0.0", "--z0=0.5", "--phi0=1.5707963267948966"])
+# spans of about 10^297 steps of h_max, which once ran without end: the
+# driver refuses each before its first step, with exit 1
+@example(["simulate", "--preset", "fig5_de1_3.0", "--t-end", "1e300", "--sample-dt", "1e295"])
+@example(["lyapunov", "--preset", "fig5_de1_3.0", "--horizon", "1e302",
+          "--renorm-interval", "1e296"])
 @settings(max_examples=100)
 def test_cli_ends_in_one_of_three_ways(argv):
     # exit 0 with finite data, 1 for the input or 2 for the numerics, each

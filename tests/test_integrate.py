@@ -17,8 +17,8 @@ import bjj._specialise
 import bjj.analysis
 import bjj.integrate
 import bjj.twomode
-from bjj._jvp import _tangent
-from bjj._specialise import _called, _specialised, _stepper
+from bjj._jvp import _DERIVATIVES, _HELPERS, _jvp, _tangent
+from bjj._specialise import _bound, _called, _specialised, _stepper
 from bjj.analysis import lyapunov_estimate
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
@@ -388,6 +388,13 @@ def test_section_from_trajectory_rejects_incommensurate_grid():
         t[1] = t1
         with pytest.raises(ValueError, match=r"^sample step \S+ does not divide the period "):
             section_from_trajectory(dataclasses.replace(traj, t=t), p.period)
+    # nor does a subnormal first step, whose period/dt overflows, or a NaN
+    # period
+    t = traj.t.copy()
+    t[1] = 5e-324
+    for run, period in [(dataclasses.replace(traj, t=t), p.period), (traj, math.nan)]:
+        with pytest.raises(ValueError, match=r"^sample step \S+ does not divide the period "):
+            section_from_trajectory(run, period)
 
 
 def test_default_control_caps_step_by_drive_period():
@@ -620,6 +627,21 @@ def test_tangent_matches_central_differences(lam, de1, omega, eta, kind, z0, phi
     assert np.max(np.abs(jvp - differences)) <= 1e-6 * np.max(np.abs(jvp))
 
 
+def derivative_alone(f, n):
+    """The body that _jvp generates from f's, the one a tangent driver
+    writes in at its coarse sites, compiled as a function of its own:
+    ``(t, de, y0, ..., yn-1, v0, ..., vn-1) -> (f's n values, then J.v)``."""
+    entry, values = _bound(f, n)
+    funcs = {name: kind for name, value in zip(entry.args, values)
+             for fn, kind in _DERIVATIVES if value is fn}
+    params, body, returned = _jvp(entry.vetted, funcs)
+    helpers = [name for name, _ in _HELPERS]
+    (function,) = ast.parse(f"def _({', '.join([*entry.args, *helpers, *params])}): pass").body
+    function.body = body + [ast.Return(returned)]
+    return partial(bjj._specialise._compiled(function, "<derivative>"), *values,
+                   *(fn for _, fn in _HELPERS))
+
+
 def hand_jacobian_terms(p, z, phi):
     """make_rate's Jacobian d(dz/dt, dphi/dt)/d(z, phi), written by hand:
     each entry as the list of its terms."""
@@ -651,12 +673,9 @@ def test_tangent_rate_is_the_hand_written_jacobian(lam, eta, kind, de, z, phi, v
     # The derivative the tangent form generates from make_rate's body,
     # undamped and under either placement, against the Jacobian written out
     # by hand: equal to a few ulps of the size of J.v's terms (the largest
-    # |J.v| entry when nothing cancels).  The counting wrapper sends it
-    # through the called driver, whose coarse rate is the rate and then
-    # the derivative.
+    # |J.v| entry when nothing cancels).
     p = TrapParams(lam=lam, eta=eta, damping=kind)
-    step = _tangent(counting(make_rate, [0])(p), 2)
-    jv = step.args[1](0.0, de, z, phi, *v)[2:]
+    jv = derivative_alone(make_rate(p), 2)(0.0, de, z, phi, *v)[2:]
     terms = hand_jacobian_terms(p, z, phi)
     expected = [sum(sum(entry) * x for entry, x in zip(row, v)) for row in terms]
     scale = max(sum(abs(t) for t in entry) * abs(x) for row in terms for entry, x in zip(row, v))
@@ -717,12 +736,18 @@ def test_tangent_of_a_rate_that_loads_sine_alone():
 
 
 def test_passenger_widening_rides_the_coarse_step_only():
-    text = ast.unparse(_specialised(4, scored=2))
-    # the coarse stages call g over all four components (stage 1 at the
-    # start and after each accepted step), the other seven call f over the
-    # scored two, and the callbacks get all four and their rates
-    assert [text.count(f"{x}0, {x}1, {x}2, {x}3 = g(") for x in "kacd"] == [2, 1, 1, 1]
-    assert text.count(" = f(") == 7 and "m2" not in text and "n2" not in text
+    # the driver of a wrapped rate with a tangent: _drive widened to four
+    # components, two scored, that calls f and writes in the derivative
+    entry, _ = _bound(oscillator, 2)
+    jvp = _jvp(entry.vetted, {})
+    text = ast.unparse(ast.fix_missing_locations(_specialised(4, scored=2, coarse=jvp)))
+    # every site calls f over the scored two, and the coarse ones (stage 1
+    # at the start and after each accepted step) write in the derivative
+    # after it; the callbacks get all four and their rates
+    assert len(re.findall(r"\b\w0, \w1 = f\(", text)) == text.count(" = f(") == 12
+    assert [text.count(f"{x}3 = -") for x in "kacd"] == [2, 1, 1, 1]
+    assert text.index("k0, k1 = f(t, de, y0, y1)") < text.index("k3 = -y2")
+    assert "m2" not in text and "n2" not in text
     assert text.count("(y0, y1, y2, y3) + (k0, k1, k2, k3))") == 2
     assert "b3 = y3 + sixth * (k3 + 2.0 * (a3 + c3) + d3)" in text
     assert "y2 = b2" in text and "y3 = b3" in text
@@ -781,22 +806,22 @@ def test_driver_cache_is_keyed_by_rate_and_width(monkeypatch, fresh_builders):
 
     assert not inlined(four, 2) and inlined(four, 4)
     assert not inlined(two, 4) and inlined(two, 2)
-    # two with a tangent: four components, the first two scored; only the
-    # wrapper, whose driver calls it, compiles the derivative alone
+    # two with a tangent: four components, the first two scored; the
+    # wrapper's driver calls it at every site
     _tangent(two, 2)
     _tangent(counting(lambda p: two, [0])(None), 2)
     # one inlined build per rate and width, one called driver per width
-    # and scored count (_drive itself at 2), and one tangent for two and
-    # its wrapper; asking again builds nothing
+    # (_drive itself at 2), and one tangent for two and one for its
+    # wrapper; asking again builds nothing
     sizes = [builder.cache_info().currsize for builder in BUILDERS]
-    assert sizes == [1, 3, 4, 1]
+    assert sizes == [1, 2, 4, 2]
     assert inlined(four, 4) and inlined(two, 2) and _tangent(two, 2)
     assert [builder.cache_info().currsize for builder in BUILDERS] == sizes
     two = two.__qualname__
     assert compiled == [f"<_drive inlining {four.__qualname__}>",
-                        "<_drive widened to 4 components, 4 scored>",
+                        "<_drive widened to 4 components>",
                         f"<_drive inlining {two}>", f"<_drive inlining {two} and its tangent>",
-                        "<_drive widened to 4 components, 2 scored>", f"<tangent of {two}>"]
+                        f"<_drive calling {two} and its tangent>"]
     # a process running the reduced, tangent and oracle paths compiles one
     # driver for each
     clear_builders()
@@ -1007,6 +1032,15 @@ def test_every_route_ends_the_same_way_for_a_bad_start():
                                                rf"state={state}, h=0\.001$") as info:
                 route()
             assert type(info.value) is BjjError, (s0, t_end, route)
+    # a driven start whose omega*t overflows fails in its tilt, which the
+    # stage-1 rate's handler names as it names the rate's own ValueError
+    s0 = PhaseState(1e308, 0.5, 0.3)
+    for route in bad_start_routes(driven, s0, s0.t):
+        state = (r"\((\S+, ){3}\S+\)" if route.func is integrate_twomode
+                 else re.escape(repr((s0.z, s0.phi))))
+        with pytest.raises(BjjError, match=rf"^rate failed at t=1e\+308, state={state}, "
+                                           r"h=0\.001: math domain error$"):
+            route()
     # a NaN start time fails the targets' check, which comes first
     for t_end in (nan, 1.0):
         for route in bad_start_routes(driven, PhaseState(nan, 0.5, 0.3), t_end):
