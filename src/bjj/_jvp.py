@@ -1,7 +1,7 @@
 """The tangent form of a rate, imported by the first Lyapunov run rather
 than with bjj or with the other drivers.
 
-_jvp differentiates, in forward mode, the canonical rate body that
+_jvp differentiates, in forward mode, the rate body that
 bjj._specialise._inline has vetted, and _tangent(f, n) writes it into
 _drive widened with a tangent vector as passengers (_specialised with
 scored = n): the orbit keeps its bits and steps, and the vector rides the
@@ -33,9 +33,6 @@ from .model import RateFn
 _TANGENT = "_tangent_"
 #: The math functions whose calls _jvp differentiates, by what it calls them.
 _DERIVATIVES = ((math.sin, "sin"), (math.cos, "cos"), (math.sqrt, "sqrt"))
-#: The functions a derivative may call that the rate itself need not load,
-#: bound to these leading parameters of a tangent driver.
-_HELPERS = ((_TANGENT + "sin", math.sin), (_TANGENT + "cos", math.cos))
 #: Operators with a derivative rule.
 _JVP_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
@@ -67,7 +64,6 @@ def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
         driver = _tangent_form(rate.__code__, n, rate.__qualname__, kinds, rate is not f)
     if bound is None or driver is None:
         raise TypeError(f"rate {getattr(rate, '__qualname__', rate)!r} has no tangent form")
-    values += [fn for _, fn in _HELPERS]
     return partial(driver, *values) if rate is f else partial(driver, *values, f)
 
 
@@ -88,11 +84,12 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
     an expression that reads nothing active passes through unchanged, and
     so does every if test (the guard's raise and the branches on closure
     constants).  Rules: + - * / and unary minus, and sin, cos and sqrt
-    calls of one argument.  Each differentiated call and quotient is bound
-    to a temporary, shared by the rate and its derivative (sin'(u) is a
-    cos(u) that the rate may evaluate as well) while no name it reads is
-    rebound; a temporary holds the value its expression gives, so the
-    rate's values keep their bits.  Any other expression that reads an
+    calls of one argument (sin' is cos and cos' is -sin, so a rate that
+    calls either must bind both).  Each differentiated call and quotient
+    is bound to a temporary, shared by the rate and its derivative
+    (sin'(u) is a cos(u) that the rate may evaluate as well) while no name
+    it reads is rebound; a temporary holds the value its expression gives,
+    so the rate's values keep their bits.  Any other expression that reads an
     active name has no derivative.
     """
     params, body, returned = _copy(vetted)
@@ -140,8 +137,11 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
         return ast.Name(memo[key][0], ast.Load())
 
     def call(kind: str, arg: ast.expr, memo: dict, hoisted: list[ast.stmt]) -> ast.Name:
-        """The temporary holding the math function kind of arg."""
-        name = next((local for local, k in funcs.items() if k == kind), _TANGENT + kind)
+        """The temporary holding the math function kind of arg, which the
+        rate must bind."""
+        name = next((local for local, k in funcs.items() if k == kind), None)
+        if name is None:
+            raise _NoTangent
         value = ast.Call(ast.Name(name, ast.Load()), [_copy(arg)], [])
         return bound((kind, ast.dump(arg)), value, memo, hoisted)
 
@@ -223,13 +223,13 @@ def _tangent_form(code: CodeType, n: int, qualname: str, kinds: tuple[str | None
     written in at the coarse sites, and the rate written in at the others
     or, when called, called at every site.  It takes the rate's values (in
     _Inlined's order), of which kinds names the math functions (None for
-    any other value), then _HELPERS' functions, then, when called, the
-    rate.  None when the body has no derivative (see _jvp)."""
+    any other value), then, when called, the rate.  None when the body has
+    no derivative (see _jvp)."""
     entry = _inline(code, n, qualname)
     jvp = _jvp(entry.vetted, {name: kind for name, kind in zip(entry.args, kinds) if kind})
     if jvp is None:
         return None
     drive = _specialised(2 * n, None if called else entry.vetted, scored=n, coarse=jvp)
-    drive.args.args[:0] = [ast.arg(arg) for arg in (*entry.args, *(name for name, _ in _HELPERS))]
+    drive.args.args[:0] = [ast.arg(arg) for arg in entry.args]
     how = "calling" if called else "inlining"
     return _compiled(drive, f"<_drive {how} {qualname} and its tangent>")

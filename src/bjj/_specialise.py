@@ -22,18 +22,16 @@ and sqrt, and whether the driver calls the rate; so each is compiled once
 per process.  The floating-point operations and their order are the
 called driver's, so the bits, counts and exceptions are too.  A rate it
 cannot take (a lambda, one with defaults, a wrapper over ``*args`` such as
-a counting one, a body with nested scopes or an early return, no source)
-is called by _drive itself, or by _drive widened to n, so one source
-serves every path.
+a counting one, a body with nested scopes, an early return or an
+``x op= v``, no source) is called by _drive itself, or by _drive widened
+to n, so one source serves every path.
 
-One rate source gives two bodies, each from the one vetted body, which
-_inline hands out in a canonical form (``x op= v`` written ``x = x op v``,
-the same float operation): the scalar one written into the driver, and
-its forward-mode derivative (bjj._jvp), written in at the coarse sites of
-a driver whose passengers are a tangent vector (after a call of the rate,
-when the driver calls a wrapper over it).  Trajectory.dz_dt needs
-no body of its own: the driver hands over the stage-1 rate of each state
-it records.
+One rate source gives two bodies, each from the one vetted body: the
+scalar one written into the driver, and its forward-mode derivative
+(bjj._jvp), written in at the coarse sites of a driver whose passengers
+are a tangent vector (after a call of the rate, when the driver calls a
+wrapper over it).  Trajectory.dz_dt needs no body of its own: the driver
+hands over the stage-1 rate of each state it records.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ _COMPONENTS = "ykacdbmjne"
 _PREFIX = "_rate_"
 #: Statements a rate body may hold: none binds a name other than through a
 #: Name node, opens a scope, returns early or leaves a loop.
-_STATEMENTS = (ast.Assign, ast.AugAssign, ast.If, ast.Expr, ast.Raise, ast.Pass)
+_STATEMENTS = (ast.Assign, ast.If, ast.Expr, ast.Raise, ast.Pass)
 #: Expressions it may not hold: each opens a scope, suspends the frame or
 #: (starred) may change the arity of the return.
 _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
@@ -117,9 +115,10 @@ def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     and bound to this f's closure and globals.  The inlined body runs the
     same floating-point operations in the same order, so every result and
     exception is the one the called driver gives.  Any other rate (a
-    lambda, a wrapper over ``*args``, one with defaults, nested scopes or
-    an early return, without source, or with an empty closure cell) is
-    called by _drive widened to n components (_drive itself when n = 2).
+    lambda, a wrapper over ``*args``, one with defaults, nested scopes, an
+    early return or an ``x op= v``, without source, or with an empty
+    closure cell) is called by _drive widened to n components (_drive
+    itself when n = 2).
     """
     bound = _bound(f, n)
     if bound is not None:
@@ -357,11 +356,7 @@ def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
 def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
     """Compile _drive, widened to n components, with the body of the rate
     definition code at every rate site, or None when it is not a rate the
-    inliner takes.  qualname names the compiled driver.
-
-    The vetted body is canonical: each ``x op= v`` is ``x = x op v``, the
-    same float operation, so bjj._jvp's tangent of the body knows only
-    plain assignments."""
+    inliner takes.  qualname names the compiled driver."""
     if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
             or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
         return None
@@ -381,8 +376,7 @@ def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
     for node in body + [last.value]:
         for sub in ast.walk(node):
             if (isinstance(sub, ast.stmt) and not isinstance(sub, _STATEMENTS)
-                    or isinstance(sub, _DECLINED)
-                    or isinstance(sub, ast.AugAssign) and not isinstance(sub.target, ast.Name)):
+                    or isinstance(sub, _DECLINED)):
                 return None
             if isinstance(sub, ast.Name):
                 (loads if isinstance(sub.ctx, ast.Load) else stores).add(sub.id)
@@ -391,19 +385,8 @@ def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
         return None  # the source on disk is not the code that runs
     names = tuple(sorted(loads - stores - set(code.co_freevars)))
     args = tuple(_PREFIX + name for name in code.co_freevars + names)
-    body = [_Canonical().visit(stmt) for stmt in body]
     vetted = ([_PREFIX + p for p in params], body, last.value)
     drive = _specialised(n, vetted)
     drive.args.args[:0] = [ast.arg(arg) for arg in args]
     driver = _compiled(drive, f"<_drive inlining {qualname}>")
     return _Inlined(driver, names, vetted, args)
-
-
-class _Canonical(ast.NodeTransformer):
-    """A vetted statement with each ``x op= v`` written ``x = x op v``, the
-    same operation on floats."""
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> ast.Assign:
-        value = ast.BinOp(ast.Name(node.target.id, ast.Load()), node.op, node.value)
-        return ast.copy_location(ast.Assign(targets=[node.target], value=value), node)
-

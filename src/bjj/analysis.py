@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BjjError
-from .integrate import MAX_TARGETS, StepControl, Trajectory, default_control
+from .integrate import _MAX_SPAN, MAX_TARGETS, StepControl, Trajectory, default_control
 from .model import TrapParams, make_rate
 
 __all__ = [
@@ -288,13 +288,20 @@ def lyapunov_estimate(
     ~ log(T)/T, decaying toward zero with the horizon; chaotic ones
     converge to a positive rate.  d0, the clone offset of the earlier
     two-trajectory method, is still checked (finite, > 0) but enters
-    nothing.  BjjError, naming t, z and the interval, when |v| is not
-    finite after an interval, or zero or subnormal (its direction has
-    lost precision): a shorter renorm_interval keeps it in range.
+    nothing.  ValueError, naming horizon and h_max, when the horizon is
+    more than 10^9 steps of ctl.h_max.  BjjError, naming t, z and the
+    interval, when |v| is not finite after an interval, or zero or
+    subnormal (its direction has lost precision): a shorter
+    renorm_interval keeps it in range.
     """
     _check_lyapunov(horizon, renorm_interval, d0)
     if ctl is None:
         ctl = default_control(p)
+    # the driver bounds each interval's span; this bounds the whole run's
+    if horizon / ctl.h_max > _MAX_SPAN:
+        raise ValueError(
+            f"'horizon'={horizon!r} is more than {_MAX_SPAN} steps of h_max={ctl.h_max!r}"
+        )
     from ._jvp import _tangent
 
     step = partial(_tangent(make_rate(p), 2), (p.de0, p.de1, p.omega))

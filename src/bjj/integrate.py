@@ -149,8 +149,9 @@ def _drive(
     Appl. Math. 6, 19 (1980)): it is evaluated once per state, at the
     start and after each accepted step, so a call makes
     1 + 10 * attempted + accepted rate calls.  on_target fires at every
-    target (after exact landing) and on_step at every other accepted step,
-    each with (t, y + k): the state's two components, then their rates.
+    target (after exact landing) and on_step at every accepted step that
+    ends before its target, each with (t, y + k): the state's two
+    components, then their rates, so each fires once per state.
     The one judge of a run's inputs, so every route ends alike: ValueError
     when the targets end before t (or either is NaN); then, before the
     tilt, the budget or any rate, a BjjError naming t, the state and h for
@@ -159,12 +160,15 @@ def _drive(
     SingularityError naming t, z and h from k at a start or accepted state
     in the guard band (so the returned state is never there) or from a
     trial state at h_min; a BjjError naming t, the state and h for a
-    ValueError from k or from the start's tilt.  Raises
-    StepUnderflowError when the tolerance cannot be met above h_min; a
-    NaN error estimate never passes the tolerance test.  Raises BjjError,
-    naming t, the state, h and the count, once the call has attempted
+    ValueError from k or from the tilt at the start or a landing (a trial
+    stage's is a rejection).  Raises StepUnderflowError when the
+    tolerance cannot be met above h_min; a NaN error estimate never
+    passes the tolerance test.  Raises BjjError, naming t, the state, h
+    and the count, once the call has attempted
     1000 * (targets after t + ceil((targets[-1] - t) / h_max)) + 100000
-    steps, accepted and rejected.
+    steps, accepted and rejected; it names the guard band rather than
+    h_max when more than half of them were rejected for a singular trial
+    state.
     """
     abs_tol = ctl.abs_tol
     rel_tol = ctl.rel_tol
@@ -195,7 +199,7 @@ def _drive(
     # which would run for hours.
     ahead = len(targets) - bisect_right(targets, t)
     budget = 1000 * (ahead + math.ceil(span)) + 100000
-    steps = 0
+    steps = in_band = 0
     # The stage-1 rate k at the current state, evaluated here and after each
     # accepted step, is first-same-as-last: a rejected step reuses it, and
     # the callbacks get it with the state.  A singular current state raises
@@ -213,9 +217,14 @@ def _drive(
         while t < target:
             steps += 1
             if steps > budget:
+                # steps rejected for a singular trial state do not shrink
+                # with h_max: an orbit held at the guard band spends them
                 raise BjjError(
                     f"{budget} accepted and rejected steps, the run's budget, spent at "
-                    f"t={t!r}, state={(y0, y1)!r}, h={h!r}; a smaller h_max allows more steps"
+                    f"t={t!r}, state={(y0, y1)!r}, h={h!r}; "
+                    + (f"{in_band} of them were rejected for a trial state in the guard band "
+                       "around |z| = 1, which no h_max avoids" if 2 * in_band > budget
+                       else "a smaller h_max allows more steps")
                 )
             gap = target - t
             if h >= gap:
@@ -228,7 +237,8 @@ def _drive(
             # One classical RK4 step of h_try (to b) and two of h_try/2 (to
             # m, then n), all from the stage-1 rate k at t.  Singular trial
             # states along the step are treated as a rejection, and so are
-            # trial states that overflowed (math.sin(inf) raises ValueError).
+            # trial states and stage tilts that overflowed (math.sin(inf)
+            # raises ValueError).
             half = 0.5 * h_try
             q = 0.5 * half
             t_half = t + half
@@ -236,15 +246,15 @@ def _drive(
             t_full = t + h_try
             t_hq = t_half + q
             t_fine = t_half + half
-            if driven:
-                de_half = de0 + de1 * sin(omega * t_half)
-                de_q = de0 + de1 * sin(omega * t_q)
-                de_full = de0 + de1 * sin(omega * t_full)
-                de_hq = de0 + de1 * sin(omega * t_hq)
-                de_fine = de0 + de1 * sin(omega * t_fine)
-            else:
-                de_half = de_q = de_full = de_hq = de_fine = de0
             try:
+                if driven:
+                    de_half = de0 + de1 * sin(omega * t_half)
+                    de_q = de0 + de1 * sin(omega * t_q)
+                    de_full = de0 + de1 * sin(omega * t_full)
+                    de_hq = de0 + de1 * sin(omega * t_hq)
+                    de_fine = de0 + de1 * sin(omega * t_fine)
+                else:
+                    de_half = de_q = de_full = de_hq = de_fine = de0
                 a0, a1 = f(t_half, de_half, y0 + half * k0, y1 + half * k1)
                 c0, c1 = f(t_half, de_half, y0 + half * a0, y1 + half * a1)
                 d0, d1 = f(t_full, de_full, y0 + h_try * c0, y1 + h_try * c1)
@@ -264,10 +274,12 @@ def _drive(
                 n0 = m0 + sixth * (j0 + 2.0 * (a0 + c0) + d0)
                 n1 = m1 + sixth * (j1 + 2.0 * (a1 + c1) + d1)
             except (SingularityError, ValueError) as exc:
+                singular = isinstance(exc, SingularityError)
                 if h_try <= underflow_edge:
-                    if isinstance(exc, SingularityError):
+                    if singular:
                         raise SingularityError(exc.t, exc.z, h_try) from None
                     raise StepUnderflowError(t, (y0, y1), h_try, h_min) from None
+                in_band += singular
                 h = max(h_min, 0.5 * h_try)
                 continue
 
@@ -293,7 +305,6 @@ def _drive(
                 y1 = n1 + e1 / 15.0
                 if landing:
                     t = target  # exact by assignment, no accumulation drift
-                    de = de0 + de1 * sin(omega * t) if driven else de0
                 else:
                     t = t_full
                     de = de_full
@@ -309,6 +320,8 @@ def _drive(
                     elif h < h_min:
                         h = h_min
                 try:
+                    if landing and driven:
+                        de = de0 + de1 * sin(omega * t)
                     k0, k1 = f(t, de, y0, y1)
                 except SingularityError as exc:
                     raise SingularityError(exc.t, exc.z, h) from None
@@ -316,7 +329,9 @@ def _drive(
                     raise BjjError(
                         f"rate failed at t={t!r}, state={(y0, y1)!r}, h={h!r}: {exc}"
                     ) from None
-                if not landing and on_step is not None:
+                # a step that is no landing may still end on the target by
+                # rounding; on_target records that state
+                if t < target and on_step is not None:
                     on_step(t, (y0, y1) + (k0, k1))
             else:
                 if h_try <= underflow_edge:

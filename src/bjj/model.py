@@ -192,9 +192,9 @@ def make_rate(p: TrapParams) -> RateFn:
         dphi = de + lam * z + (z / root) * cos(phi)
         if damped:
             if velocity:
-                dphi -= eta * dz
+                dphi = dphi - eta * dz
             else:
-                dz -= eta * z
+                dz = dz - eta * z
         return dz, dphi
 
     return rate

@@ -926,6 +926,9 @@ OWNER_RULE_INPUTS = [
     (["crosscheck", "--lambda", "2", "--eta", "0.1"], "eta"),
     (["lyapunov", "--lambda", "2", "--horizon", "1e300", "--renorm-interval", "1e-300"],
      "'renorm_interval'"),
+    # 10^7 intervals, each a driver call in range, but 10^11 steps in all
+    (["lyapunov", "--preset", "fig5_de1_3.0", "--horizon", "1e9", "--renorm-interval", "100"],
+     "'horizon'=1000000000.0 is more than 1000000000 steps of h_max=0.01"),
 ]
 
 

@@ -17,7 +17,7 @@ import bjj._specialise
 import bjj.analysis
 import bjj.integrate
 import bjj.twomode
-from bjj._jvp import _DERIVATIVES, _HELPERS, _jvp, _tangent
+from bjj._jvp import _DERIVATIVES, _jvp, _tangent
 from bjj._specialise import _bound, _called, _specialised, _stepper
 from bjj.analysis import lyapunov_estimate
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
@@ -330,6 +330,29 @@ def test_sample_grid_appends_ragged_end():
     assert np.array_equal(traj.t[:-1], [k * 0.3 for k in range(4)])
 
 
+@given(
+    lam=st.floats(0.0, 12.0),
+    de1=st.sampled_from([0.0, 3.0]),
+    z0=st.floats(-0.8, 0.8),
+    phi0=st.floats(-3.0, 3.0),
+    t_end=st.floats(0.01, 1.0),
+)
+# a step that is no landing ends on t_end by rounding
+@example(lam=0.0, de1=0.0, z0=0.0, phi0=0.0, t_end=0.581)
+@example(lam=10.0, de1=3.0, z0=0.5, phi0=0.0, t_end=0.036000000000000004)
+@settings(max_examples=30)
+def test_every_step_times_strictly_increase(lam, de1, z0, phi0, t_end):
+    # to t_end, and to the end of the longer run's step nearest after it
+    # (about a quarter of which a shorter step reaches by rounding), every
+    # recorded time follows the one before and the last is t_end
+    p = TrapParams(lam=lam, de1=de1, omega=4.0 * math.pi)
+    s0 = PhaseState(0.0, z0, phi0)
+    ends = integrate_adaptive(p, s0, 1.0).t
+    for end in (t_end, ends[np.searchsorted(ends, t_end)]):
+        t = integrate_adaptive(p, s0, end).t
+        assert np.all(np.diff(t) > 0.0) and t[-1] == end
+
+
 def test_dz_dt_matches_rate_at_samples(monkeypatch):
     # dz_dt is the stage-1 rate the driver evaluated at each row: the bits
     # of make_rate's own value there, on the inlined path and on the called
@@ -434,6 +457,12 @@ def test_overflowing_trial_stage_is_a_rejection():
     with pytest.raises(StepUnderflowError):
         _drive(lambda t, de, y0, y1: (math.sin(y1), 1e308), NO_DRIVE, 0.0, (0.0, 0.0), [1.0],
                TIGHT)
+    # so is a stage tilt whose omega * t overflows past t = 1.7976...: the
+    # run ends on its step budget, named, not in math's raw ValueError
+    p = TrapParams(lam=1.0, de1=1.0, omega=1e308)
+    with pytest.raises(BjjError, match=r"^102000 accepted and rejected steps, the run's budget, "
+                                       r"spent at t=1\.797\d*, state=\(0\.49"):
+        advance(p, PhaseState(1.797, 0.5, 0.0), 1.8, StepControl(h_max=0.05))
 
 
 @given(
@@ -635,11 +664,9 @@ def derivative_alone(f, n):
     funcs = {name: kind for name, value in zip(entry.args, values)
              for fn, kind in _DERIVATIVES if value is fn}
     params, body, returned = _jvp(entry.vetted, funcs)
-    helpers = [name for name, _ in _HELPERS]
-    (function,) = ast.parse(f"def _({', '.join([*entry.args, *helpers, *params])}): pass").body
+    (function,) = ast.parse(f"def _({', '.join([*entry.args, *params])}): pass").body
     function.body = body + [ast.Return(returned)]
-    return partial(bjj._specialise._compiled(function, "<derivative>"), *values,
-                   *(fn for _, fn in _HELPERS))
+    return partial(bjj._specialise._compiled(function, "<derivative>"), *values)
 
 
 def hand_jacobian_terms(p, z, phi):
@@ -710,23 +737,36 @@ def test_tangent_needs_a_rate_it_can_differentiate():
     assert (dx, dv) == pytest.approx((x, v), rel=1e-9)
 
 
-def pendulum_with(sin):
-    """x'' = -sin(x), its sine bound in a closure."""
+def pendulum_calling(s):
+    """x'' = -s(x), s bound in a closure."""
 
     def pendulum(t, de, x, v):
-        return v, -sin(x)
+        return v, -s(x)
+
+    return pendulum
+
+
+def pendulum_with(s, c):
+    """x'' = -s(x) - c(x)/2, s and c bound in a closure."""
+
+    def pendulum(t, de, x, v):
+        return v, -s(x) - 0.5 * c(x)
 
     return pendulum
 
 
 def test_tangent_of_a_rate_that_loads_sine_alone():
-    # sin' is a cos the rate never loads: the driver's own math.cos
-    # supplies it.  The tangent follows the linearisation v'' = -cos(x) v
-    # (central differences of the plain map).  A closure of the same
-    # definition that binds math.cos instead gets its own tangent, of
-    # x'' = -cos(x), whose sin' the driver's math.sin supplies.
+    # sin' is cos and cos' is -sin, and a derivative reads only the rate's
+    # own values: a rate that binds one of them alone has no tangent form
+    for fn in (math.sin, math.cos):
+        with pytest.raises(TypeError, match="pendulum_calling.<locals>.pendulum' has no tangent"):
+            _tangent(pendulum_calling(fn), 2)
+    # Bound both ways round, one definition gives two tangents (kinds keys
+    # the cache): each follows its own linearisation, v'' = -(cos(x) -
+    # sin(x)/2) v and v'' = (sin(x) - cos(x)/2) v (central differences of
+    # the plain map).
     ctl = StepControl(abs_tol=1e-13, rel_tol=1e-13, h_init=1e-3, h_min=1e-14, h_max=0.01)
-    for f in (pendulum_with(math.sin), pendulum_with(math.cos)):
+    for f in (pendulum_with(math.sin, math.cos), pendulum_with(math.cos, math.sin)):
         _, (x, v, dx, dv) = _tangent(f, 2)(NO_DRIVE, 0.0, (1.0, 0.0, 1.0, 0.0), [2.0], ctl)
         plain = _stepper(f, 2)
         ahead = plain(NO_DRIVE, 0.0, (1.0 + 1e-6, 0.0), [2.0], ctl)[1]
@@ -771,7 +811,7 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
     calls = types.SimpleNamespace(n=0)
 
     def attribute_update(t, de, z, phi):
-        calls.n += 1  # only a name's x op= v has the canonical form x = x op v
+        calls.n += 1  # declined, as every x op= v is
         return rate(t, de, z, phi)
 
     for f in (counting(lambda p: rate, [0])(None), lambda t, de, z, phi: (z, phi),
@@ -1080,6 +1120,15 @@ def test_step_budget_names_t_the_state_h_and_the_count():
     assert outcome(partial(_drive, f), drive, (0.5, 0.0), [0.0, 0.1], ctl)[-1] == repr(end)
     assert outcome(_stepper(f, 2), drive, (0.5, 0.0), [0.1], ctl)[-1] == repr(end)
     assert outcome(_tangent(f, 2), drive, (0.5, 0.0, 1.0, 0.0), [0.1], ctl)[-1] == repr(end)
+    # A Rabi orbit reaches z = -(1 - Z_GUARD) at t = 2.094 and stays there
+    # on steps of about 5e-11, most of them rejected for a trial state in
+    # the guard band: no h_max helps, and the message says so.
+    spent = r"^201000 accepted and rejected steps, .* at t=2\.094\d*, state=\(-0\.999999999999, "
+    with pytest.raises(BjjError, match=spent) as info:
+        advance(TrapParams(lam=0.0), PhaseState(0.0, 0.5, math.pi / 2.0), 5.0)
+    named = re.search(r"; (\d+) of them were rejected for a trial state in the guard band "
+                      r"around \|z\| = 1, which no h_max avoids$", str(info.value))
+    assert 100500 < int(named.group(1)) <= 201000
 
 
 def test_stroboscopic_grid_starts_at_zero():
