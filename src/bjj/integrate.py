@@ -136,8 +136,8 @@ def _drive(
     y: State,
     targets: Sequence[float],
     ctl: StepControl,
-    on_target: Callable[[float, State], None] | None = None,
-    on_step: Callable[[float, State], None] | None = None,
+    on_target: Callable[[State], None] | None = None,
+    on_step: Callable[[State], None] | None = None,
 ) -> tuple[float, State]:
     """Advance through an increasing list of target times, landing exactly.
 
@@ -150,13 +150,15 @@ def _drive(
     start and after each accepted step, so a call makes
     1 + 10 * attempted + accepted rate calls.  on_target fires at every
     target (after exact landing) and on_step at every accepted step that
-    ends before its target, each with (t, y + k): the state's two
-    components, then their rates, so each fires once per state.
+    ends before its target, each with the row (t, y0, y1, k0, k1): the
+    time, the state and its rate, so each fires once per state.
     The one judge of a run's inputs, so every route ends alike: ValueError
     when the targets end before t (or either is NaN); then, before the
     tilt, the budget or any rate, a BjjError naming t, the state and h for
     a start whose t or state is not finite; then ValueError naming t_end,
-    the span and h_max when the span is more than _MAX_SPAN steps of h_max;
+    the span and h_max when the span is more than _MAX_SPAN steps of h_max,
+    and ValueError naming omega, t and t_end when a driven run's omega*t is
+    finite at t but not at t_end, which no step reaches;
     SingularityError naming t, z and h from k at a start or accepted state
     in the guard band (so the returned state is never there) or from a
     trial state at h_min; a BjjError naming t, the state and h for a
@@ -193,6 +195,11 @@ def _drive(
     if span > _MAX_SPAN:
         raise ValueError(f"t_end={targets[-1]!r} lies {targets[-1] - t!r} past t={t!r}, "
                          f"more than {_MAX_SPAN} steps of h_max={h_max!r}")
+    # Past an overflowing omega*t every stage tilt fails: no step reaches
+    # t_end.  A start whose own omega*t overflows fails on its rate below.
+    if driven and targets and math.isfinite(omega * t) and not math.isfinite(omega * targets[-1]):
+        raise ValueError(f"omega={omega!r} times t_end={targets[-1]!r} leaves the float range, "
+                         f"so no step from t={t!r} reaches t_end")
     # The step budget: 1000 attempts per target after t and per h_max of
     # the span, and 100000 more.  It ends a run whose error test admits only
     # steps far below h_max, such as one whose phi nears the float range,
@@ -332,7 +339,7 @@ def _drive(
                 # a step that is no landing may still end on the target by
                 # rounding; on_target records that state
                 if t < target and on_step is not None:
-                    on_step(t, (y0, y1) + (k0, k1))
+                    on_step((t, y0, y1) + (k0, k1))
             else:
                 if h_try <= underflow_edge:
                     raise StepUnderflowError(t, (y0, y1), h_try, h_min)
@@ -343,7 +350,7 @@ def _drive(
                 if h < h_min:
                     h = h_min
         if on_target is not None:
-            on_target(t, (y0, y1) + (k0, k1))
+            on_target((t, y0, y1) + (k0, k1))
     return t, (y0, y1)
 
 
@@ -379,16 +386,16 @@ def _sample_targets(t_end: float, sample_dt: float) -> list[float]:
 
 def _sample(
     rate: RateFn,
-    drive: tuple[float, float, float],
+    p: TrapParams,
     t0: float,
     y0: State,
     t_end: float,
-    ctl: StepControl,
+    ctl: StepControl | None,
     sample_dt: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recorded times and rows of one run from (t0, y0) to t_end under the
-    drive (de0, de1, omega): an array of rows of 2 * len(y0) floats, each
-    the state and then its rate, as the driver hands them over.
+) -> np.ndarray:
+    """The rows (t, *state, *rate) of one run of rate from (t0, y0) to
+    t_end under p's drive and ctl (default_control(p) when None), as the
+    driver hands them over.
 
     The initial state is the first row, the driver's first target.  With
     sample_dt unset every accepted step is recorded, up to MAX_TARGETS
@@ -398,24 +405,22 @@ def _sample(
     """
     from ._specialise import _stepper
 
+    if ctl is None:
+        ctl = default_control(p)
     step = _stepper(rate, len(y0))
-    # Rows go into flat buffers of C doubles, 8 bytes a value, not into
+    drive = (p.de0, p.de1, p.omega)
+    width = 1 + 2 * len(y0)
+    # Rows go into one flat buffer of C doubles, 8 bytes a value, not into
     # tuples of Python floats.
-    ts = array("d")
-    ys = array("d")
-
-    def record(t: float, y: State) -> None:
-        ts.append(t)
-        ys.extend(y)
-
+    rows = array("d")
     if sample_dt is None:
-        def record_step(t: float, y: State) -> None:
-            if len(ts) >= MAX_TARGETS:
+        def record_step(row: State) -> None:
+            if len(rows) >= MAX_TARGETS * width:
                 raise BjjError(
-                    f"every-step recording stopped at t={t!r} after {len(ts)} rows; "
-                    "set sample_dt to record a grid"
+                    f"every-step recording stopped at t={row[0]!r} after "
+                    f"{len(rows) // width} rows; set sample_dt to record a grid"
                 )
-            record(t, y)
+            rows.extend(row)
 
         step(drive, t0, y0, [t0] if t_end == t0 else [t0, t_end], ctl,
              on_target=record_step, on_step=record_step)
@@ -425,8 +430,8 @@ def _sample(
             if t0 != 0.0:
                 raise ValueError("sample grids are anchored at t=0")
             targets += _sample_targets(t_end, sample_dt)
-        step(drive, t0, y0, targets, ctl, on_target=record)
-    return np.frombuffer(ts), np.frombuffer(ys).reshape(-1, 2 * len(y0))
+        step(drive, t0, y0, targets, ctl, on_target=rows.extend)
+    return np.frombuffer(rows).reshape(-1, width)
 
 
 def _trajectory(
@@ -439,16 +444,13 @@ def _trajectory(
     """Body of integrate_adaptive, shared with sample_stroboscopic so that
     one public entry point never runs inside another.
 
-    z, phi and dz_dt are the first three columns of the driver's rows, so
+    t, z, phi and dz_dt are the first four columns of the driver's rows, so
     dz_dt is the rate the driver evaluated at each row.  The driver judges
     the start, t_end and the step budget (see _drive), as for advance; its
     error test admits only finite states, where dz/dt is finite too.
     """
-    if ctl is None:
-        ctl = default_control(p)
-    drive = (p.de0, p.de1, p.omega)
-    t, rows = _sample(make_rate(p), drive, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
-    return Trajectory(t=t, z=rows[:, 0], phi=rows[:, 1], dz_dt=rows[:, 2])
+    rows = _sample(make_rate(p), p, s0.t, (s0.z, s0.phi), t_end, ctl, sample_dt)
+    return Trajectory(t=rows[:, 0], z=rows[:, 1], phi=rows[:, 2], dz_dt=rows[:, 3])
 
 
 def advance(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import StepControl, _sample, default_control, integrate_adaptive
+from .integrate import StepControl, _sample, integrate_adaptive
 from .model import PhaseState, TrapParams
 
 __all__ = [
@@ -98,13 +98,11 @@ def integrate_twomode(
     """
     if p.eta != 0.0:
         raise ValueError("two-mode oracle is conservative; requires eta = 0")
-    if ctl is None:
-        ctl = default_control(p)
     a1, a2 = _amplitudes(s0.z, s0.phi)
     y0 = (a1.real, a1.imag, a2.real, a2.imag)
-    t, ys = _sample(_make_rate(p), (p.de0, p.de1, p.omega), s0.t, y0, t_end, ctl, sample_dt)
-    amps = ys.view(complex)  # a1, a2, then their rates
-    return TwoModeTrajectory(t=t, a1=amps[:, 0], a2=amps[:, 1])
+    rows = _sample(_make_rate(p), p, s0.t, y0, t_end, ctl, sample_dt)
+    amps = rows[:, 1:].view(complex)  # a1, a2, then their rates
+    return TwoModeTrajectory(t=rows[:, 0], a1=amps[:, 0], a2=amps[:, 1])
 
 
 def crosscheck_max_dz(

@@ -929,6 +929,9 @@ OWNER_RULE_INPUTS = [
     # 10^7 intervals, each a driver call in range, but 10^11 steps in all
     (["lyapunov", "--preset", "fig5_de1_3.0", "--horizon", "1e9", "--renorm-interval", "100"],
      "'horizon'=1000000000.0 is more than 1000000000 steps of h_max=0.01"),
+    # omega*t leaves the float range at t = 1.7976...: no step reaches t_end
+    (["simulate", "--lambda", "1", "--de1", "1", "--omega", "1e308", "--t-end", "1.8",
+      "--h-max", "0.05"], "omega=1e+308 times t_end=1.8 leaves the float range"),
 ]
 
 

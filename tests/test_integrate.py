@@ -457,12 +457,35 @@ def test_overflowing_trial_stage_is_a_rejection():
     with pytest.raises(StepUnderflowError):
         _drive(lambda t, de, y0, y1: (math.sin(y1), 1e308), NO_DRIVE, 0.0, (0.0, 0.0), [1.0],
                TIGHT)
-    # so is a stage tilt whose omega * t overflows past t = 1.7976...: the
-    # run ends on its step budget, named, not in math's raw ValueError
+
+
+def test_drive_phase_past_the_float_range_is_refused_before_any_rate_call():
+    # omega*t overflows past t = 1.7976...: every stage tilt beyond fails,
+    # so the run could only spend its step budget short of t_end
     p = TrapParams(lam=1.0, de1=1.0, omega=1e308)
-    with pytest.raises(BjjError, match=r"^102000 accepted and rejected steps, the run's budget, "
-                                       r"spent at t=1\.797\d*, state=\(0\.49"):
-        advance(p, PhaseState(1.797, 0.5, 0.0), 1.8, StepControl(h_max=0.05))
+    refusal = (r"^omega=1e\+308 times t_end=1\.8 leaves the float range, "
+               r"so no step from t={} reaches t_end$")
+
+    def never(*args):
+        raise AssertionError("called the rate of a run that cannot finish")
+
+    ctl = StepControl(h_max=0.05)  # default_control's h_max, period/50, is below h_min
+    with pytest.raises(ValueError, match=refusal.format(r"1\.797")):
+        _drive(never, (0.0, 1.0, 1e308), 1.797, (0.5, 0.0), [1.8], ctl)
+    with pytest.raises(ValueError, match=refusal.format(r"1\.797")):
+        advance(p, PhaseState(1.797, 0.5, 0.0), 1.8, ctl)
+    # on every route, from t = 0 as from anywhere else
+    s0 = PhaseState(0.0, 0.5, 0.3)
+    tangent = partial(_tangent(make_rate(p), 2), (p.de0, p.de1, p.omega))
+    for route in [partial(advance, p, s0, 1.8, ctl),
+                  partial(integrate_adaptive, p, s0, 1.8, ctl, sample_dt=0.25),
+                  partial(integrate_adaptive, p, s0, 1.8, ctl),
+                  partial(integrate_twomode, p, s0, 1.8, ctl),
+                  partial(tangent, s0.t, (s0.z, s0.phi, 1.0, 0.0), [1.8], ctl)]:
+        with pytest.raises(ValueError, match=refusal.format(r"0\.0")):
+            route()
+    # undriven, omega enters nothing, and the run ends at t_end
+    assert advance(TrapParams(lam=1.0, omega=1e308), PhaseState(1.797, 0.5, 0.0), 1.8).t == 1.8
 
 
 @given(
@@ -502,8 +525,8 @@ def test_driver_tilt_matches_trap_asymmetry(de0, de1, omega, t0, gaps, tight):
     for gap in gaps[1:]:
         targets.append(targets[-1] + gap)
     t, _ = _drive(rate, (de0, de1, omega), t0, (0.0, 1.0), targets, ctl,
-                  on_target=lambda t, y: accepted.append(t),
-                  on_step=lambda t, y: accepted.append(t))
+                  on_target=lambda row: accepted.append(row[0]),
+                  on_step=lambda row: accepted.append(row[0]))
     assert t == targets[-1]
     attempted, rest = divmod(len(calls) - 1 - len(accepted), 10)
     assert rest == 0 and attempted >= len(accepted) >= len(targets)
@@ -521,8 +544,8 @@ def outcome(step, drive, y, targets, ctl):
     rows = []
     try:
         end = step(drive, 0.0, y, targets, ctl,
-                   on_target=lambda t, y: rows.append(repr(("target", t, y))),
-                   on_step=lambda t, y: rows.append(repr(("step", t, y))))
+                   on_target=lambda row: rows.append(repr(("target", row))),
+                   on_step=lambda row: rows.append(repr(("step", row))))
     except Exception as exc:
         end = (type(exc), str(exc))
     rows.append(repr(end))
@@ -584,7 +607,7 @@ def interval_chain(step, drive, y, targets, ctl):
     try:
         for target in targets:
             t, y = step(drive, t, y, [target], ctl,
-                        on_step=lambda t, y: rows.append(repr((t, y[:2]))))
+                        on_step=lambda row: rows.append(repr(row[:3])))
             rows.append(repr(("end", t, y[:2])))
     except Exception as exc:
         rows.append(repr((type(exc), str(exc))))
@@ -788,7 +811,7 @@ def test_passenger_widening_rides_the_coarse_step_only():
     assert [text.count(f"{x}3 = -") for x in "kacd"] == [2, 1, 1, 1]
     assert text.index("k0, k1 = f(t, de, y0, y1)") < text.index("k3 = -y2")
     assert "m2" not in text and "n2" not in text
-    assert text.count("(y0, y1, y2, y3) + (k0, k1, k2, k3))") == 2
+    assert text.count("((t, y0, y1, y2, y3) + (k0, k1, k2, k3))") == 2
     assert "b3 = y3 + sixth * (k3 + 2.0 * (a3 + c3) + d3)" in text
     assert "y2 = b2" in text and "y3 = b3" in text
     # only the orbit is scored, and only it is named by an error
