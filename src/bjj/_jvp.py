@@ -77,12 +77,13 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
     (the rate's, then the tangent _tangent_y of each state parameter _rate_y)
     returning the rate's n values and then their tangents.
 
-    funcs names the locals bound to the math functions of _DERIVATIVES.  A
-    local is active when an assignment to it reads the state or an active
-    local.  Each assignment to an active local is preceded by its tangent,
-    so the tangent reads the values its expression reads; an assignment or
-    an expression that reads nothing active passes through unchanged, and
-    so does every if test (the guard's raise and the branches on closure
+    funcs names the locals bound to the math functions of _DERIVATIVES.  The
+    active names are the state parameters and every name the body binds
+    but t and de.  Each assignment must bind one of them, through one Name
+    target, and is preceded by its tangent (0.0 for one that reads nothing
+    active, which is exact), so the tangent reads the values its expression
+    reads; an expression statement passes through unchanged, and so does
+    every if test (the guard's raise and the branches on closure
     constants).  Rules: + - * / and unary minus, and sin, cos and sqrt
     calls of one argument (sin' is cos and cos' is -sin, so a rate that
     calls either must bind both).  Each differentiated call and quotient
@@ -94,24 +95,11 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
     """
     params, body, returned = _copy(vetted)
     state = params[2:]
-    active = set(state)
-    assigned = [node for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Assign)]
+    active = (set(state) | _stored(body)) - set(params[:2])
+    temps = count()
 
     def reads(node: ast.AST) -> set[str]:
         return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-
-    grew = True
-    while grew:
-        grew = False
-        for node in assigned:
-            if not reads(node) & active:
-                continue
-            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-                return None
-            if node.targets[0].id not in active:
-                active.add(node.targets[0].id)
-                grew = True
-    temps = count()
 
     def tangent(name: str) -> str:
         return _TANGENT + name[len(_PREFIX):]
@@ -189,8 +177,10 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
                 stmt.body = statements(stmt.body, dict(memo))
                 stmt.orelse = statements(stmt.orelse, dict(memo))
                 out.append(stmt)
-            elif isinstance(stmt, ast.Assign) and _stored([stmt]) & active:
-                (x,) = _stored([stmt])
+            elif isinstance(stmt, ast.Assign):
+                x = getattr(stmt.targets[0], "id", None)
+                if len(stmt.targets) != 1 or x not in active:
+                    raise _NoTangent
                 hoisted: list[ast.stmt] = []
                 stmt.value, d = derive(stmt.value, memo, hoisted)
                 d = ast.Constant(0.0) if d is None else d

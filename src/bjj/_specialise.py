@@ -22,9 +22,9 @@ and sqrt, and whether the driver calls the rate; so each is compiled once
 per process.  The floating-point operations and their order are the
 called driver's, so the bits, counts and exceptions are too.  A rate it
 cannot take (a lambda, one with defaults, a wrapper over ``*args`` such as
-a counting one, a body with nested scopes, an early return or an
-``x op= v``, no source) is called by _drive itself, or by _drive widened
-to n, so one source serves every path.
+a counting one, a body with nested scopes, an early return, an
+``x op= v`` or a ``:=``, no source) is called by _drive itself, or by
+_drive widened to n, so one source serves every path.
 
 One rate source gives two bodies, each from the one vetted body: the
 scalar one written into the driver, and its forward-mode derivative
@@ -63,10 +63,11 @@ _PREFIX = "_rate_"
 #: Statements a rate body may hold: none binds a name other than through a
 #: Name node, opens a scope, returns early or leaves a loop.
 _STATEMENTS = (ast.Assign, ast.If, ast.Expr, ast.Raise, ast.Pass)
-#: Expressions it may not hold: each opens a scope, suspends the frame or
-#: (starred) may change the arity of the return.
+#: Expressions it may not hold: each opens a scope, suspends the frame,
+#: (starred) may change the arity of the return or (:=) binds a name
+#: outside an assignment.
 _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-             ast.Yield, ast.YieldFrom, ast.Await, ast.Starred)
+             ast.Yield, ast.YieldFrom, ast.Await, ast.Starred, ast.NamedExpr)
 
 #: A rate body as the specialiser writes it in: (its parameters, its
 #: statements, its returned tuple), every name prefixed.
@@ -116,9 +117,9 @@ def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     same floating-point operations in the same order, so every result and
     exception is the one the called driver gives.  Any other rate (a
     lambda, a wrapper over ``*args``, one with defaults, nested scopes, an
-    early return or an ``x op= v``, without source, or with an empty
-    closure cell) is called by _drive widened to n components (_drive
-    itself when n = 2).
+    early return, an ``x op= v`` or a ``:=``, without source, or with an
+    empty closure cell) is called by _drive widened to n components
+    (_drive itself when n = 2).
     """
     bound = _bound(f, n)
     if bound is not None:
@@ -165,11 +166,7 @@ def _copy(nodes: object) -> object:
 
 def _renamed(node: ast.AST, i: int) -> ast.AST:
     """A copy of node with each index-1 component local renamed to index i."""
-    node = _copy(node)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and _indices(sub) == {"1"}:
-            sub.id = sub.id[0] + str(i)
-    return node
+    return _renaming([node], {c + "1": c + str(i) for c in _COMPONENTS})[0]
 
 
 def _f_args(node: ast.AST) -> list[ast.expr]:
@@ -340,15 +337,12 @@ def _specialised(
 
 def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
     """function compiled in bjj.integrate's globals, which _drive's body
-    uses, its annotations (which the compiled code would evaluate) dropped."""
-    for node in ast.walk(function):
-        if isinstance(node, ast.arg):
-            node.annotation = None
-        elif isinstance(node, ast.FunctionDef):
-            node.returns = None
+    uses, with its annotations left unevaluated strings, as in
+    bjj.integrate."""
     module = ast.fix_missing_locations(ast.Module([function], type_ignores=[]))
     namespace: dict[str, Callable] = {}
-    exec(compile(module, filename, "exec", dont_inherit=True), vars(integrate), namespace)
+    exec(compile(module, filename, "exec", annotations.compiler_flag, dont_inherit=True),
+         vars(integrate), namespace)
     return namespace[function.name]
 
 

@@ -798,6 +798,66 @@ def test_tangent_of_a_rate_that_loads_sine_alone():
         assert (dx, dv) == pytest.approx(differences, rel=1e-6)
 
 
+def test_tangent_of_locals_that_read_no_state():
+    # every local a rate binds carries a tangent, 0.0 for one that reads
+    # only the tilt or constants, which is exact: the tangent keeps the
+    # bits it had when such locals passed through untouched
+    def tilted(t, de, x, v):
+        s = 0.5 * de
+        k = 2.0
+        return v, -k * x + s
+
+    ctl = StepControl(abs_tol=1e-13, rel_tol=1e-13, h_init=1e-3, h_min=1e-14, h_max=0.01)
+    drive = (0.3, 1.5, 2.0)
+    _, (x, v, dx, dv) = _tangent(tilted, 2)(drive, 0.0, (1.0, 0.0, 1.0, 0.0), [3.0], ctl)
+    assert (dx, dv) == (-0.45266185808155573, 1.2610291370296778)
+    plain = _stepper(tilted, 2)
+    ahead = plain(drive, 0.0, (1.0 + 1e-6, 0.0), [3.0], ctl)[1]
+    behind = plain(drive, 0.0, (1.0 - 1e-6, 0.0), [3.0], ctl)[1]
+    differences = [(a - b) / 2e-6 for a, b in zip(ahead, behind)]
+    assert (dx, dv) == pytest.approx(differences, rel=1e-6)
+
+
+def test_tangent_needs_every_assignment_to_bind_one_local():
+    # an assignment to a tuple, an attribute or the rate's t or de binds
+    # no local that carries a tangent: the rate is inlined, but it has no
+    # tangent form, whatever the assignment reads
+    box = types.SimpleNamespace(a=1.0)
+
+    def paired(t, de, x, v):
+        a, b = 1.0, 2.0
+        return v, -a * x + b
+
+    def stored(t, de, x, v):
+        box.a = x
+        return v, -box.a
+
+    def rebinds_de(t, de, x, v):
+        de = x
+        return v, -de
+
+    for f in (paired, stored, rebinds_de):
+        assert inlined(f)
+        with pytest.raises(TypeError, match=f"{f.__name__}' has no tangent form"):
+            _tangent(f, 2)
+
+
+def test_a_rate_with_an_assignment_expression_is_called_and_has_no_tangent():
+    # s := ... binds a local inside an expression, which no rule follows:
+    # the vetter declines it, so the rate is called and _tangent refuses it
+    # by name.  Written in, its tangent was that of (v, -0): (1, 0) at t = 1
+    # from v = (1, 0), where x'' = -2x gives (cos(sqrt 2), -sqrt 2 sin(sqrt 2))
+    def walrus(t, de, x, v):
+        if (s := 2.0 * x) > 1e300:
+            raise ValueError(x)
+        return v, -s
+
+    step = _stepper(walrus, 2)
+    assert step.func is _drive and step.args == (walrus,)
+    with pytest.raises(TypeError, match="walrus' has no tangent form"):
+        _tangent(walrus, 2)
+
+
 def test_passenger_widening_rides_the_coarse_step_only():
     # the driver of a wrapped rate with a tangent: _drive widened to four
     # components, two scored, that calls f and writes in the derivative
