@@ -2,7 +2,7 @@
 than with bjj or with the other drivers.
 
 _jvp differentiates, in forward mode, the rate body that
-bjj._specialise._inline has vetted, and _tangent(f, n) writes it into
+bjj._specialise._vet returns, and _tangent(f, n) writes it into
 _drive widened with a tangent vector as passengers (_specialised with
 scored = n): the orbit keeps its bits and steps, and the vector rides the
 coarse RK4 step.  The rest of the driver has the rate written in, or, for
@@ -11,7 +11,8 @@ so one writer serves both.  _tangent_form compiles it once per process
 into its own cache, keyed by the rate's definition and n, by which of the
 values the rate binds are math's sin, cos and sqrt (a closure of the same
 definition that binds another of them gets its own tangent) and by
-whether the driver calls the rate.
+whether the driver calls the rate.  It reads the vetted body alone, so a
+Lyapunov run compiles no driver without a tangent.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from itertools import count
 from types import CodeType
 from typing import Callable
 
-from ._specialise import _PREFIX, _Body, _bound, _compiled, _copy, _inline, _specialised, _stored
+from ._specialise import (_PREFIX, _Body, _bound, _compiled, _copy, _refused, _specialised,
+                          _stored, _vet)
 from .integrate import State
 from .model import RateFn
 
@@ -53,17 +55,17 @@ def _tangent(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
     _stepper; a wrapper over it (a counting one) is called at every site
     instead, its derivative written in after it at the coarse ones, with
     the same bits and calls.  TypeError, naming the rate, when there is no
-    tangent form.
+    tangent form; a BjjError, naming its code, when that is because the
+    rate's source cannot be read.
     """
     rate = inspect.unwrap(f)
-    bound = _bound(rate, n)
-    if bound is not None:
-        _, values = bound
+    values = _bound(rate, n)
+    if values is not None:
         kinds = tuple(next((kind for fn, kind in _DERIVATIVES if value is fn), None)
                       for value in values)
         driver = _tangent_form(rate.__code__, n, rate.__qualname__, kinds, rate is not f)
-    if bound is None or driver is None:
-        raise TypeError(f"rate {getattr(rate, '__qualname__', rate)!r} has no tangent form")
+    if values is None or driver is None:
+        raise _refused(rate, "has no tangent form")
     return partial(driver, *values) if rate is f else partial(driver, *values, f)
 
 
@@ -207,19 +209,19 @@ def _jvp(vetted: _Body, funcs: dict[str, str]) -> _Body | None:
 @cache
 def _tangent_form(code: CodeType, n: int, qualname: str, kinds: tuple[str | None, ...],
                   called: bool) -> Callable | None:
-    """Compile, once per process, the driver of the vetted rate definition
-    code of n components and its tangent: _drive widened to 2n components,
-    n of them scored, with the rate's forward-mode derivative (_jvp)
-    written in at the coarse sites, and the rate written in at the others
-    or, when called, called at every site.  It takes the rate's values (in
-    _Inlined's order), of which kinds names the math functions (None for
-    any other value), then, when called, the rate.  None when the body has
-    no derivative (see _jvp)."""
-    entry = _inline(code, n, qualname)
-    jvp = _jvp(entry.vetted, {name: kind for name, kind in zip(entry.args, kinds) if kind})
+    """Compile, once per process, the driver of the rate definition code of
+    n components, which _vet takes, and its tangent: _drive widened to 2n
+    components, n of them scored, with the rate's forward-mode derivative
+    (_jvp) written in at the coarse sites, and the rate written in at the
+    others or, when called, called at every site.  It takes the values of
+    _Vetted.args, of which kinds names the math functions (None for any
+    other value), then, when called, the rate.  None when the body has no
+    derivative (see _jvp).  It reads the vetted body alone, so it compiles
+    only this driver."""
+    vetted = _vet(code, n)
+    jvp = _jvp(vetted.body, {name: kind for name, kind in zip(vetted.args, kinds) if kind})
     if jvp is None:
         return None
-    drive = _specialised(2 * n, None if called else entry.vetted, scored=n, coarse=jvp)
-    drive.args.args[:0] = [ast.arg(arg) for arg in entry.args]
+    drive = _specialised(2 * n, None if called else vetted.body, scored=n, coarse=jvp)
     how = "calling" if called else "inlining"
-    return _compiled(drive, f"<_drive {how} {qualname} and its tangent>")
+    return _compiled(drive, vetted.args, f"<_drive {how} {qualname} and its tangent>")

@@ -1,37 +1,41 @@
 """The ast machinery behind bjj.integrate's drivers, imported on the first
 run rather than with bjj.
 
-Every run goes through _stepper(f, n).  Each driver but _drive is built by
-one specialiser, _specialised, in one ast pass over _drive's source, which
-is read once per process and parsed for each build: it widens _drive to n
-components (each run of statements that names only index-1 components is
-repeated for the indices 2 .. n-1, and each index-0/index-1 pair in a
-tuple or a rate call gains the same copies), so the two-mode oracle steps
-(a1.real, a1.imag, a2.real, a2.imag) with the operations of _drive per
-component and scores each component as a float; and, given a rate that
-_inline has vetted, it writes the rate's body in place of each of the 12
-rate calls, with the rate's names prefixed, a parameter whose argument is
-a bare name read as that name, and the returned values landing in the
-call's n targets.  The components past the first scored are passengers,
-which ride only the coarse RK4 step and are never scored.  Each builder
-keeps its own functools.cache, keyed by exactly what its build reads:
-_drive_source by nothing, _called by n, _inline by the rate's code and n
-(and the qualname that names the compiled driver), and bjj._jvp's
-_tangent_form by those, which of the rate's values are math's sin, cos
-and sqrt, and whether the driver calls the rate; so each is compiled once
-per process.  The floating-point operations and their order are the
-called driver's, so the bits, counts and exceptions are too.  A rate it
-cannot take (a lambda, one with defaults, a wrapper over ``*args`` such as
-a counting one, a body with nested scopes, an early return, an
-``x op= v`` or a ``:=``, no source) is called by _drive itself, or by
-_drive widened to n, so one source serves every path.
+Every run goes through _stepper(f, n), and a rate runs one of two ways.
+A rate that _vet takes is written into the driver: _specialised, in one
+ast pass over _drive's source, which is read once per process and parsed
+for each build, widens _drive to n components (each run of statements
+that names only index-1 components is repeated for the indices 2 .. n-1,
+and each index-0/index-1 pair in a tuple or a rate call gains the same
+copies), so the two-mode oracle steps (a1.real, a1.imag, a2.real,
+a2.imag) with the operations of _drive per component and scores each
+component as a float; and it writes the rate's body in place of each of
+the 12 rate calls, with the rate's names prefixed, a parameter whose
+argument is a bare name read as that name, and the returned values
+landing in the call's n targets.  The floating-point operations and
+their order are those of _drive calling the rate, so the bits, counts
+and exceptions are too.  A rate of 2 components that _vet declines (a
+lambda, one with defaults, a wrapper over ``*args`` such as a counting
+one, a body with nested scopes, an early return, an ``x op= v`` or a
+``:=``, no source) runs on _drive as written, which calls it.  Any other
+request is refused by name: a TypeError, or a BjjError naming the code
+whose source cannot be read when that is why.
 
-One rate source gives two bodies, each from the one vetted body: the
-scalar one written into the driver, and its forward-mode derivative
-(bjj._jvp), written in at the coarse sites of a driver whose passengers
-are a tangent vector (after a call of the rate, when the driver calls a
-wrapper over it).  Trajectory.dz_dt needs no body of its own: the driver
-hands over the stage-1 rate of each state it records.
+Each builder keeps its own functools.cache, keyed by exactly what its
+build reads: _drive_source by nothing, _vet by the rate's code and n,
+_inline by those and the qualname that names the compiled driver, and
+bjj._jvp's _tangent_form by those, which of the rate's values are math's
+sin, cos and sqrt, and whether the driver calls the rate.  _vet compiles
+nothing, so each driver is compiled once per process, and only when it
+runs.
+
+One vetted body gives two: the scalar one written into the driver, and
+its forward-mode derivative (bjj._jvp), written in at the coarse sites
+of a driver whose components past the first scored are passengers, a
+tangent vector that rides only the coarse RK4 step and is never scored
+(after a call of the rate, when the driver calls a wrapper over it).
+Trajectory.dz_dt needs no body of its own: the driver hands over the
+stage-1 rate of each state it records.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import ast
 import inspect
 import pickle
 import textwrap
+import tokenize
 from functools import cache, partial
 from inspect import CO_VARARGS, CO_VARKEYWORDS
 from itertools import groupby
@@ -47,6 +52,7 @@ from types import CodeType, FunctionType
 from typing import Callable, NamedTuple
 
 from . import integrate
+from .errors import BjjError
 from .integrate import State, _drive
 from .model import RateFn
 
@@ -74,35 +80,39 @@ _DECLINED = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorE
 _Body = tuple[list[str], list[ast.stmt], ast.Tuple]
 
 
-class _Inlined(NamedTuple):
-    """A vetted rate.  driver is _drive widened to n with the rate written
-    in, taking first the values of the rate's free variables and then of
-    its globals named by names, so that the rate's constants are locals.
-    vetted is the body and args the driver's leading parameters, from
-    which bjj._jvp builds the tangent."""
+class _Vetted(NamedTuple):
+    """A rate definition that the inliner takes.  names are the globals it
+    reads and body its body, every name prefixed; args are the leading
+    parameters of a driver it is written into, the prefixed names of its
+    free variables and then of those globals, so that the rate's constants
+    are locals."""
 
-    driver: Callable
     names: tuple[str, ...]
-    vetted: _Body
+    body: _Body
     args: tuple[str, ...]
 
 
-def _bound(f: RateFn, n: int) -> tuple[_Inlined, list[object]] | None:
-    """(f's cache entry, the values its factories take) when f is a rate of
-    n components that the inliner takes, else None."""
-    if type(f) is not FunctionType or f.__defaults__ is not None or f.__kwdefaults__ is not None:
+def _bound(f: RateFn, n: int) -> list[object] | None:
+    """The values of the leading parameters of f's drivers (see _Vetted)
+    when f is a rate of n components that the inliner takes, else None."""
+    if (type(f) is not FunctionType or f.__defaults__ is not None or f.__kwdefaults__ is not None
+            or (vetted := _vet(f.__code__, n)) is None):
         return None
-    entry = _inline(f.__code__, n, f.__qualname__)
-    if entry is None:
-        return None
-    scope = f.__globals__
-    builtin = f.__builtins__
     try:
         free = [cell.cell_contents for cell in f.__closure__ or ()]
-        glob = [scope[name] if name in scope else builtin[name] for name in entry.names]
+        return free + [f.__globals__[name] if name in f.__globals__ else f.__builtins__[name]
+                       for name in vetted.names]
     except (ValueError, KeyError):  # an empty cell, an unbound global
         return None
-    return entry, free + glob
+
+
+def _refused(f: RateFn, why: str) -> Exception:
+    """The error that refuses f: a BjjError naming f's code when its source
+    cannot be read, else a TypeError naming f, followed by why."""
+    if type(f) is FunctionType and not _source(f.__code__):
+        return BjjError(f"cannot read the source of {f.__qualname__} ({f.__code__.co_filename}, "
+                        f"line {f.__code__.co_firstlineno}), from which its drivers are written")
+    return TypeError(f"rate {getattr(f, '__qualname__', f)!r} {why}")
 
 
 def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
@@ -111,36 +121,31 @@ def _stepper(f: RateFn, n: int) -> Callable[..., tuple[float, State]]:
 
     A plain def rate (n + 2 positional parameters, no defaults, a body of
     simple statements ending in its one ``return`` of an n-tuple) is
-    written by _specialised into _drive, widened to n components, at each
-    of its rate calls, compiled once per process, rate definition and n,
-    and bound to this f's closure and globals.  The inlined body runs the
-    same floating-point operations in the same order, so every result and
-    exception is the one the called driver gives.  Any other rate (a
+    written by _inline into _drive, widened to n components, at each of
+    its rate calls, compiled once per process, rate definition and n, and
+    bound to this f's closure and globals.  The inlined body runs the same
+    floating-point operations in the same order, so every result and
+    exception is the one that _drive calling f gives.  Any other rate (a
     lambda, a wrapper over ``*args``, one with defaults, nested scopes, an
     early return, an ``x op= v`` or a ``:=``, without source, or with an
-    empty closure cell) is called by _drive widened to n components
-    (_drive itself when n = 2).
+    empty closure cell) runs on _drive as written when n = 2; for any
+    other n it is refused, by a TypeError naming it (a BjjError naming
+    its code when its source cannot be read).
     """
-    bound = _bound(f, n)
-    if bound is not None:
-        entry, values = bound
-        return partial(entry.driver, *values)
-    return partial(_called(n), f)
-
-
-@cache
-def _called(n: int) -> Callable[..., tuple[float, State]]:
-    """The driver of n components that calls its rate: _drive itself when
-    n = 2, else _drive widened and compiled once per process."""
+    values = _bound(f, n)
+    if values is not None:
+        return partial(_inline(f.__code__, n, f.__qualname__), *values)
     if n == 2:
-        return _drive
-    return _compiled(_specialised(n), f"<_drive widened to {n} components>")
+        return partial(_drive, f)
+    raise _refused(f, f"of {n} components cannot be written in; only one of 2 runs on _drive")
 
 
 def _source(code: CodeType) -> str:
-    """The source of code's definition, "" when it cannot be read."""
+    """The source of code's definition, read from its file without
+    linecache, "" when it cannot be read."""
     try:
-        return inspect.getsource(code)
+        with tokenize.open(code.co_filename) as file:
+            return "".join(inspect.getblock(file.readlines()[code.co_firstlineno - 1:]))
     except OSError:
         return ""
 
@@ -294,10 +299,9 @@ def _specialised(
         for site in call:
             widen(site, scored)
         widen(stmt, width)
-        if not _site(stmt, width):
-            return [stmt]
-        sites += 1
-        if body is None:
+        is_site = _site(stmt, width)
+        sites += is_site
+        if body is None or not is_site:
             return [stmt]
         params, body, returned = body
         stored = _stored(body)
@@ -335,10 +339,11 @@ def _specialised(
     return drive
 
 
-def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
-    """function compiled in bjj.integrate's globals, which _drive's body
-    uses, with its annotations left unevaluated strings, as in
-    bjj.integrate."""
+def _compiled(function: ast.FunctionDef, args: tuple[str, ...], filename: str) -> Callable:
+    """function, with the leading parameters args added, compiled in
+    bjj.integrate's globals, which _drive's body uses, with its
+    annotations left unevaluated strings, as in bjj.integrate."""
+    function.args.args[:0] = [ast.arg(arg) for arg in args]
     module = ast.fix_missing_locations(ast.Module([function], type_ignores=[]))
     namespace: dict[str, Callable] = {}
     exec(compile(module, filename, "exec", annotations.compiler_flag, dont_inherit=True),
@@ -347,10 +352,9 @@ def _compiled(function: ast.FunctionDef, filename: str) -> Callable:
 
 
 @cache
-def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
-    """Compile _drive, widened to n components, with the body of the rate
-    definition code at every rate site, or None when it is not a rate the
-    inliner takes.  qualname names the compiled driver."""
+def _vet(code: CodeType, n: int) -> _Vetted | None:
+    """The rate definition code of n components as the inliner takes it,
+    or None when it does not (see _stepper).  It compiles nothing."""
     if (code.co_name == "<lambda>" or code.co_argcount != n + 2 or code.co_kwonlyargcount
             or code.co_cellvars or code.co_flags & (CO_VARARGS | CO_VARKEYWORDS)):
         return None
@@ -379,8 +383,13 @@ def _inline(code: CodeType, n: int, qualname: str) -> _Inlined | None:
         return None  # the source on disk is not the code that runs
     names = tuple(sorted(loads - stores - set(code.co_freevars)))
     args = tuple(_PREFIX + name for name in code.co_freevars + names)
-    vetted = ([_PREFIX + p for p in params], body, last.value)
-    drive = _specialised(n, vetted)
-    drive.args.args[:0] = [ast.arg(arg) for arg in args]
-    driver = _compiled(drive, f"<_drive inlining {qualname}>")
-    return _Inlined(driver, names, vetted, args)
+    return _Vetted(names, ([_PREFIX + p for p in params], body, last.value), args)
+
+
+@cache
+def _inline(code: CodeType, n: int, qualname: str) -> Callable[..., tuple[float, State]]:
+    """Compile _drive, widened to n components, with the body of the rate
+    definition code, which _vet takes, at every rate site; it takes the
+    values of _Vetted.args first.  qualname names the compiled driver."""
+    vetted = _vet(code, n)
+    return _compiled(_specialised(n, vetted.body), vetted.args, f"<_drive inlining {qualname}>")

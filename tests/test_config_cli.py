@@ -1163,9 +1163,20 @@ def test_import_compiles_no_stepper_and_reads_no_source():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
     proc = run_python("-c", "import bjj, bjj._specialise as s; print(*(b.cache_info().currsize "
-                      "for b in (s._drive_source, s._called, s._inline)))")
+                      "for b in (s._drive_source, s._vet, s._inline)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0"]
+    # nor after a reduced, an oracle and a Lyapunov run: the sources are
+    # read from their files, past linecache and inspect's module index
+    proc = run_python("-c", "import inspect, linecache, os, bjj; "
+                      "p = bjj.TrapParams(lam=10.0, de1=3.0); s0 = bjj.PhaseState(0.0, 0.5, 0.3); "
+                      "bjj.integrate_adaptive(p, s0, 1.0); bjj.integrate_twomode(p, s0, 1.0); "
+                      "bjj.lyapunov_estimate(p, 0.5, 0.3, horizon=1.0); "
+                      "package = os.path.dirname(bjj.__file__); "
+                      "print(sorted(k for k in linecache.cache if k.startswith(package)), "
+                      "len(inspect.modulesbyfile))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "0"]
 
 
 # --- every invocation ends in exit 0 with finite data, 1 or 2 ----------------

@@ -6,7 +6,7 @@ import math
 import re
 import textwrap
 import types
-from functools import partial, wraps
+from functools import cache, partial, wraps
 
 import numpy as np
 import pytest
@@ -15,10 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 import bjj._jvp
 import bjj._specialise
 import bjj.analysis
+import bjj.cli
 import bjj.integrate
 import bjj.twomode
 from bjj._jvp import _DERIVATIVES, _jvp, _tangent
-from bjj._specialise import _bound, _called, _specialised, _stepper
+from bjj._specialise import _bound, _specialised, _stepper, _vet
 from bjj.analysis import lyapunov_estimate
 from bjj.errors import BjjError, SingularityError, StepUnderflowError
 from bjj.integrate import (
@@ -99,16 +100,32 @@ def counting(make, evals):
 
 def inlined(f, n=2):
     """Whether the driver of n components runs f written into its source."""
-    return _stepper(f, n).func is not _called(n)
+    return _stepper(f, n).func is not _drive
 
 
 #: The specialiser's builders, each with its own cache.
-BUILDERS = (bjj._specialise._drive_source, bjj._specialise._called,
+BUILDERS = (bjj._specialise._drive_source, bjj._specialise._vet,
             bjj._specialise._inline, bjj._jvp._tangent_form)
 
 
+@cache
+def called_driver(n):
+    """The driver of n components that calls its rate, the reference for
+    the one with the rate written in: _drive itself when n = 2, else
+    _drive widened to n components, which no run of the program builds."""
+    if n == 2:
+        return _drive
+    return bjj._specialise._compiled(_specialised(n), (), f"<_drive widened to {n} components>")
+
+
+def calling(evals):
+    """A stand-in for _stepper that runs every rate on called_driver, each
+    call counted in evals[0]."""
+    return lambda f, n: partial(called_driver(n), counting(lambda p: f, evals)(None))
+
+
 def clear_builders():
-    for builder in BUILDERS:
+    for builder in BUILDERS + (called_driver,):
         builder.cache_clear()
 
 
@@ -140,12 +157,12 @@ def assert_fig5_pins(evals=None):
 def test_stepper_keeps_pinned_orbit_bits(monkeypatch):
     # Values recorded from the tuple-generic stepper that the 2-component
     # kernel replaced: the same floating-point operations in the same order
-    # give the same steps, rate evaluations and bits.  The counting wrappers
-    # run every rate through the called driver; without them both rates
-    # are inlined.
+    # give the same steps, rate evaluations and bits.  Counted, every rate
+    # runs on the driver that calls it; without that both rates are
+    # inlined.
     evals = [0]
     monkeypatch.setattr(bjj.integrate, "make_rate", counting(make_rate, evals))
-    monkeypatch.setattr(bjj.twomode, "_make_rate", counting(bjj.twomode._make_rate, [0]))
+    monkeypatch.setattr(bjj._specialise, "_stepper", calling([0]))
     assert_fig5_pins(evals)
     monkeypatch.undo()
     p, p3 = assert_fig5_pins()
@@ -292,11 +309,11 @@ def test_driven_oracle_keeps_pinned_bits(monkeypatch, sample_dt, t_end, evals, r
                                          digest):
     # Values recorded while the oracle still stepped Python complex (a1, a2)
     # pairs: its float components must take the same steps to the same bits.
-    # The counting wrapper runs the rate through the widened called driver;
-    # without it the rate is written into the widened driver.
+    # Counted, the rate runs on _drive widened to four components, which
+    # calls it; without that the rate is written into the widened driver.
     p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
     count = [0]
-    monkeypatch.setattr(bjj.twomode, "_make_rate", counting(bjj.twomode._make_rate, count))
+    monkeypatch.setattr(bjj._specialise, "_stepper", calling(count))
     for counted in (True, False):
         traj = integrate_twomode(p, S_PIN, t_end, sample_dt=sample_dt)
         assert (count[0], len(traj)) == (evals, rows)
@@ -593,7 +610,7 @@ def test_inlined_driver_matches_called_driver(kind, eta, de0, de1, z0, phi0, tol
     drive = (de0, de1, p.omega)
     assert inlined(f, len(y))
     assert outcome(_stepper(f, len(y)), drive, y, targets, ctl) == outcome(
-        partial(_called(len(y)), f), drive, y, targets, ctl
+        partial(called_driver(len(y)), f), drive, y, targets, ctl
     )
 
 
@@ -679,17 +696,65 @@ def test_tangent_matches_central_differences(lam, de1, omega, eta, kind, z0, phi
     assert np.max(np.abs(jvp - differences)) <= 1e-6 * np.max(np.abs(jvp))
 
 
+def period_jacobian(p, z0, phi0):
+    """The one-period Jacobian M of p's stroboscopic map at (z0, phi0):
+    its columns are the tangents from v = (1, 0) and v = (0, 1)."""
+    ctl = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=1e-3, h_min=1e-14, h_max=1e-3)
+    step = partial(_tangent(make_rate(p), 2), (p.de0, p.de1, p.omega), 0.0)
+    return np.array([step((z0, phi0, *v), [p.period], ctl)[1][2:]
+                     for v in ((1.0, 0.0), (0.0, 1.0))]).T
+
+
+@given(
+    lam=st.floats(-20.0, 20.0),
+    de0=st.floats(-2.0, 2.0),
+    de1=st.floats(0.0, 8.0),
+    z0=st.floats(-0.95, 0.95),
+    phi0=st.floats(-10.0, 10.0),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+@settings(max_examples=60, deadline=None)
+def test_period_map_keeps_liouville_volume(lam, de0, de1, z0, phi0, eta):
+    # div f is 0 undamped and -eta under POPULATION damping, so the one-
+    # period map scales areas by e^{-eta T}.  Measured here: at most 2.7e-11
+    # relative over 200 draws.
+    p = TrapParams(lam=lam, de0=de0, de1=de1, omega=4.0 * math.pi, eta=eta,
+                   damping=DampingKind.POPULATION)
+    volume = math.exp(-eta * p.period)
+    assert abs(np.linalg.det(period_jacobian(p, z0, phi0)) - volume) <= 1e-10 * volume
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 10.0])
+def test_undriven_centre_turns_at_the_small_oscillation_frequency(lam):
+    # Near (0, 0) the undriven junction is a harmonic oscillator of
+    # frequency sqrt(1 + lam), so the residue (2 - tr M)/4 of the period
+    # map is sin^2(sqrt(1 + lam) T/2) (ROADMAP item 7's analytic pin).
+    # Measured here: 1.2e-15, 2.5e-14 and 8.3e-13.
+    p = TrapParams(lam=lam, omega=4.0 * math.pi)
+    residue = (2.0 - np.trace(period_jacobian(p, 0.0, 0.0))) / 4.0
+    assert abs(residue - math.sin(math.sqrt(1.0 + lam) * p.period / 2.0) ** 2) <= 5e-12
+
+
+def test_velocity_damping_grows_areas_at_the_undriven_centre():
+    # VELOCITY damping puts +eta on the linearised phase equation's
+    # diagonal at (0, 0), so there the period map grows areas by e^{+eta T}.
+    # Measured here: 1.2e-12 relative.
+    p = TrapParams(lam=10.0, omega=4.0 * math.pi, eta=0.5, damping=DampingKind.VELOCITY)
+    volume = math.exp(0.5 * p.period)
+    assert abs(np.linalg.det(period_jacobian(p, 0.0, 0.0)) - volume) <= 5e-12 * volume
+
+
 def derivative_alone(f, n):
     """The body that _jvp generates from f's, the one a tangent driver
     writes in at its coarse sites, compiled as a function of its own:
     ``(t, de, y0, ..., yn-1, v0, ..., vn-1) -> (f's n values, then J.v)``."""
-    entry, values = _bound(f, n)
-    funcs = {name: kind for name, value in zip(entry.args, values)
+    vetted, values = _vet(f.__code__, n), _bound(f, n)
+    funcs = {name: kind for name, value in zip(vetted.args, values)
              for fn, kind in _DERIVATIVES if value is fn}
-    params, body, returned = _jvp(entry.vetted, funcs)
-    (function,) = ast.parse(f"def _({', '.join([*entry.args, *params])}): pass").body
+    params, body, returned = _jvp(vetted.body, funcs)
+    (function,) = ast.parse(f"def _({', '.join(params)}): pass").body
     function.body = body + [ast.Return(returned)]
-    return partial(bjj._specialise._compiled(function, "<derivative>"), *values)
+    return partial(bjj._specialise._compiled(function, vetted.args, "<derivative>"), *values)
 
 
 def hand_jacobian_terms(p, z, phi):
@@ -861,8 +926,7 @@ def test_a_rate_with_an_assignment_expression_is_called_and_has_no_tangent():
 def test_passenger_widening_rides_the_coarse_step_only():
     # the driver of a wrapped rate with a tangent: _drive widened to four
     # components, two scored, that calls f and writes in the derivative
-    entry, _ = _bound(oscillator, 2)
-    jvp = _jvp(entry.vetted, {})
+    jvp = _jvp(_vet(oscillator.__code__, 2).body, {})
     text = ast.unparse(ast.fix_missing_locations(_specialised(4, scored=2, coarse=jvp)))
     # every site calls f over the scored two, and the coarse ones (stage 1
     # at the start and after each accepted step) write in the derivative
@@ -902,25 +966,32 @@ def test_inliner_declines_wrappers_lambdas_defaults_and_early_returns():
         step = _stepper(f, 2)
         assert isinstance(step, partial) and step.func is _drive and step.args == (f,)
     assert inlined(rate) and inlined(oscillator)
-    # a declined rate of four components runs _drive widened to four
+    # a declined rate of any other width is refused by name: only _drive
+    # runs as written
     oracle = bjj.twomode._make_rate(TrapParams(lam=10.0))
     wrapped = counting(lambda p: oracle, [0])(None)
-    step = _stepper(wrapped, 4)
-    assert step.func is _called(4) is not _drive and step.args == (wrapped,)
+    with pytest.raises(TypeError, match=r"^rate '_make_rate.<locals>.rate' of 4 components "
+                                        r"cannot be written in; only one of 2 runs on _drive$"):
+        _stepper(wrapped, 4)
     assert inlined(oracle, 4)
+    for n in (0, 1, 3, 4, 6):
+        for f in (lambda *y: y, with_default, counting(lambda p: rate, [0])(None)):
+            with pytest.raises(TypeError, match=rf"^rate '\S+' of {n} components cannot be"):
+                _stepper(f, n)
 
 
 def test_driver_cache_is_keyed_by_rate_and_width(monkeypatch, fresh_builders):
     compiled = []
     compile_ = bjj._specialise._compiled
 
-    def spy(function, filename):
+    def spy(function, args, filename):
         compiled.append(filename)
-        return compile_(function, filename)
+        return compile_(function, args, filename)
 
     monkeypatch.setattr(bjj._specialise, "_compiled", spy)
     monkeypatch.setattr(bjj._jvp, "_compiled", spy)
-    # a request at the wrong n declines the rate at that n only
+    # a request at the wrong n declines the rate at that n only: at 2 it
+    # runs on _drive, at 4 it is refused
     def four(t, de, x1, y1, x2, y2):
         return y1, -x1, y2, -x2
 
@@ -928,33 +999,36 @@ def test_driver_cache_is_keyed_by_rate_and_width(monkeypatch, fresh_builders):
         return v, -x
 
     assert not inlined(four, 2) and inlined(four, 4)
-    assert not inlined(two, 4) and inlined(two, 2)
+    with pytest.raises(TypeError, match="two' of 4 components cannot be written in"):
+        _stepper(two, 4)
+    assert inlined(two, 2)
     # two with a tangent: four components, the first two scored; the
     # wrapper's driver calls it at every site
     _tangent(two, 2)
     _tangent(counting(lambda p: two, [0])(None), 2)
-    # one inlined build per rate and width, one called driver per width
-    # (_drive itself at 2), and one tangent for two and one for its
-    # wrapper; asking again builds nothing
+    # one vetting per rate and width, one inlined build per rate and width
+    # it takes, and one tangent for two and one for its wrapper; asking
+    # again builds nothing
     sizes = [builder.cache_info().currsize for builder in BUILDERS]
-    assert sizes == [1, 2, 4, 2]
+    assert sizes == [1, 4, 2, 2]
     assert inlined(four, 4) and inlined(two, 2) and _tangent(two, 2)
     assert [builder.cache_info().currsize for builder in BUILDERS] == sizes
     two = two.__qualname__
     assert compiled == [f"<_drive inlining {four.__qualname__}>",
-                        "<_drive widened to 4 components>",
                         f"<_drive inlining {two}>", f"<_drive inlining {two} and its tangent>",
                         f"<_drive calling {two} and its tangent>"]
-    # a process running the reduced, tangent and oracle paths compiles one
-    # driver for each
+    # a process running the tangent path alone compiles its driver alone,
+    # vetting compiling nothing; the reduced and oracle paths then compile
+    # one driver each
     clear_builders()
     compiled.clear()
     p = TrapParams(lam=10.0, de1=3.0, omega=4.0 * math.pi)
-    integrate_adaptive(p, S_PIN, 1.0, sample_dt=0.5)
     lyapunov_estimate(p, 0.5, 0.0, horizon=1.0)
+    assert compiled == ["<_drive inlining make_rate.<locals>.rate and its tangent>"]
+    integrate_adaptive(p, S_PIN, 1.0, sample_dt=0.5)
     integrate_twomode(p, S_PIN, 1.0, sample_dt=0.5)
-    assert compiled == ["<_drive inlining make_rate.<locals>.rate>",
-                        "<_drive inlining make_rate.<locals>.rate and its tangent>",
+    assert compiled == ["<_drive inlining make_rate.<locals>.rate and its tangent>",
+                        "<_drive inlining make_rate.<locals>.rate>",
                         "<_drive inlining _make_rate.<locals>.rate>"]
 
 
@@ -1001,12 +1075,15 @@ def rates_with_broken_sites(monkeypatch, replacement):
     ids=["one_site_more", "one_site_fewer", "f_loaded", "call_not_a_site"],
 )
 def test_inliner_insists_on_every_rate_call(monkeypatch, fresh_builders, replacement):
-    (reduced, called_reduced), oracles = rates_with_broken_sites(monkeypatch, replacement)
+    (reduced, called_reduced), (oracle, _) = rates_with_broken_sites(monkeypatch, replacement)
     # with two components a declined rate runs _drive as written, unparsed
     assert _stepper(called_reduced, 2).func is _drive
-    for f, n in [(reduced, 2)] + [(f, 4) for f in oracles]:
+    for f, n in [(reduced, 2), (oracle, 4)]:
         with pytest.raises(RuntimeError, match="expected 12"):
             _stepper(f, n)
+    # and so does _drive widened to four, calling its rate
+    with pytest.raises(RuntimeError, match="expected 12"):
+        called_driver(4)
 
 
 def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch,
@@ -1027,12 +1104,13 @@ def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch,
     # h_min bounds the steps even of a driver the rewrite broke
     ctl = StepControl(abs_tol=1e-10, rel_tol=1e-10, h_init=0.2, h_min=1e-4, h_max=0.2)
     targets = [0.5, 1.0, 2.5]
-    called = [outcome(partial(_called(len(y)), f), drive, y, targets, ctl) for f, drive, y in cases]
+    called = [outcome(partial(called_driver(len(y)), f), drive, y, targets, ctl)
+              for f, drive, y in cases]
     compiled = {}
     compile_ = bjj._specialise._compiled
 
-    def spy(function, filename):
-        done = compile_(function, filename)
+    def spy(function, args, filename):
+        done = compile_(function, args, filename)
         compiled[filename] = ast.unparse(function)
         return done
 
@@ -1051,12 +1129,35 @@ def test_copy_free_write_in_keeps_sites_whose_targets_are_arguments(monkeypatch,
 
 def test_widening_insists_on_index_pairs(monkeypatch, fresh_builders):
     # (m0, m0) is a site of two components, but not an index pair to widen
-    reduced, oracles = rates_with_broken_sites(
+    reduced, (oracle, _) = rates_with_broken_sites(
         monkeypatch, "j0, j1 = f(t_half, de_half, m0, m0)")
     assert inlined(reduced[0])
-    for f in oracles:
+    for build in (partial(_stepper, oracle, 4), partial(called_driver, 4)):
         with pytest.raises(RuntimeError, match="4 components has 11 inlinable rate calls"):
-            _stepper(f, 4)
+            build()
+
+
+def test_an_install_without_sources_runs_called_or_exits_2_naming_the_code(
+        monkeypatch, capsys, fresh_builders):
+    # No .py file to read: the reduced rate runs on _drive as written, with
+    # the same bytes, and the oracle and the tangent, which have no driver
+    # without their source, end with exit 2 naming the code unread
+    drive = ["--lambda", "10", "--de1", "3", "--omega-pi", "4"]
+    simulate = ["simulate", *drive, "--t-end", "1"]
+    assert bjj.cli.main(simulate) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(bjj._specialise, "_source", lambda code: "")
+    clear_builders()
+    assert (bjj.cli.main(simulate), capsys.readouterr()) == (0, expected)
+    for argv, named in [
+        (["crosscheck", *drive, "--t-end", "1"], r"_make_rate.<locals>.rate \(.*twomode"),
+        (["lyapunov", *drive, "--horizon", "1"], r"make_rate.<locals>.rate \(.*model"),
+    ]:
+        status = bjj.cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (status, out) == (2, "")
+        assert re.fullmatch(rf"runtime failure: cannot read the source of {named}\.py, "
+                            r"line \d+\), from which its drivers are written\n", err), err
 
 
 def test_pure_relative_tolerance_on_a_zero_state():
